@@ -361,9 +361,9 @@ BUG_CATALOG: Dict[str, SeededBug] = _catalog(
         SeededBug(
             bug_id="midend_emit_missing_parens",
             description=(
-                "The ToP4 emitter drops parentheses around nested ternary "
-                "expressions after the Predication pass, producing a program "
-                "that no longer parses (an invalid transformation)"
+                "The Predication pass names its condition temporary with an "
+                "illegal identifier (``pred cond0``), so the program emitted "
+                "after the pass no longer parses (an invalid transformation)"
             ),
             kind=KIND_CRASH,
             location=LOCATION_MIDEND,

@@ -9,7 +9,6 @@ manager keep the "before" program for translation validation.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, List
 
 from repro.p4 import ast
@@ -39,14 +38,16 @@ class Transformer:
     def generic_visit(self, node: ast.Node) -> Any:
         """Rebuild ``node`` with transformed children."""
 
-        if not dataclasses.is_dataclass(node):
+        names = ast.node_field_names(type(node))
+        if names is None:
             return node
         changed = False
         new_values = {}
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
+        values = node.__dict__
+        for name in names:
+            value = values[name]
             new_value = self._transform_value(value)
-            new_values[field.name] = new_value
+            new_values[name] = new_value
             if new_value is not value:
                 changed = True
         if not changed:

@@ -304,10 +304,9 @@ class CoordinatorService:
                 return self._on_outcome(message, received_bytes)
             if op == protocol.OP_COMPLETE:
                 return self._on_complete(message)
-            if op == protocol.OP_STATUS:
-                pass  # fall through; status() takes the lock itself
             if op == protocol.OP_BYE:
                 return {"ok": True}
+        # Outside the lock: status() takes it itself.
         if op == protocol.OP_STATUS:
             return {"ok": True, **self.status()}
         return {"ok": False, "error": f"unknown op {op!r}"}

@@ -26,7 +26,6 @@ respawned (their death is the point).
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from repro.core.engine.coordinator import (
@@ -37,6 +36,7 @@ from repro.core.engine.coordinator import (
     DEFAULT_MAX_OUTSTANDING,
     CoordinatorService,
 )
+from repro.core.engine.executor import fork_context
 from repro.core.engine.units import KIND_WORK
 from repro.core.engine.worker import worker_process_main
 
@@ -82,11 +82,6 @@ class DistributedExecutor:
         #: (``dist_*`` keys), merged into ``CampaignStatistics.counters``.
         self.service_counters: Dict[str, int] = {}
 
-    @staticmethod
-    def _context() -> multiprocessing.context.BaseContext:
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
     def run_units(
         self,
         units: Sequence,
@@ -114,7 +109,7 @@ class DistributedExecutor:
         host, port = coordinator.start()
         self._announce(f"coordinator serving {len(units)} {kind} units on {host}:{port}")
 
-        context = self._context()
+        context = fork_context()
         procs: list = []
         spawn_seq = 0
         respawns_left = self._max_respawns

@@ -35,10 +35,24 @@ Sink = Optional[Callable[[object], None]]
 Journal = Optional[Callable[[Dict], None]]
 
 
-def _runner_for(kind: str):
+def runner_for(kind: str):
+    """The worker-side function that runs one unit of ``kind``.
+
+    Imported lazily so that importing an executor (or the fleet worker's
+    CLI) does not drag the whole compiler in.
+    """
+
     from repro.core.engine.stages import run_triage_unit, run_unit
 
     return run_unit if kind == KIND_WORK else run_triage_unit
+
+
+def fork_context() -> multiprocessing.context.BaseContext:
+    """``fork`` where the platform offers it (workers inherit the imported
+    compiler and solver modules for free), else ``spawn``."""
+
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 class _LocalRunUnits:
@@ -52,7 +66,7 @@ class _LocalRunUnits:
         journal: Journal = None,
     ) -> Iterator[object]:
         # Local transports have no leases, so the journal goes unused.
-        for outcome in self.map_unordered(_runner_for(kind), units):
+        for outcome in self.map_unordered(runner_for(kind), units):
             if sink is not None:
                 sink(outcome)
             yield outcome
@@ -83,11 +97,6 @@ class ProcessPoolExecutor(_LocalRunUnits):
             raise ValueError("ProcessPoolExecutor needs jobs >= 2; use SerialExecutor")
         self.jobs = jobs
 
-    @staticmethod
-    def _context() -> multiprocessing.context.BaseContext:
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
     def map_unordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
     ) -> Iterator[_R]:
@@ -102,7 +111,7 @@ class ProcessPoolExecutor(_LocalRunUnits):
         # skewed (one divergent program can cost 100x the median) while
         # still amortising IPC for large campaigns.
         chunksize = max(1, len(items) // (processes * 8))
-        with self._context().Pool(processes=processes) as pool:
+        with fork_context().Pool(processes=processes) as pool:
             for result in pool.imap_unordered(fn, items, chunksize=chunksize):
                 yield result
 

@@ -37,6 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.compiler.bugs import (
     BUG_CATALOG,
     KIND_CRASH,
+    KIND_SEMANTIC,
     LOCATION_BACKEND,
     LOCATION_FRONTEND,
     LOCATION_MIDEND,
@@ -250,7 +251,10 @@ class OutcomeMerger:
         # Sorted for determinism: the legacy loop iterated a set, so the
         # platform-fallback attribution below depended on hash order.
         candidates = [BUG_CATALOG[bug_id] for bug_id in sorted(self.enabled)]
-        expected_kind = KIND_CRASH if finding.kind == FINDING_CRASH else "semantic"
+        # The catalog files invalid transformations (an emitted program
+        # that no longer parses) under the crash kind, next to crashes.
+        crash_like = finding.kind in (FINDING_CRASH, FINDING_INVALID)
+        expected_kind = KIND_CRASH if crash_like else KIND_SEMANTIC
         for bug in candidates:
             if bug.pass_name == finding.pass_name and bug.kind == expected_kind:
                 return bug

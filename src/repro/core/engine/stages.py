@@ -10,10 +10,11 @@ JSON-serialisable :class:`~repro.core.engine.units.UnitOutcome`.
 Per-process caches:
 
 * ``_PROGRAM_MEMO`` — the generated program for ``(generator config,
-  index)``: the per-platform units of one program land on arbitrary
-  workers, but when two land on the same worker the program is generated
-  once.  Regeneration elsewhere is deterministic (child seeds), so the
-  memo is purely an optimisation.
+  index)``, with its emitted source and its ``program_features`` cells:
+  the per-platform units of one program land on arbitrary workers, but
+  when several land on the same worker the program is generated, and its
+  features scanned, once.  Regeneration elsewhere is deterministic (child
+  seeds), so the memo is purely an optimisation.
 Symbolic packet tests are memoised per process by
 :func:`repro.core.testgen.cached_tests` (keyed by emitted source), shared
 between platforms and across the per-defect detection matrix.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import smt
@@ -33,7 +34,7 @@ from repro.compiler import (
     compile_prefix,
     prefix_cache_stats,
 )
-from repro.compiler.coverage import program_features, shape_cell
+from repro.compiler.coverage import CoverageMap, program_features, shape_cell
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.core.crash import classify_compilation, crash_from_exception
 from repro.core.generator import RandomProgramGenerator
@@ -83,8 +84,18 @@ from repro.core.reduce.oracles import (
 # Per-process state
 # ----------------------------------------------------------------------
 
+@dataclass
+class GeneratedProgram:
+    """One generated program, as memoised for its platform units."""
+
+    program: ast.Program
+    source: str
+    #: ``program_features`` cells, scanned by the first unit that needs them.
+    features: Optional[Dict[str, int]] = None
+
+
 _MEMO_LIMIT = 64
-_PROGRAM_MEMO: "OrderedDict[tuple, Tuple[ast.Program, str]]" = OrderedDict()
+_PROGRAM_MEMO: "OrderedDict[tuple, GeneratedProgram]" = OrderedDict()
 
 _VALIDATOR = TranslationValidator()
 
@@ -102,7 +113,7 @@ def reset_worker_state() -> None:
 # Stage: generate
 # ----------------------------------------------------------------------
 
-def stage_generate(unit: WorkUnit) -> Tuple[ast.Program, str]:
+def stage_generate(unit: WorkUnit) -> GeneratedProgram:
     """Deterministically (re)generate the unit's program and its source."""
 
     key = (astuple(unit.generator), unit.program_index)
@@ -112,11 +123,11 @@ def stage_generate(unit: WorkUnit) -> Tuple[ast.Program, str]:
         return cached
     generator = RandomProgramGenerator(unit.generator)
     program = generator.generate_indexed(unit.program_index)
-    source = emit_program(program)
-    _PROGRAM_MEMO[key] = (program, source)
+    generated = GeneratedProgram(program, emit_program(program))
+    _PROGRAM_MEMO[key] = generated
     while len(_PROGRAM_MEMO) > _MEMO_LIMIT:
         _PROGRAM_MEMO.popitem(last=False)
-    return program, source
+    return generated
 
 
 # ----------------------------------------------------------------------
@@ -226,32 +237,31 @@ def _backend_stage(
         ]
     except CompilerError:
         return STATUS_REJECTED, []
-    if unit.validate_prefix:
-        report = _VALIDATOR.validate_compilation(result)
-        if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
-            return STATUS_FINDING, [
-                FindingRecord(
-                    kind=FINDING_INVALID,
-                    platform=platform,
-                    pass_name=report.invalid_pass or "ToP4",
-                    description=report.detail,
-                )
-            ]
-        if report.outcome == ValidationOutcome.SEMANTIC_BUG:
-            divergence = report.divergences[0]
-            return STATUS_FINDING, [
-                FindingRecord(
-                    kind=FINDING_SEMANTIC,
-                    platform=platform,
-                    pass_name=divergence.pass_name,
-                    description=(
-                        f"pass {divergence.pass_name} changed {divergence.output_path} "
-                        f"in block {divergence.block}"
-                    ),
-                    witness=dict(divergence.witness),
-                    before_pass=divergence.before_pass,
-                )
-            ]
+    report = _VALIDATOR.validate_compilation(result)
+    if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
+        return STATUS_FINDING, [
+            FindingRecord(
+                kind=FINDING_INVALID,
+                platform=platform,
+                pass_name=report.invalid_pass or "ToP4",
+                description=report.detail,
+            )
+        ]
+    if report.outcome == ValidationOutcome.SEMANTIC_BUG:
+        divergence = report.divergences[0]
+        return STATUS_FINDING, [
+            FindingRecord(
+                kind=FINDING_SEMANTIC,
+                platform=platform,
+                pass_name=divergence.pass_name,
+                description=(
+                    f"pass {divergence.pass_name} changed {divergence.output_path} "
+                    f"in block {divergence.block}"
+                ),
+                witness=dict(divergence.witness),
+                before_pass=divergence.before_pass,
+            )
+        ]
     mismatch = packet_test(unit, program, source, executable, spec)
     if mismatch is not None:
         return STATUS_FINDING, [
@@ -324,18 +334,21 @@ def _counters_snapshot() -> Dict[str, int]:
     }
 
 
-def _unit_coverage(unit: WorkUnit, program: ast.Program, source: str) -> Dict[str, int]:
+def _unit_coverage(unit: WorkUnit, generated: GeneratedProgram) -> Dict[str, int]:
     """Coverage cells this unit's program lit up (pure function of the unit).
 
-    Re-runs :func:`compile_prefix` with the same options the platform stage
-    just used, so the compilation (and its attached rule/pass coverage) is
-    a guaranteed memo hit — the only new work is the feature walk and the
-    shape histogram, both near-free.  Coverage is feedback, never an
+    The feature scan runs once per memoised program and is shared by its
+    platform units.  :func:`compile_prefix` re-runs with the same options
+    the platform stage just used, so the compilation (and its attached
+    rule/pass coverage) is a guaranteed memo hit — the only new work is
+    the shape histogram, near-free.  Coverage is feedback, never an
     oracle: any failure degrades to fewer cells, not a failed unit.
     """
 
     try:
-        coverage = program_features(program)
+        if generated.features is None:
+            generated.features = program_features(generated.program).to_dict()
+        coverage = CoverageMap(dict(generated.features))
         if unit.platform == "p4c":
             options = CompilerOptions(enabled_bugs=p4c_bug_set(unit.enabled_bugs))
         else:
@@ -343,7 +356,7 @@ def _unit_coverage(unit: WorkUnit, program: ast.Program, source: str) -> Dict[st
                 enabled_bugs=backend_bug_set(unit.enabled_bugs, unit.platform),
                 target=unit.platform,
             )
-        result = compile_prefix(program, source, options)
+        result = compile_prefix(generated.program, generated.source, options)
         coverage.update(result.coverage.to_dict())
         if result.succeeded and result.snapshots:
             histogram = term_shape_histogram(result.snapshots[-1])
@@ -365,14 +378,15 @@ def run_unit(unit: WorkUnit) -> UnitOutcome:
 
     before = _counters_snapshot()
     start = time.perf_counter()
-    program, source = stage_generate(unit)
+    generated = stage_generate(unit)
+    program, source = generated.program, generated.source
     if unit.platform == "p4c":
         status, findings = _p4c_stage(unit, program, source)
     elif unit.platform in BACKEND_REGISTRY:
         status, findings = _backend_stage(unit, program, source)
     else:
         raise ValueError(f"unknown platform {unit.platform!r}")
-    coverage = _unit_coverage(unit, program, source)
+    coverage = _unit_coverage(unit, generated)
     elapsed = time.perf_counter() - start
     after = _counters_snapshot()
     deltas = {key: after[key] - before.get(key, 0) for key in after}

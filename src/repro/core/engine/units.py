@@ -108,11 +108,6 @@ class WorkUnit:
     generator: GeneratorConfig
     enabled_bugs: Tuple[str, ...] = ()
     max_tests: int = 4
-    #: Backend units re-walk the shared front/mid-end prefix through the
-    #: process-wide snapshot caches and reuse its verdict (PR 7's shared-
-    #: prefix validation); disable to restore the pre-PR-7 packet-tests-only
-    #: behaviour for closed back ends.
-    validate_prefix: bool = True
     #: Packet count of the §6 test sequences replayed against stateful
     #: programs (stateless programs always collapse to length 1).  Part of
     #: the wire form: a distributed worker must replay exactly what the
@@ -133,19 +128,19 @@ class WorkUnit:
             "generator": asdict(self.generator),
             "enabled_bugs": list(self.enabled_bugs),
             "max_tests": self.max_tests,
-            "validate_prefix": self.validate_prefix,
             "sequence_length": self.sequence_length,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "WorkUnit":
+        # Legacy payloads may carry a ``validate_prefix`` key; it was never
+        # false, and backend units always validate the shared prefix.
         return cls(
             program_index=payload["program_index"],
             platform=payload["platform"],
             generator=GeneratorConfig(**payload["generator"]),
             enabled_bugs=tuple(payload.get("enabled_bugs", ())),
             max_tests=payload.get("max_tests", 4),
-            validate_prefix=payload.get("validate_prefix", True),
             sequence_length=payload.get("sequence_length", 1),
         )
 

@@ -30,6 +30,7 @@ from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH, cached_sequences
 from repro.core.validation import TranslationValidator, ValidationOutcome
 from repro.p4 import ast, emit_program
 from repro.targets import BACKEND_REGISTRY
+from repro.targets.state import packet_layout
 
 from repro.core.engine.units import (
     FINDING_CRASH,
@@ -95,6 +96,9 @@ def packet_mismatch(
     sequences = cached_sequences(program, source, max_tests, sequence_length)
     if sequences is None:
         return None
+    # Every packet of every sequence has the program's ``Headers`` layout:
+    # resolve (and typecheck) it once, not once per packet.
+    layout = packet_layout(program, "Headers")
     runner = spec.runner_cls(executable)
     for sequence in sequences:
         _REPLAY_STATS["sequences_replayed"] += 1
@@ -103,7 +107,7 @@ def packet_mismatch(
             reset()
         for generated in sequence.packets:
             _REPLAY_STATS["packets_replayed"] += 1
-            packet = generated.build_packet(program)
+            packet = generated.input_packet(layout)
             test = spec.test_cls(
                 name=generated.name,
                 input_packet=packet,

@@ -31,7 +31,7 @@ from repro import smt
 from repro.core.interpreter import BlockSemantics, InterpreterError, SymbolicInterpreter, TableInfo
 from repro.p4 import ast
 from repro.smt.solver import CheckResult, Model, Solver
-from repro.targets.state import PacketState, SwitchState, TableEntry, build_packet_state
+from repro.targets.state import PacketState, SwitchState, TableEntry, packet_layout
 
 
 #: Default packet count of a stateful test sequence.  Three packets is
@@ -57,7 +57,15 @@ class GeneratedTest:
     def build_packet(self, program: ast.Program, struct_name: str = "Headers") -> PacketState:
         """Materialise the input packet for the given program."""
 
-        packet = build_packet_state(program, struct_name, self.input_values)
+        return self.input_packet(packet_layout(program, struct_name))
+
+    def input_packet(self, layout: PacketState) -> PacketState:
+        """The input packet, filled into a copy of the program's resolved
+        :func:`~repro.targets.state.packet_layout`."""
+
+        packet = layout.copy()
+        for path, value in self.input_values.items():
+            packet.write(path, value)
         for header, valid in self.input_validity.items():
             if header in packet.headers:
                 packet.headers[header].valid = valid

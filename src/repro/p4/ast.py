@@ -25,8 +25,28 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.p4.types import BitType, BoolType, P4Type, VoidType
 
 
-#: Per-class field-name cache for the hand-rolled structural clone.
-_CLONE_FIELDS: Dict[type, Tuple[str, ...]] = {}
+#: Per-class field-name cache for the hand-rolled structural clone and the
+#: compiler's :class:`~repro.compiler.visitor.Transformer`; ``None`` marks
+#: a class that is not a dataclass.
+_CLONE_FIELDS: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def node_field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """The dataclass field names of a node class, or ``None`` if it has none.
+
+    Cached per class: ``dataclasses.fields()`` rebuilds its tuple on every
+    call, and passes rebuild every node they visit.
+    """
+
+    try:
+        return _CLONE_FIELDS[cls]
+    except KeyError:
+        try:
+            names: Optional[Tuple[str, ...]] = tuple(f.name for f in dataclass_fields(cls))
+        except TypeError:  # not a dataclass
+            names = None
+        _CLONE_FIELDS[cls] = names
+        return names
 
 
 def _clone_value(value):
@@ -61,13 +81,9 @@ class Node:
         """
 
         cls = type(self)
-        names = _CLONE_FIELDS.get(cls)
-        if names is None:
-            try:
-                names = tuple(f.name for f in dataclass_fields(cls))
-            except TypeError:  # not a dataclass: fall back to deepcopy
-                return copy.deepcopy(self)
-            _CLONE_FIELDS[cls] = names
+        names = node_field_names(cls)
+        if names is None:  # not a dataclass: fall back to deepcopy
+            return copy.deepcopy(self)
         out = cls.__new__(cls)
         out_dict = out.__dict__
         self_dict = self.__dict__

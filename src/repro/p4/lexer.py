@@ -3,7 +3,8 @@
 The lexer is a single compiled master-pattern scan: one alternation
 covers whitespace, comments, numbers (including P4's width-annotated
 literals like ``8w255`` and ``4w0xF``), words and punctuation, so the
-hot path is one ``re.match`` per token instead of a per-character loop.
+hot path is one ``finditer`` step per token instead of a per-character
+loop.
 Line/column positions are tracked from the newline counts of skipped
 whitespace and comments.
 """
@@ -11,9 +12,8 @@ whitespace and comments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import List
+from typing import List, NamedTuple, Optional
 
 
 class LexerError(Exception):
@@ -53,10 +53,11 @@ SYMBOLS = (
 
 # The master pattern.  Alternative order matters: comments before the "/"
 # symbol, width-annotated numbers before plain decimals, multi-character
-# symbols before their single-character prefixes.  Number bodies
-# deliberately over-match ([0-9a-zA-Z]*) so malformed literals like
-# ``0xZZ`` are caught here with a proper error instead of lexing as a
-# number followed by an identifier.
+# symbols before their single-character prefixes, and the catch-all
+# ``error`` character last, so consecutive matches tile the source.
+# Number bodies deliberately over-match ([0-9a-zA-Z]*) so malformed
+# literals like ``0xZZ`` are caught here with a proper error instead of
+# lexing as a number followed by an identifier.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\r\n]+)
@@ -68,27 +69,38 @@ _TOKEN_RE = re.compile(
       )
     | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<symbol><<|>>|<=|>=|==|!=|&&|\|\||\+\+|[(){}\[\]<>;:,.=+\-*/%&|^!~?@])
+    | (?P<error>(?s:.))
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single token with its source position."""
+class Token(NamedTuple):
+    """A single token with its source position.
+
+    A named tuple rather than a frozen dataclass: the lexer builds one per
+    token of every reparsed snapshot, and a tuple is constructed without
+    the per-field ``object.__setattr__`` a frozen dataclass pays.
+    """
 
     kind: TokenKind
     text: str
-    value: int | None = None  # numeric value for NUMBER tokens
-    width: int | None = None  # explicit width for NUMBER tokens like 8w255
+    value: Optional[int] = None  # numeric value for NUMBER tokens
+    width: Optional[int] = None  # explicit width for NUMBER tokens like 8w255
     line: int = 0
     column: int = 0
 
     def is_symbol(self, text: str) -> bool:
-        return self.kind == TokenKind.SYMBOL and self.text == text
+        return self.kind is TokenKind.SYMBOL and self.text == text
 
     def is_keyword(self, text: str) -> bool:
-        return self.kind == TokenKind.KEYWORD and self.text == text
+        return self.kind is TokenKind.KEYWORD and self.text == text
+
+
+_IDENTIFIER = TokenKind.IDENTIFIER
+_NUMBER = TokenKind.NUMBER
+_KEYWORD = TokenKind.KEYWORD
+_SYMBOL = TokenKind.SYMBOL
 
 
 class Lexer:
@@ -99,60 +111,54 @@ class Lexer:
 
     def tokenize(self) -> List[Token]:
         source = self.source
-        length = len(source)
         tokens: List[Token] = []
         append = tokens.append
-        match = _TOKEN_RE.match
         keywords = KEYWORDS
         pos = 0
         line = 1
         line_start = 0  # offset of the first character of the current line
 
-        while pos < length:
-            m = match(source, pos)
-            if m is None:
-                raise LexerError(
-                    f"unexpected character {source[pos]!r}",
-                    line,
-                    pos - line_start + 1,
-                )
+        for m in _TOKEN_RE.finditer(source):
             kind = m.lastgroup
+            text = m.group()
+            start = pos
             pos = m.end()
-            if kind in ("ws", "comment"):
-                text = m.group()
+            if kind == "ws" or kind == "comment":
                 newlines = text.count("\n")
                 if newlines:
                     line += newlines
-                    line_start = m.start() + text.rindex("\n") + 1
+                    line_start = start + text.rindex("\n") + 1
                 continue
-            column = m.start() - line_start + 1
+            column = start - line_start + 1
             if kind == "word":
-                text = m.group()
                 append(
                     Token(
-                        TokenKind.KEYWORD if text in keywords else TokenKind.IDENTIFIER,
+                        _KEYWORD if text in keywords else _IDENTIFIER,
                         text,
-                        line=line,
-                        column=column,
+                        None,
+                        None,
+                        line,
+                        column,
                     )
                 )
             elif kind == "symbol":
-                text = m.group()
                 if text == "/" and source.startswith("*", pos):
                     # The comment alternative only matches *terminated*
                     # block comments; a stray "/*" falls through to here.
                     raise LexerError("unterminated block comment", line, column)
-                append(Token(TokenKind.SYMBOL, text, line=line, column=column))
-            else:  # number
-                append(self._make_number(m, line, column))
+                append(Token(_SYMBOL, text, None, None, line, column))
+            elif kind == "number":
+                append(self._make_number(m, text, line, column))
+            else:
+                raise LexerError(f"unexpected character {text!r}", line, column)
 
-        return tokens + [Token(TokenKind.END, "", line=line, column=pos - line_start + 1)]
+        append(Token(TokenKind.END, "", None, None, line, pos - line_start + 1))
+        return tokens
 
     # -- internals ----------------------------------------------------------
 
     @staticmethod
-    def _make_number(m: re.Match, line: int, column: int) -> Token:
-        text = m.group()
+    def _make_number(m: re.Match, text: str, line: int, column: int) -> Token:
         width_text = m.group("nwidth")
         if width_text is not None:
             # Width-annotated literal: <width>w<value>.
@@ -163,22 +169,15 @@ class Lexer:
                 value = int(body, 0) if body[:1] == "0" and len(body) > 1 else int(body)
             except ValueError as exc:
                 raise LexerError(f"bad numeric literal {text!r}", line, column) from exc
-            return Token(
-                TokenKind.NUMBER,
-                text,
-                value=value,
-                width=int(width_text),
-                line=line,
-                column=column,
-            )
+            return Token(_NUMBER, text, value, int(width_text), line, column)
         if text[:1] == "0" and len(text) > 1 and text[1] in "xXbB":
             # Hexadecimal / binary literal.
             try:
                 value = int(text, 0)
             except ValueError as exc:
                 raise LexerError(f"bad numeric literal {text!r}", line, column) from exc
-            return Token(TokenKind.NUMBER, text, value=value, line=line, column=column)
-        return Token(TokenKind.NUMBER, text, value=int(text), line=line, column=column)
+            return Token(_NUMBER, text, value, None, line, column)
+        return Token(_NUMBER, text, int(text), None, line, column)
 
 
 def tokenize(source: str) -> List[Token]:

@@ -1,14 +1,19 @@
-"""Recursive-descent parser for the P4-16 subset.
+"""Recursive-descent parser for the P4-16 subset, with precedence climbing.
 
 The parser produces :mod:`repro.p4.ast` nodes.  It accepts exactly the
 subset the random program generator and the ``ToP4`` emitter produce, which
 is what Gauntlet's "reparse every emitted program" check needs (paper §7.2,
 *invalid transformations*).
+
+Declarations and statements are parsed by recursive descent.  Binary
+expressions are parsed by precedence climbing over one operator → level
+table (:data:`BINARY_PRECEDENCE`): an operand costs one call whatever its
+depth in the eleven precedence levels, instead of one call per level.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.p4 import ast
 from repro.p4.lexer import Lexer, Token, TokenKind
@@ -23,81 +28,122 @@ class ParserError(Exception):
         self.token = token
 
 
+#: Binary operator -> precedence level.  A higher level binds tighter, and
+#: every level associates to the left.  Lowest first: ``||``, ``&&``,
+#: equality, relational, ``|``, ``^``, ``&``, shifts, concatenation,
+#: additive, multiplicative.
+BINARY_PRECEDENCE: Dict[str, int] = {
+    operator: level
+    for level, operators in enumerate(
+        (
+            ("||",),
+            ("&&",),
+            ("==", "!="),
+            ("<", "<=", ">", ">="),
+            ("|",),
+            ("^",),
+            ("&",),
+            ("<<", ">>"),
+            ("++",),
+            ("+", "-"),
+            ("*", "/", "%"),
+        )
+    )
+    for operator in operators
+}
+
+_UNARY_OPERATORS = frozenset({"!", "~", "-"})
+_TYPE_KEYWORDS = frozenset({"bit", "bool", "void"})
+
+_IDENTIFIER = TokenKind.IDENTIFIER
+_NUMBER = TokenKind.NUMBER
+_KEYWORD = TokenKind.KEYWORD
+_END = TokenKind.END
+
+
 class Parser:
-    """Parse a token stream into a :class:`repro.p4.ast.Program`."""
+    """Parse a token stream into a :class:`repro.p4.ast.Program`.
+
+    The token list ends in the lexer's END token, repeated once so that one
+    token of lookahead past the current one is always in range; the
+    position never moves past the first END.
+    """
 
     def __init__(self, source: str) -> None:
-        self.tokens = Lexer(source).tokenize()
+        tokens = Lexer(source).tokenize()
+        tokens.append(tokens[-1])
+        self.tokens = tokens
         self.position = 0
 
     # -- token plumbing -------------------------------------------------------
+    #
+    # Symbols and keywords are matched on their text alone.  That is exact:
+    # the lexer makes every keyword-spelled word a KEYWORD token, and
+    # punctuation never occurs inside a word or a number.
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.position + offset]
 
     def _advance(self) -> Token:
         token = self.tokens[self.position]
-        if token.kind != TokenKind.END:
+        if token.kind is not _END:
             self.position += 1
         return token
 
-    def _check_symbol(self, text: str) -> bool:
-        return self._peek().is_symbol(text)
-
-    def _check_keyword(self, text: str) -> bool:
-        return self._peek().is_keyword(text)
-
-    def _accept_symbol(self, text: str) -> bool:
-        if self._check_symbol(text):
-            self._advance()
-            return True
-        return False
-
-    def _accept_keyword(self, text: str) -> bool:
-        if self._check_keyword(text):
-            self._advance()
+    def _accept(self, text: str) -> bool:
+        if self.tokens[self.position].text == text:
+            self.position += 1
             return True
         return False
 
     def _expect_symbol(self, text: str) -> Token:
-        if not self._check_symbol(text):
-            raise ParserError(f"expected {text!r}", self._peek())
-        return self._advance()
+        token = self.tokens[self.position]
+        if token.text != text:
+            raise ParserError(f"expected {text!r}", token)
+        self.position += 1
+        return token
 
     def _expect_keyword(self, text: str) -> Token:
-        if not self._check_keyword(text):
-            raise ParserError(f"expected keyword {text!r}", self._peek())
-        return self._advance()
+        token = self.tokens[self.position]
+        if token.text != text:
+            raise ParserError(f"expected keyword {text!r}", token)
+        self.position += 1
+        return token
 
     def _expect_identifier(self) -> str:
-        token = self._peek()
-        if token.kind != TokenKind.IDENTIFIER:
+        token = self.tokens[self.position]
+        if token.kind is not _IDENTIFIER:
             raise ParserError("expected identifier", token)
-        self._advance()
+        self.position += 1
         return token.text
+
+    def _expect_number(self, what: str) -> int:
+        token = self.tokens[self.position]
+        if token.kind is not _NUMBER:
+            raise ParserError(f"expected {what}", token)
+        self.position += 1
+        return int(token.value)
 
     # -- program ------------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
         declarations: List[ast.Declaration] = []
-        while self._peek().kind != TokenKind.END:
+        while self._peek().kind is not _END:
             declarations.append(self._parse_top_level())
         return ast.Program(declarations)
 
     def _parse_top_level(self) -> ast.Declaration:
         token = self._peek()
-        if token.is_keyword("header"):
+        text = token.text
+        if text == "header":
             return self._parse_header()
-        if token.is_keyword("struct"):
+        if text == "struct":
             return self._parse_struct()
-        if token.is_keyword("control"):
+        if text == "control":
             return self._parse_control()
-        if token.is_keyword("parser"):
+        if text == "parser":
             return self._parse_parser()
-        if token.is_keyword("bit") or token.is_keyword("bool") or token.is_keyword("void") or (
-            token.kind == TokenKind.IDENTIFIER
-        ):
+        if text in _TYPE_KEYWORDS or token.kind is _IDENTIFIER:
             return self._parse_function()
         raise ParserError("expected a top-level declaration", token)
 
@@ -105,31 +151,29 @@ class Parser:
 
     def _parse_type(self) -> P4Type:
         token = self._peek()
-        if token.is_keyword("bit"):
-            self._advance()
+        text = token.text
+        if text == "bit":
+            self.position += 1
             self._expect_symbol("<")
-            width_token = self._peek()
-            if width_token.kind != TokenKind.NUMBER:
-                raise ParserError("expected bit width", width_token)
-            self._advance()
+            width = self._expect_number("bit width")
             self._expect_symbol(">")
-            return BitType(int(width_token.value))
-        if token.is_keyword("bool"):
-            self._advance()
+            return BitType(width)
+        if text == "bool":
+            self.position += 1
             return BoolType()
-        if token.is_keyword("void"):
-            self._advance()
+        if text == "void":
+            self.position += 1
             return VoidType()
-        if token.kind == TokenKind.IDENTIFIER:
-            self._advance()
-            return TypeName(token.text)
+        if token.kind is _IDENTIFIER:
+            self.position += 1
+            return TypeName(text)
         raise ParserError("expected a type", token)
 
     def _looks_like_type(self) -> bool:
         token = self._peek()
-        if token.is_keyword("bit") or token.is_keyword("bool") or token.is_keyword("void"):
+        if token.text in _TYPE_KEYWORDS:
             return True
-        return token.kind == TokenKind.IDENTIFIER and self._peek(1).kind == TokenKind.IDENTIFIER
+        return token.kind is _IDENTIFIER and self._peek(1).kind is _IDENTIFIER
 
     # -- simple declarations ----------------------------------------------------
 
@@ -138,7 +182,7 @@ class Parser:
         name = self._expect_identifier()
         self._expect_symbol("{")
         fields: List[Tuple[str, BitType]] = []
-        while not self._accept_symbol("}"):
+        while not self._accept("}"):
             field_type = self._parse_type()
             if not isinstance(field_type, BitType):
                 raise ParserError("header fields must have type bit<N>", self._peek())
@@ -152,17 +196,14 @@ class Parser:
         name = self._expect_identifier()
         self._expect_symbol("{")
         fields: List[Tuple[str, P4Type]] = []
-        while not self._accept_symbol("}"):
+        while not self._accept("}"):
             field_type = self._parse_type()
             field_name = self._expect_identifier()
             # Header-stack field: ``Hdr_t h[4];`` -- the size follows the name.
-            if self._accept_symbol("["):
-                size_token = self._peek()
-                if size_token.kind != TokenKind.NUMBER:
-                    raise ParserError("expected header stack size", size_token)
-                self._advance()
+            if self._accept("["):
+                size = self._expect_number("header stack size")
                 self._expect_symbol("]")
-                field_type = HeaderStackType(field_type, int(size_token.value))
+                field_type = HeaderStackType(field_type, size)
             self._expect_symbol(";")
             fields.append((field_name, field_type))
         return ast.StructDeclaration(name, fields)
@@ -170,19 +211,16 @@ class Parser:
     def _parse_parameters(self) -> List[ast.Parameter]:
         self._expect_symbol("(")
         params: List[ast.Parameter] = []
-        if self._accept_symbol(")"):
+        if self._accept(")"):
             return params
         while True:
             direction = ""
-            for candidate in ("inout", "in", "out"):
-                if self._check_keyword(candidate):
-                    direction = candidate
-                    self._advance()
-                    break
+            if self._peek().text in ("inout", "in", "out"):
+                direction = self._advance().text
             param_type = self._parse_type()
             name = self._expect_identifier()
             params.append(ast.Parameter(direction, param_type, name))
-            if self._accept_symbol(")"):
+            if self._accept(")"):
                 return params
             self._expect_symbol(",")
 
@@ -202,19 +240,20 @@ class Parser:
         self._expect_symbol("{")
         locals_: List[ast.Node] = []
         apply_block: Optional[ast.BlockStatement] = None
-        while not self._accept_symbol("}"):
-            if self._check_keyword("action"):
+        while not self._accept("}"):
+            text = self._peek().text
+            if text == "action":
                 locals_.append(self._parse_action())
-            elif self._check_keyword("table"):
+            elif text == "table":
                 locals_.append(self._parse_table())
-            elif self._check_keyword("apply"):
-                self._advance()
+            elif text == "apply":
+                self.position += 1
                 apply_block = self._parse_block()
-            elif self._peek().kind == TokenKind.IDENTIFIER and self._peek().text == "register" and self._peek(1).is_symbol("<"):
+            elif text == "register" and self._peek(1).text == "<":
                 # Contextual keyword: ``register`` stays a valid identifier
                 # everywhere else, so existing programs are unaffected.
                 locals_.append(self._parse_register())
-            elif self._peek().kind == TokenKind.IDENTIFIER and self._peek().text == "counter" and self._peek(1).is_symbol("("):
+            elif text == "counter" and self._peek(1).text == "(":
                 locals_.append(self._parse_counter())
             else:
                 locals_.append(self._parse_variable_declaration())
@@ -223,40 +262,31 @@ class Parser:
         return ast.ControlDeclaration(name, params, locals_, apply_block)
 
     def _parse_register(self) -> ast.RegisterDeclaration:
-        self._advance()  # the contextual 'register' identifier
+        self.position += 1  # the contextual 'register' identifier
         self._expect_symbol("<")
         self._expect_keyword("bit")
         self._expect_symbol("<")
-        width_token = self._peek()
-        if width_token.kind != TokenKind.NUMBER:
-            raise ParserError("expected register cell width", width_token)
-        self._advance()
+        width = self._expect_number("register cell width")
         # ``register<bit<8>>`` -- the lexer tokenizes the double close as a
         # single ``>>`` shift symbol, so accept either form.
-        if not self._accept_symbol(">>"):
+        if not self._accept(">>"):
             self._expect_symbol(">")
             self._expect_symbol(">")
         self._expect_symbol("(")
-        size_token = self._peek()
-        if size_token.kind != TokenKind.NUMBER:
-            raise ParserError("expected register size", size_token)
-        self._advance()
+        size = self._expect_number("register size")
         self._expect_symbol(")")
         name = self._expect_identifier()
         self._expect_symbol(";")
-        return ast.RegisterDeclaration(name, int(width_token.value), int(size_token.value))
+        return ast.RegisterDeclaration(name, width, size)
 
     def _parse_counter(self) -> ast.CounterDeclaration:
-        self._advance()  # the contextual 'counter' identifier
+        self.position += 1  # the contextual 'counter' identifier
         self._expect_symbol("(")
-        size_token = self._peek()
-        if size_token.kind != TokenKind.NUMBER:
-            raise ParserError("expected counter size", size_token)
-        self._advance()
+        size = self._expect_number("counter size")
         self._expect_symbol(")")
         name = self._expect_identifier()
         self._expect_symbol(";")
-        return ast.CounterDeclaration(name, int(size_token.value))
+        return ast.CounterDeclaration(name, size)
 
     def _parse_action(self) -> ast.ActionDeclaration:
         self._expect_keyword("action")
@@ -272,23 +302,23 @@ class Parser:
         keys: List[ast.KeyElement] = []
         actions: List[ast.ActionRef] = []
         default_action: Optional[ast.ActionRef] = None
-        while not self._accept_symbol("}"):
-            if self._accept_keyword("key"):
+        while not self._accept("}"):
+            if self._accept("key"):
                 self._expect_symbol("=")
                 self._expect_symbol("{")
-                while not self._accept_symbol("}"):
+                while not self._accept("}"):
                     expr = self._parse_expression()
                     self._expect_symbol(":")
                     match_kind = self._advance().text
                     self._expect_symbol(";")
                     keys.append(ast.KeyElement(expr, match_kind))
-            elif self._accept_keyword("actions"):
+            elif self._accept("actions"):
                 self._expect_symbol("=")
                 self._expect_symbol("{")
-                while not self._accept_symbol("}"):
+                while not self._accept("}"):
                     actions.append(self._parse_action_ref())
                     self._expect_symbol(";")
-            elif self._accept_keyword("default_action"):
+            elif self._accept("default_action"):
                 self._expect_symbol("=")
                 default_action = self._parse_action_ref()
                 self._expect_symbol(";")
@@ -298,19 +328,22 @@ class Parser:
 
     def _parse_action_ref(self) -> ast.ActionRef:
         token = self._peek()
-        if token.kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
+        if token.kind is not _IDENTIFIER and token.kind is not _KEYWORD:
             raise ParserError("expected action name", token)
-        self._advance()
-        name = token.text
+        self.position += 1
+        return ast.ActionRef(token.text, self._parse_arguments() if self._accept("(") else [])
+
+    def _parse_arguments(self) -> List[ast.Expression]:
+        """Comma-separated expressions up to ``)``; the ``(`` is consumed."""
+
         args: List[ast.Expression] = []
-        if self._accept_symbol("("):
-            if not self._accept_symbol(")"):
-                while True:
-                    args.append(self._parse_expression())
-                    if self._accept_symbol(")"):
-                        break
-                    self._expect_symbol(",")
-        return ast.ActionRef(name, args)
+        if not self._accept(")"):
+            while True:
+                args.append(self._parse_expression())
+                if self._accept(")"):
+                    break
+                self._expect_symbol(",")
+        return args
 
     # -- parsers ----------------------------------------------------------------------
 
@@ -320,7 +353,7 @@ class Parser:
         params = self._parse_parameters()
         self._expect_symbol("{")
         states: List[ast.ParserState] = []
-        while not self._accept_symbol("}"):
+        while not self._accept("}"):
             states.append(self._parse_state())
         return ast.ParserDeclaration(name, params, states)
 
@@ -330,15 +363,15 @@ class Parser:
         self._expect_symbol("{")
         statements: List[ast.Statement] = []
         state = ast.ParserState(name)
-        while not self._accept_symbol("}"):
-            if self._accept_keyword("transition"):
-                if self._accept_keyword("select"):
+        while not self._accept("}"):
+            if self._accept("transition"):
+                if self._accept("select"):
                     self._expect_symbol("(")
                     state.select_expr = self._parse_expression()
                     self._expect_symbol(")")
                     self._expect_symbol("{")
-                    while not self._accept_symbol("}"):
-                        if self._accept_keyword("default"):
+                    while not self._accept("}"):
+                        if self._accept("default"):
                             value = None
                         else:
                             value = self._parse_expression()
@@ -356,8 +389,8 @@ class Parser:
 
     def _parse_state_name(self) -> str:
         token = self._peek()
-        if token.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
-            self._advance()
+        if token.kind is _IDENTIFIER or token.kind is _KEYWORD:
+            self.position += 1
             return token.text
         raise ParserError("expected state name", token)
 
@@ -366,35 +399,36 @@ class Parser:
     def _parse_block(self) -> ast.BlockStatement:
         self._expect_symbol("{")
         statements: List[ast.Statement] = []
-        while not self._accept_symbol("}"):
+        while not self._accept("}"):
             statements.append(self._parse_statement())
         return ast.BlockStatement(statements)
 
     def _parse_statement(self) -> ast.Statement:
         token = self._peek()
-        if token.is_symbol("{"):
+        text = token.text
+        if text == "{":
             return self._parse_block()
-        if token.is_symbol(";"):
-            self._advance()
+        if text == ";":
+            self.position += 1
             return ast.EmptyStatement()
-        if token.is_keyword("if"):
+        if text == "if":
             return self._parse_if()
-        if token.is_keyword("return"):
-            self._advance()
-            if self._accept_symbol(";"):
+        if text == "return":
+            self.position += 1
+            if self._accept(";"):
                 return ast.ReturnStatement(None)
             value = self._parse_expression()
             self._expect_symbol(";")
             return ast.ReturnStatement(value)
-        if token.is_keyword("exit"):
-            self._advance()
+        if text == "exit":
+            self.position += 1
             self._expect_symbol(";")
             return ast.ExitStatement()
-        if self._looks_like_type() or token.is_keyword("bit") or token.is_keyword("bool"):
+        if self._looks_like_type():
             return self._parse_variable_declaration()
         # Assignment or method-call statement.
         expr = self._parse_expression()
-        if self._accept_symbol("="):
+        if self._accept("="):
             rhs = self._parse_expression()
             self._expect_symbol(";")
             if not ast.is_lvalue(expr):
@@ -409,7 +443,7 @@ class Parser:
         var_type = self._parse_type()
         name = self._expect_identifier()
         initializer = None
-        if self._accept_symbol("="):
+        if self._accept("="):
             initializer = self._parse_expression()
         self._expect_symbol(";")
         return ast.VariableDeclaration(name, var_type, initializer)
@@ -421,7 +455,7 @@ class Parser:
         self._expect_symbol(")")
         then_branch = self._as_block(self._parse_statement())
         else_branch = None
-        if self._accept_keyword("else"):
+        if self._accept("else"):
             else_branch = self._as_block(self._parse_statement())
         return ast.IfStatement(cond, then_branch, else_branch)
 
@@ -434,67 +468,55 @@ class Parser:
     # -- expressions -------------------------------------------------------------------
 
     def _parse_expression(self) -> ast.Expression:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> ast.Expression:
         cond = self._parse_binary(0)
-        if self._accept_symbol("?"):
+        if self._accept("?"):
             then = self._parse_expression()
             self._expect_symbol(":")
             orelse = self._parse_expression()
             return ast.Ternary(cond, then, orelse)
         return cond
 
-    _PRECEDENCE: List[Tuple[str, ...]] = [
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("<<", ">>"),
-        ("++",),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
+    def _parse_binary(self, min_level: int) -> ast.Expression:
+        """Operators of ``min_level`` and tighter, by precedence climbing.
 
-    def _parse_binary(self, level: int) -> ast.Expression:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        operators = self._PRECEDENCE[level]
-        left = self._parse_binary(level + 1)
+        After an operand, every operator at or above ``min_level`` extends
+        the expression; its right operand takes only tighter operators, so
+        chains of one level group to the left.
+        """
+
+        left = self._parse_unary()
+        tokens = self.tokens
         while True:
-            token = self._peek()
-            if token.kind == TokenKind.SYMBOL and token.text in operators:
-                # Do not treat '>' as an operator if it closes a type argument;
-                # the subset only uses '>' inside types when parsing types, so
-                # this is safe here.
-                self._advance()
-                right = self._parse_binary(level + 1)
-                left = ast.BinaryOp(token.text, left, right)
-            else:
+            token = tokens[self.position]
+            level = BINARY_PRECEDENCE.get(token.text)
+            if level is None or level < min_level:
                 return left
+            self.position += 1
+            left = ast.BinaryOp(token.text, left, self._parse_binary(level + 1))
 
     def _parse_unary(self) -> ast.Expression:
         token = self._peek()
-        if token.is_symbol("!") or token.is_symbol("~") or token.is_symbol("-"):
-            self._advance()
+        if token.text in _UNARY_OPERATORS:
+            self.position += 1
             return ast.UnaryOp(token.text, self._parse_unary())
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expression:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            if self._accept_symbol("."):
-                member_token = self._peek()
-                if member_token.kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
+            text = tokens[self.position].text
+            if text == ".":
+                self.position += 1
+                member_token = tokens[self.position]
+                if member_token.kind is not _IDENTIFIER and member_token.kind is not _KEYWORD:
                     raise ParserError("expected member name", member_token)
-                self._advance()
+                self.position += 1
                 expr = ast.Member(expr, member_token.text)
-            elif self._accept_symbol("["):
+            elif text == "[":
+                self.position += 1
                 high = self._parse_expression()
-                if self._accept_symbol("]"):
+                if self._accept("]"):
                     # Header-stack element access ``stack[index]`` -- no colon.
                     expr = ast.ArrayIndex(expr, high)
                     continue
@@ -504,45 +526,39 @@ class Parser:
                 if not isinstance(high, ast.Constant) or not isinstance(low, ast.Constant):
                     raise ParserError("slice bounds must be constants", self._peek())
                 expr = ast.Slice(expr, high.value, low.value)
-            elif self._accept_symbol("("):
-                args: List[ast.Expression] = []
-                if not self._accept_symbol(")"):
-                    while True:
-                        args.append(self._parse_expression())
-                        if self._accept_symbol(")"):
-                            break
-                        self._expect_symbol(",")
-                expr = ast.MethodCallExpression(expr, args)
+            elif text == "(":
+                self.position += 1
+                expr = ast.MethodCallExpression(expr, self._parse_arguments())
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expression:
         token = self._peek()
-        if token.kind == TokenKind.NUMBER:
-            self._advance()
+        kind = token.kind
+        if kind is _NUMBER:
+            self.position += 1
             return ast.Constant(token.value, token.width)
-        if token.is_keyword("true"):
-            self._advance()
+        if kind is _IDENTIFIER:
+            self.position += 1
+            return ast.PathExpression(token.text)
+        text = token.text
+        if text == "true":
+            self.position += 1
             return ast.BoolLiteral(True)
-        if token.is_keyword("false"):
-            self._advance()
+        if text == "false":
+            self.position += 1
             return ast.BoolLiteral(False)
-        if token.is_symbol("("):
+        if text == "(":
             # Either a cast "(bit<8>) expr" / "(bool) expr" or a parenthesised
             # expression.
-            next_token = self._peek(1)
-            if next_token.is_keyword("bit") or next_token.is_keyword("bool"):
-                self._advance()
+            self.position += 1
+            if self._peek().text in ("bit", "bool"):
                 target = self._parse_type()
                 self._expect_symbol(")")
                 return ast.Cast(target, self._parse_unary())
-            self._advance()
             expr = self._parse_expression()
             self._expect_symbol(")")
             return expr
-        if token.kind == TokenKind.IDENTIFIER:
-            self._advance()
-            return ast.PathExpression(token.text)
         raise ParserError("expected an expression", token)
 
 

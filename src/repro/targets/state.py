@@ -210,16 +210,14 @@ class TableEntry:
     action_args: Tuple[int, ...] = ()
 
 
-def build_packet_state(
-    program: ast.Program,
-    struct_param_type: str,
-    values: Optional[Dict[str, int]] = None,
-    valid: bool = True,
+def packet_layout(
+    program: ast.Program, struct_param_type: str, valid: bool = True
 ) -> PacketState:
-    """Construct a :class:`PacketState` for the given ``Headers`` struct type.
+    """The zero-valued :class:`PacketState` of a program's ``Headers`` struct.
 
-    ``values`` maps dotted field paths (``h.a``) to initial values; fields
-    not mentioned start at zero.
+    Resolving the layout typechecks the program, so callers that build many
+    packets of one program resolve it once and fill a copy per packet
+    (:meth:`repro.core.testgen.GeneratedTest.input_packet`).
     """
 
     checker = check_program(program)
@@ -254,6 +252,22 @@ def build_packet_state(
                 )
         elif isinstance(resolved, BitType):
             state.scalars[field_name] = 0
+    return state
+
+
+def build_packet_state(
+    program: ast.Program,
+    struct_param_type: str,
+    values: Optional[Dict[str, int]] = None,
+    valid: bool = True,
+) -> PacketState:
+    """Construct a :class:`PacketState` for the given ``Headers`` struct type.
+
+    ``values`` maps dotted field paths (``h.a``) to initial values; fields
+    not mentioned start at zero.
+    """
+
+    state = packet_layout(program, struct_param_type, valid)
     for path, value in (values or {}).items():
         state.write(path, value)
     return state

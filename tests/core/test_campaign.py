@@ -92,6 +92,37 @@ class TestSeededCampaign:
         assert location["total"]["total"] == len(stats.tracker)
 
 
+class TestInvalidTransformationAttribution:
+    """An emitted program that no longer parses is filed under its defect.
+
+    The catalog files invalid transformations under the crash kind; the
+    merge used to look for a semantic defect instead, which left the report
+    unattributed or blamed a semantic defect of the same pass.
+    """
+
+    def _reports(self, enabled):
+        stats = Campaign(
+            CampaignConfig(programs=30, seed=0, enabled_bugs=enabled, platforms=("p4c",))
+        ).run()
+        return {report.identifier: report for report in stats.tracker.reports}
+
+    def test_attributed_when_enabled_alone(self):
+        reports = self._reports(("midend_emit_missing_parens",))
+        assert "p4c:invalid_transformation:Predication" not in reports
+        report = reports["p4c:midend_emit_missing_parens"]
+        assert report.kind == BugKind.INVALID_TRANSFORMATION
+        assert report.seeded_bug_id == "midend_emit_missing_parens"
+
+    def test_not_misfiled_under_a_semantic_defect_of_the_same_pass(self):
+        reports = self._reports(
+            ("midend_emit_missing_parens", "predication_nested_else_lost")
+        )
+        report = reports["p4c:midend_emit_missing_parens"]
+        assert report.kind == BugKind.INVALID_TRANSFORMATION
+        nested = reports.get("p4c:predication_nested_else_lost")
+        assert nested is None or nested.kind == BugKind.SEMANTIC
+
+
 class TestDetectionMatrix:
     def test_detects_representative_bugs_of_each_location(self):
         campaign = Campaign(CampaignConfig(seed=21, generator=small_generator(21)))

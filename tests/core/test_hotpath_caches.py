@@ -8,7 +8,9 @@ Three properties the campaign engine must keep:
   campaign (they were structurally unable to before backend units re-walked
   the shared prefix), and
 * batched equivalence checking is a pure accelerator — forcing the
-  sequential fallback yields an identical validation report.
+  sequential fallback yields an identical validation report, and
+* per-program work runs once per program, not once per packet or per
+  platform unit (the packet layout's typecheck, the feature scan).
 """
 
 from repro import smt
@@ -20,14 +22,18 @@ from repro.compiler import (
     prefix_cache_stats,
 )
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.engine.stages import reset_worker_state
+from repro.core.engine import stages
+from repro.core.engine.stages import reset_worker_state, run_unit
+from repro.core.engine.units import WorkUnit
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
+from repro.core.reduce.oracles import packet_mismatch, replay_stats
 from repro.core.validation import (
     TranslationValidator,
     ValidationOutcome,
     clear_validation_caches,
 )
-from repro.p4 import emit_program
+from repro.p4 import emit_program, parse_program
+from repro.targets import BACKEND_REGISTRY, state
 
 
 def small_generator(seed):
@@ -148,3 +154,60 @@ class TestSequentialFallbackIsPureSlowdown:
             assert left.block == right.block
             assert left.output_path == right.output_path
             assert left.witness == right.witness
+
+
+#: Stateful, so every test is a three-packet sequence.
+STATEFUL_SOURCE = """
+header Hdr_t { bit<8> a; bit<8> b; }
+struct Headers { Hdr_t h; }
+control ingress(inout Headers hdr) {
+    register<bit<8>>(2) r8;
+    apply {
+        r8.write(32w0, (hdr.h.b + 8w5));
+        r8.read(hdr.h.a, 32w0);
+    }
+}
+"""
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPerProgramWorkRunsOnce:
+    def test_packet_replay_typechecks_the_layout_once_per_call(self, monkeypatch):
+        reset_worker_state()
+        program = parse_program(STATEFUL_SOURCE)
+        source = emit_program(program)
+        spec = BACKEND_REGISTRY["bmv2"]
+        options = CompilerOptions(enabled_bugs=set(), target="bmv2")
+        executable = spec.target_cls(options).link(compile_prefix(program, source, options))
+        # Warm the test-generation cache: the counted call only replays.
+        assert packet_mismatch(program, source, executable, spec, 4, 3) is None
+        typechecks = _counting(monkeypatch, state, "check_program")
+        before = replay_stats()["packets_replayed"]
+        assert packet_mismatch(program, source, executable, spec, 4, 3) is None
+        assert replay_stats()["packets_replayed"] - before >= 3
+        assert len(typechecks) == 1
+
+    def test_platform_units_of_one_program_share_one_feature_scan(self, monkeypatch):
+        reset_worker_state()
+        scans = _counting(monkeypatch, stages, "program_features")
+        outcomes = [
+            run_unit(WorkUnit(0, platform, small_generator(6)))
+            for platform in ("p4c", "bmv2", "tofino")
+        ]
+        assert len(scans) == 1
+        features = [
+            {cell for cell in outcome.coverage if cell.startswith("feature:")}
+            for outcome in outcomes
+        ]
+        assert features[0] and features[0] == features[1] == features[2]

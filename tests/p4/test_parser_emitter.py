@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.p4 import ast, emit_program, parse_program
-from repro.p4.parser import ParserError
+from repro.compiler import compile_front_midend
+from repro.core.generator import GeneratorConfig, RandomProgramGenerator
+from repro.p4 import BitType, ast, emit_program, parse_program
+from repro.p4.lexer import LexerError
+from repro.p4.parser import BINARY_PRECEDENCE, ParserError
 
 
 SIMPLE_PROGRAM = """
@@ -232,3 +235,148 @@ class TestRoundTrip:
         program = parse_program(source)
         emitted = emit_program(program)
         assert emit_program(parse_program(emitted)) == emitted
+
+
+#: The grammar's binary precedence levels, loosest first.
+PRECEDENCE_LEVELS = [
+    ("||",),
+    ("&&",),
+    ("==", "!="),
+    ("<", "<=", ">", ">="),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("<<", ">>"),
+    ("++",),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+
+
+def _rhs(expression: str) -> ast.Expression:
+    source = f"control c(inout bit<8> x) {{ apply {{ x = {expression}; }} }}"
+    return parse_program(source).controls()[0].apply.statements[0].rhs
+
+
+def _path(name: str) -> ast.PathExpression:
+    return ast.PathExpression(name)
+
+
+class TestOperatorPrecedence:
+    def test_table_pins_the_grammar_levels(self):
+        assert BINARY_PRECEDENCE == {
+            op: level for level, ops in enumerate(PRECEDENCE_LEVELS) for op in ops
+        }
+
+    def test_every_operator_pair_groups_as_the_table_dictates(self):
+        p, q, r = _path("p"), _path("q"), _path("r")
+        for first, first_level in BINARY_PRECEDENCE.items():
+            for second, second_level in BINARY_PRECEDENCE.items():
+                if second_level > first_level:
+                    expected = ast.BinaryOp(first, p, ast.BinaryOp(second, q, r))
+                else:
+                    # A looser or equal second operator: the left pair groups first.
+                    expected = ast.BinaryOp(second, ast.BinaryOp(first, p, q), r)
+                assert _rhs(f"p {first} q {second} r") == expected, (first, second)
+
+    @pytest.mark.parametrize("operators", PRECEDENCE_LEVELS)
+    def test_chains_of_one_level_associate_left(self, operators):
+        chain = [operators[index % len(operators)] for index in range(4)]
+        expected = _path("p0")
+        text = "p0"
+        for index, operator in enumerate(chain, start=1):
+            expected = ast.BinaryOp(operator, expected, _path(f"p{index}"))
+            text += f" {operator} p{index}"
+        assert _rhs(text) == expected
+
+    def test_unary_and_cast_bind_tighter_than_any_binary_operator(self):
+        assert _rhs("-p * q") == ast.BinaryOp("*", ast.UnaryOp("-", _path("p")), _path("q"))
+        assert _rhs("(bit<8>) p + q") == ast.BinaryOp(
+            "+", ast.Cast(BitType(8), _path("p")), _path("q")
+        )
+
+    def test_ternary_is_loosest_and_parentheses_regroup(self):
+        assert _rhs("p || q ? r : p") == ast.Ternary(
+            ast.BinaryOp("||", _path("p"), _path("q")), _path("r"), _path("p")
+        )
+        assert _rhs("p * (q + r)") == ast.BinaryOp(
+            "*", _path("p"), ast.BinaryOp("+", _path("q"), _path("r"))
+        )
+
+
+class TestSnapshotReparse:
+    def test_changed_snapshots_reparse_to_their_programs(self):
+        generator = RandomProgramGenerator(GeneratorConfig(seed=0))
+        checked = 0
+        for index in range(40):
+            result = compile_front_midend(generator.generate_indexed(index).clone())
+            for snapshot in result.changed_snapshots():
+                assert parse_program(snapshot.source) == snapshot.program, (
+                    index,
+                    snapshot.pass_name,
+                )
+                checked += 1
+        assert checked == 244
+
+
+class TestErrorMessages:
+    """Exact messages: invalid-transformation reports quote them verbatim."""
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            (
+                "header H { bit<8> a }",
+                ParserError,
+                "expected ';' (at line 1, column 21, near '}')",
+            ),
+            (
+                "control c(inout bit<8> x) { }",
+                ParserError,
+                "control block is missing an apply block (at line 1, column 30, near '')",
+            ),
+            (
+                "header H { bool flag; }",
+                ParserError,
+                "header fields must have type bit<N> (at line 1, column 17, near 'flag')",
+            ),
+            (
+                "control c(inout bit<8> x) { apply { 8w1 = x; } }",
+                ParserError,
+                "left-hand side of assignment is not an l-value "
+                "(at line 1, column 37, near '8w1')",
+            ),
+            (
+                "control c(inout bit<8> x) { apply { x = (x + ; } }",
+                ParserError,
+                "expected an expression (at line 1, column 46, near ';')",
+            ),
+            (
+                "struct S { H h[x]; }",
+                ParserError,
+                "expected header stack size (at line 1, column 16, near 'x')",
+            ),
+            ("a $ b", LexerError, "unexpected character '$' at line 1, column 3"),
+            ("x = 0xZZ;", LexerError, "bad numeric literal '0xZZ' at line 1, column 5"),
+            ("a /* never closed", LexerError, "unterminated block comment at line 1, column 3"),
+            ("bit<8w> x;", LexerError, "missing value after width annotation at line 1, column 5"),
+        ],
+    )
+    def test_malformed_input(self, source, error, message):
+        with pytest.raises(error) as info:
+            parse_program(source)
+        assert str(info.value) == message
+
+    def test_illegal_predication_temporary(self):
+        # The declaration Predication emits under ``midend_emit_missing_parens``.
+        source = (
+            "control c(inout bit<8> x) {\n"
+            "    action a() {\n"
+            "        bool pred cond0 = (x == 8w1);\n"
+            "    }\n"
+            "    apply { }\n"
+            "}\n"
+        )
+        with pytest.raises(ParserError) as info:
+            parse_program(source)
+        assert str(info.value) == "expected ';' (at line 3, column 19, near 'cond0')"

@@ -1,0 +1,64 @@
+"""Probe tests for the docs checker's README-versus-code checks."""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+_spec = importlib.util.spec_from_file_location(
+    "check_docs", os.path.join(ROOT, "tools", "check_docs.py")
+)
+check_docs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_docs)
+
+MAKEFILE = ".PHONY: test bench-hotpath\n\ntest:\n\tpytest\n"
+README = """\
+| seeded-defect catalog | `src/repro/compiler/bugs.py` | 34 defects |
+
+| Target | What it does |
+|---|---|
+| `make test` | tier-1 suite |
+| `make bench-hotpath` | hot-path gate |
+"""
+
+
+def problems(readme=README, makefile=MAKEFILE, defect_count=34):
+    return list(check_docs.readme_problems(readme, makefile, defect_count))
+
+
+def test_consistent_readme_passes():
+    assert problems() == []
+
+
+def test_defect_count_must_match_the_catalog():
+    assert problems(defect_count=35) == ["says 34 defects, but the catalog has 35"]
+
+
+def test_a_readme_without_a_defect_count_fails():
+    assert problems(readme=README.replace("34 defects", "many defects")) == [
+        "states no seeded-defect count"
+    ]
+
+
+def test_phony_target_missing_from_the_table_fails():
+    readme = README.replace("| `make bench-hotpath` | hot-path gate |\n", "")
+    assert problems(readme=readme) == [
+        "make target 'bench-hotpath' is missing from the make-target table"
+    ]
+
+
+def test_a_mention_outside_the_table_does_not_count():
+    readme = README.replace(
+        "| `make bench-hotpath` | hot-path gate |\n", "Run `make bench-hotpath` too.\n"
+    )
+    assert problems(readme=readme) == [
+        "make target 'bench-hotpath' is missing from the make-target table"
+    ]
+
+
+def test_the_repository_readme_is_consistent():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    with open(os.path.join(ROOT, "Makefile"), encoding="utf-8") as handle:
+        makefile = handle.read()
+    assert problems(readme, makefile, check_docs.catalog_size()) == []

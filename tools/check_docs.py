@@ -13,6 +13,13 @@ Fenced code blocks are ignored (they hold program text, not references);
 absolute URLs and pure anchors are ignored.  The goal is cheap CI
 protection for the READMEs' paper-section → module maps: renaming a
 module must fail the docs job until the maps are updated.
+
+Two facts the top-level ``README.md`` states about the code are checked
+against the code itself (:func:`readme_problems`):
+
+* its seeded-defect count must equal ``len(BUG_CATALOG)``, and
+* every ``.PHONY`` target of the ``Makefile`` must have a row in its
+  make-target table.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ _INLINE_CODE = re.compile(r"`([^`]+)`")
 #: known documentation-relevant suffix, built from path characters only.
 _PATH_TOKEN = re.compile(r"(?<![\w./-])([\w.-]+(?:/[\w.-]+)+\.(?:py|md|json|yml))\b")
 _FENCE = re.compile(r"^(```|~~~)")
+#: A defect count in prose: ``34 defects`` / ``34 seeded defects``.
+_DEFECT_COUNT = re.compile(r"\b(\d+) (?:seeded )?defects\b")
+_PHONY = re.compile(r"^\.PHONY:(.*)$", re.MULTILINE)
 
 #: Roots a bare module path may be relative to (checked in order).
 _PATH_ROOTS = ("", "src", os.path.join("src", "repro"))
@@ -72,8 +82,9 @@ def markdown_files(root: str):
         listed = None
     if listed is not None:
         for name in listed.stdout.decode("utf-8").split("\0"):
-            if name:
-                yield os.path.join(root, name)
+            path = os.path.join(root, name)
+            if name and os.path.exists(path):  # skip deletions not yet staged
+                yield path
         return
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [name for name in dirnames if name not in _SKIP_DIRS]
@@ -128,6 +139,32 @@ def check_file(path: str):
                     yield line_number, f"stale module path: `{candidate}`"
 
 
+def readme_problems(readme: str, makefile: str, defect_count: int):
+    """Yield the README's statements that have drifted from the code."""
+
+    text = strip_fences(readme)
+    counts = [int(match.group(1)) for match in _DEFECT_COUNT.finditer(text)]
+    if not counts:
+        yield "states no seeded-defect count"
+    for count in counts:
+        if count != defect_count:
+            yield f"says {count} defects, but the catalog has {defect_count}"
+    for line in _PHONY.findall(makefile):
+        for target in line.split():
+            row = re.compile(rf"^\|\s*`make {re.escape(target)}`", re.MULTILINE)
+            if not row.search(text):
+                yield f"make target {target!r} is missing from the make-target table"
+
+
+def catalog_size() -> int:
+    """``len(BUG_CATALOG)`` of the checked-out sources."""
+
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from repro.compiler.bugs import BUG_CATALOG
+
+    return len(BUG_CATALOG)
+
+
 def main() -> int:
     problems = []
     checked = 0
@@ -136,6 +173,12 @@ def main() -> int:
         relative = os.path.relpath(path, ROOT)
         for line_number, problem in check_file(path):
             problems.append(f"{relative}:{line_number}: {problem}")
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    with open(os.path.join(ROOT, "Makefile"), encoding="utf-8") as handle:
+        makefile = handle.read()
+    for problem in readme_problems(readme, makefile, catalog_size()):
+        problems.append(f"README.md: {problem}")
     for problem in problems:
         print(problem)
     status = "FAILED" if problems else "ok"
