@@ -3,14 +3,18 @@
 #   make test           run the tier-1 suite (unit tests + figure/table benchmarks)
 #   make fast           unit tests only (the slow paper benchmarks are deselected)
 #   make bench          run the perf harness; writes BENCH_campaign.json
-#   make bench-scaling  also record the worker-scaling curve (jobs = 1, 2, 4, 8)
+#   make bench-scaling  also record the worker-scaling curve (jobs = 1, 2, 4, 8;
+#                       fork pool and fleet side by side)
 #   make bench-reduce   also record per-report reduction ratio + wall time
 #   make bench-hotpath  record the validation hot-path section (programs/sec,
-#                       SAT invocations, cache hit rates) and fail on
-#                       regression vs the recorded pre-PR-7 baseline
-#   make bench-distributed run the coordinator/worker smoke (localhost fleets
-#                       of 1 and 2 workers, one killed mid-lease) and fail if
-#                       the merged reports are not byte-identical to jobs=1
+#                       SAT invocations, cache hit rates) and fail on a
+#                       deterministic regression (SAT calls, cache hits,
+#                       jobs=1 vs jobs=4 reports)
+#   make bench-distributed run the coordinator/worker smoke (clean localhost
+#                       fleets of 1 and 2 workers, then 2 with one killed
+#                       mid-lease) and fail if the merged reports are not
+#                       byte-identical to jobs=1 or a clean fleet misses the
+#                       per-program caches more often than the serial run
 #   make bench-stateful run the multi-packet stateful campaign (3-packet
 #                       sequences over a register-heavy corpus) plus the
 #                       detection matrix; fails if a stateful seeded defect

@@ -12,17 +12,19 @@ root so every PR leaves a perf data point behind:
 * **scaling** (``--scaling``): a larger campaign (default 200 programs,
   3 platforms) run at jobs = 1, 2, 4, 8 on the staged engine, recording
   the worker-scaling curve and verifying that every job count files the
-  identical deduplicated bug set.  Wall-clock speedup is hardware-bound:
-  the recorded ``cpu_count`` says how many cores the curve had to work
-  with.
+  identical deduplicated bug set.  Every job count above 1 runs on the
+  fork pool and on a local fleet side by side.  Wall-clock speedup is
+  hardware-bound: the recorded ``cpu_count`` says how many cores the curve
+  had to work with.
 * **triage** (``--reduce`` / ``make bench-reduce``): the seeded reference
   campaign with the triage stage on, recording the per-report reduction
   ratio, round/attempt counts and wall time, plus the stage's total cost
   relative to the detection campaign.
 * **hotpath** (``--hotpath`` / ``make bench-hotpath``): the scaling
-  workload at ``jobs=1`` with cold caches, recording programs/sec, SAT
-  invocations and per-cache hit rates against the pre-PR-7 constants,
-  plus a seeded jobs=1 vs jobs=4 byte-identical-reports check.
+  workload at ``jobs=1`` with cold caches, recording programs/sec (with
+  ``cpu_count``), SAT invocations and per-cache hit rates, gated on the
+  deterministic ones, plus a seeded jobs=1 vs jobs=4
+  byte-identical-reports check.
 * **stateful** (``--stateful`` / ``make bench-stateful``): a seeded
   register-heavy campaign replayed as 3-packet sequences — sequences/sec,
   state-divergence findings, per-defect detection of the stateful seeded
@@ -37,10 +39,10 @@ root so every PR leaves a perf data point behind:
   jobs=1 / jobs=4 / ``--distributed 2``.
 * **distributed** (``--distributed`` / ``make bench-distributed``): the
   coordinator/worker service smoke — a 40-program, 3-platform campaign on
-  localhost fleets of 1 and 2 workers (the 2-worker run kills one worker
-  mid-lease), recording units/sec per fleet size, leases reclaimed, and a
-  byte-identity check against ``jobs=1`` that fails the job on
-  nondeterminism.
+  clean localhost fleets of 1 and 2 workers (units/sec, and per-program
+  cache misses that must equal the serial run's), then a fault pass with
+  one of 2 workers killed mid-lease (leases reclaimed); every run must
+  file reports byte-identical to ``jobs=1``.
 
 Usage::
 
@@ -120,22 +122,20 @@ REDUCE_BUGS = (
 REDUCE_TARGET_RATIO = 0.5
 
 #: The validation-hot-path workload (``--hotpath`` / ``make bench-hotpath``):
-#: the 200-program scaling campaign at ``jobs=1``, cold caches.  The
-#: ``before`` block is the same workload on the pre-PR-7 staged engine
-#: (commit ``b225044``), recorded as constants because that code path — one
-#: prefix compilation per platform, one solver query per snapshot pair and
-#: output field — no longer exists.
+#: the 200-program scaling campaign at ``jobs=1``, cold caches.  The gate is
+#: deterministic: SAT invocations must stay below the ``before`` count, the
+#: same workload on the staged engine at commit ``b225044`` (recorded as a
+#: constant because that code path no longer exists).  Throughput is
+#: recorded with the runner's ``cpu_count`` but not gated: seconds compare
+#: only on one runner, parent against change (``perfbench/compare.py``).
 HOTPATH_BASELINE = {
-    "elapsed_s": 41.673,
-    "programs_per_sec": 4.8,
     "sat_invocations": 1259,
     "source": (
-        "pre-PR-7 staged engine (commit b225044): per-platform prefix "
+        "staged engine at commit b225044: per-platform prefix "
         "recompilation, per-pair sequential equivalence queries, zero "
         "reparse/interp cache hits"
     ),
 }
-HOTPATH_TARGET_SPEEDUP = 3.0
 #: Size of the seeded campaign used for the jobs=1 vs jobs=4 byte-identical
 #: report check (shared-prefix validation must not perturb determinism).
 HOTPATH_DETERMINISM_PROGRAMS = 25
@@ -161,9 +161,15 @@ SEED_BASELINE_S = 4860.0
 SEED_BASELINE_COMPLETED = False
 
 
-def _run_campaign(programs: int, jobs: int, seed: int = SEED) -> tuple:
+def _run_campaign(
+    programs: int, jobs: int, seed: int = SEED, distributed: int = 0
+) -> tuple:
     config = CampaignConfig(
-        programs=programs, seed=seed, platforms=PLATFORMS, jobs=jobs
+        programs=programs,
+        seed=seed,
+        platforms=PLATFORMS,
+        jobs=jobs,
+        distributed=distributed,
     )
     campaign = Campaign(config)
     start = time.perf_counter()
@@ -200,7 +206,8 @@ def run_backends() -> dict:
 
     The generator enables the narrowing-cast idiom and raises the
     many-tables burst so the eBPF defect triggers are reachable (the same
-    knobs the detection matrix steers; see ``_MATRIX_STEERING``).
+    knobs the detection matrix steers; see ``MATRIX_STEERING`` in
+    ``repro.core.schedule``).
     """
 
     from repro.compiler.bugs import BUG_CATALOG
@@ -258,58 +265,63 @@ def _reset_process_caches() -> None:
 def run_scaling(programs: int, jobs_list: tuple) -> dict:
     """Record the worker-scaling curve for a larger campaign.
 
-    The baseline row is the first entry of ``jobs_list`` (``1`` unless
-    overridden via ``--jobs-list``); speedups are relative to it.
+    Every job count above 1 runs the same cold-cache campaign twice, on
+    the fork pool (``jobs=N``) and on a local fleet (``distributed=N``),
+    so the two parallel transports are compared on one runner.  The
+    baseline row is the first run (serial unless ``--jobs-list`` starts
+    above 1); speedups are relative to it.
     """
 
     curve = []
-    bug_sets = {}
+    bug_sets = []
     baseline_elapsed = None
-    baseline_jobs = jobs_list[0]
     for jobs in jobs_list:
-        _reset_process_caches()
-        stats, elapsed = _run_campaign(programs, jobs=jobs)
-        if baseline_elapsed is None:
-            baseline_elapsed = elapsed
-        bug_sets[jobs] = sorted(
-            report.identifier for report in stats.tracker.reports
-        )
-        curve.append(
-            {
-                "jobs": jobs,
-                "elapsed_s": round(elapsed, 3),
-                "speedup_vs_baseline": round(baseline_elapsed / elapsed, 2)
-                if elapsed
-                else float("inf"),
-                "distinct_bugs": len(stats.tracker),
-                "units": stats.units_total,
-                "merged_worker_counters": stats.counters,
-            }
-        )
-        print(
-            f"  jobs={jobs}: {elapsed:.1f}s, "
-            f"{curve[-1]['speedup_vs_baseline']}x vs jobs={baseline_jobs}, "
-            f"{len(stats.tracker)} distinct bugs",
-            flush=True,
-        )
-    reference_bugs = bug_sets[baseline_jobs]
+        for executor in ("pool", "fleet") if jobs > 1 else ("serial",):
+            _reset_process_caches()
+            stats, elapsed = _run_campaign(
+                programs, jobs=jobs, distributed=jobs if executor == "fleet" else 0
+            )
+            if baseline_elapsed is None:
+                baseline_elapsed = elapsed
+            bug_sets.append(
+                sorted(report.identifier for report in stats.tracker.reports)
+            )
+            curve.append(
+                {
+                    "executor": executor,
+                    "jobs": jobs,
+                    "elapsed_s": round(elapsed, 3),
+                    "speedup_vs_baseline": round(baseline_elapsed / elapsed, 2)
+                    if elapsed
+                    else float("inf"),
+                    "distinct_bugs": len(stats.tracker),
+                    "units": stats.units_total,
+                    "merged_worker_counters": stats.counters,
+                }
+            )
+            print(
+                f"  {executor} jobs={jobs}: {elapsed:.1f}s, "
+                f"{curve[-1]['speedup_vs_baseline']}x vs the first run, "
+                f"{len(stats.tracker)} distinct bugs",
+                flush=True,
+            )
     cores = os.cpu_count() or 1
     payload = {
         "programs": programs,
         "platforms": list(PLATFORMS),
         "seed": SEED,
         "cpu_count": cores,
-        "baseline_jobs": baseline_jobs,
-        "deterministic": all(bugs == reference_bugs for bugs in bug_sets.values()),
-        "distinct_bug_set": reference_bugs,
+        "baseline_jobs": jobs_list[0],
+        "deterministic": all(bugs == bug_sets[0] for bugs in bug_sets),
+        "distinct_bug_set": bug_sets[0],
         "curve": curve,
     }
     if cores < max(jobs_list):
         payload["note"] = (
             f"wall-clock scaling is bounded by the {cores} CPU core(s) visible "
-            "to this runner; the engine shards (program, platform) units across "
-            "the pool, so on an N-core machine the curve tracks N up to the "
-            "job count (determinism is asserted above regardless)"
+            "to this runner; the pool and the fleet shard whole programs across "
+            "their workers, so on an N-core machine the curve tracks N up to "
+            "the job count (determinism is asserted above regardless)"
         )
     return payload
 
@@ -351,11 +363,6 @@ def run_hotpath(programs: int) -> dict:
     stats, elapsed = _run_campaign(programs, jobs=1)
     counters = stats.counters
     programs_per_sec = programs / elapsed if elapsed else float("inf")
-    speedup = (
-        programs_per_sec / HOTPATH_BASELINE["programs_per_sec"]
-        if HOTPATH_BASELINE["programs_per_sec"]
-        else float("inf")
-    )
     caches = _cache_report(counters)
     sat_invocations = counters.get("solver_sat_invocations", 0)
 
@@ -375,8 +382,7 @@ def run_hotpath(programs: int) -> dict:
     byte_identical = seeded_reports(jobs=1) == seeded_reports(jobs=4)
 
     meets_target = (
-        speedup >= HOTPATH_TARGET_SPEEDUP
-        and sat_invocations < HOTPATH_BASELINE["sat_invocations"]
+        sat_invocations < HOTPATH_BASELINE["sat_invocations"]
         and caches["reparse"]["hits"] > 0
         and caches["interp"]["hits"] > 0
         and caches["bitblast"]["hits"] > 0
@@ -387,16 +393,15 @@ def run_hotpath(programs: int) -> dict:
         "platforms": list(PLATFORMS),
         "seed": SEED,
         "jobs": 1,
+        "cpu_count": os.cpu_count() or 1,
         "before": dict(HOTPATH_BASELINE),
         "elapsed_s": round(elapsed, 3),
         "programs_per_sec": round(programs_per_sec, 2),
-        "speedup_vs_baseline": round(speedup, 2),
         "sat_invocations": sat_invocations,
         "batched_checks": counters.get("solver_batched_checks", 0),
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
         "caches": caches,
         "reports_byte_identical_jobs1_vs_jobs4": byte_identical,
-        "target_speedup": HOTPATH_TARGET_SPEEDUP,
         "meets_target": meets_target,
     }
 
@@ -720,94 +725,114 @@ def run_stateful() -> dict:
 
 #: The distributed smoke workload (``--distributed`` / ``make
 #: bench-distributed``): the reference generator at seed 0, 40 programs x
-#: 3 platforms, run once serially (the byte-identity reference) and once
-#: per worker count on the coordinator/worker service over localhost TCP.
-#: The two-worker run additionally kills one worker mid-lease (``os._exit``
-#: after 10 units) so the recorded ``leases_reclaimed`` proves the
-#: reclaim/merge path, not just the happy path.
+#: 3 platforms, run once serially (the reference), then on clean localhost
+#: fleets of each size in ``DISTRIBUTED_WORKERS`` (the throughput curve),
+#: then once more on ``DISTRIBUTED_FAULT_WORKERS`` workers with one killed
+#: mid-lease (``os._exit`` after 10 units), so the recorded
+#: ``leases_reclaimed`` proves the reclaim/merge path.
 DISTRIBUTED_PROGRAMS = 40
 DISTRIBUTED_WORKERS = (1, 2)
+DISTRIBUTED_FAULT_WORKERS = 2
 DISTRIBUTED_FAIL_AFTER_UNITS = 10
+#: Miss counters of the caches a program's platform units share.  A fleet
+#: that keeps each program on one worker misses them exactly as often as
+#: the serial run; a program split across workers misses them twice.
+PROGRAM_CACHE_MISSES = (
+    "prefix_misses",
+    "reparse_misses",
+    "interp_misses",
+    "testgen_misses",
+)
 
 
 def run_distributed(programs: int = DISTRIBUTED_PROGRAMS) -> dict:
-    """Record the coordinator/worker smoke: throughput, reclaim, determinism.
+    """Record the coordinator/worker smoke: throughput, placement, reclaim.
 
-    ``meets_target`` is the determinism flag: every fleet size — including
-    the one with a worker killed mid-lease — must file reports
-    byte-identical to ``jobs=1``, or the bench (and CI) fails.
+    ``meets_target`` requires every run, the fault pass included, to file
+    reports byte-identical to ``jobs=1``; every clean fleet's per-program
+    cache misses to equal the serial run's; and the fault pass to reclaim
+    the killed worker's lease.  All runs start with cold caches.
     """
 
     from repro.core.engine import CampaignEngine, CampaignSpec, DistributedExecutor
     from repro.core.generator import GeneratorConfig
 
-    def spec():
-        return CampaignSpec(
-            programs=programs,
-            generator=GeneratorConfig(seed=SEED),
-            platforms=PLATFORMS,
-        )
+    spec = CampaignSpec(
+        programs=programs,
+        generator=GeneratorConfig(seed=SEED),
+        platforms=PLATFORMS,
+    )
 
-    def report_blob(stats):
+    def run(executor=None) -> tuple:
+        _reset_process_caches()
+        start = time.perf_counter()
+        stats = CampaignEngine(spec, executor=executor).run()
+        return stats, time.perf_counter() - start
+
+    def reports(stats) -> str:
         return json.dumps(
             [report.to_dict() for report in stats.tracker.reports], sort_keys=True
         )
 
-    _reset_process_caches()
-    start = time.perf_counter()
-    serial = CampaignEngine(spec()).run()
-    serial_elapsed = time.perf_counter() - start
-    serial_blob = report_blob(serial)
-    units = serial.units_total
+    def misses(stats) -> dict:
+        return {key: stats.counters.get(key, 0) for key in PROGRAM_CACHE_MISSES}
 
-    curve = []
-    deterministic = True
-    for workers in DISTRIBUTED_WORKERS:
-        _reset_process_caches()
-        fault = {0: DISTRIBUTED_FAIL_AFTER_UNITS} if workers >= 2 else None
-        executor = DistributedExecutor(
-            workers,
-            lease_units=4,
+    def fleet_point(workers: int, executor) -> dict:
+        stats, elapsed = run(executor)
+        counters = stats.counters
+        return {
+            "workers": workers,
+            "elapsed_s": round(elapsed, 3),
+            "units_per_sec": round(stats.units_total / elapsed, 2),
+            "leases_issued": counters.get("dist_leases_issued", 0),
+            "leases_reclaimed": counters.get("dist_leases_reclaimed", 0),
+            "duplicates_discarded": counters.get("dist_duplicates_discarded", 0),
+            "bytes_streamed": counters.get("dist_bytes_streamed", 0),
+            "misses": misses(stats),
+            "reports_byte_identical_vs_jobs1": reports(stats) == serial_reports,
+        }
+
+    serial, serial_elapsed = run()
+    serial_reports = reports(serial)
+    curve = [
+        fleet_point(workers, DistributedExecutor(workers))
+        for workers in DISTRIBUTED_WORKERS
+    ]
+    for point in curve:
+        point["misses_match_serial"] = point["misses"] == misses(serial)
+    # The fault pass's misses are informational: a reclaimed lease's units
+    # run twice.
+    fault = fleet_point(
+        DISTRIBUTED_FAULT_WORKERS,
+        DistributedExecutor(
+            DISTRIBUTED_FAULT_WORKERS,
             lease_ttl_s=5.0,
             heartbeat_s=0.5,
-            fail_after=fault,
-        )
-        start = time.perf_counter()
-        stats = CampaignEngine(spec(), executor=executor).run()
-        elapsed = time.perf_counter() - start
-        identical = report_blob(stats) == serial_blob
-        deterministic = deterministic and identical
-        counters = stats.counters
-        curve.append(
-            {
-                "workers": workers,
-                "elapsed_s": round(elapsed, 3),
-                "units_per_sec": round(units / elapsed, 2) if elapsed else 0.0,
-                "leases_issued": counters.get("dist_leases_issued", 0),
-                "leases_reclaimed": counters.get("dist_leases_reclaimed", 0),
-                "duplicates_discarded": counters.get(
-                    "dist_duplicates_discarded", 0
-                ),
-                "bytes_streamed": counters.get("dist_bytes_streamed", 0),
-                "worker_killed_mid_lease": bool(fault),
-                "reports_byte_identical_vs_jobs1": identical,
-            }
-        )
+            fail_after={0: DISTRIBUTED_FAIL_AFTER_UNITS},
+        ),
+    )
+    fault["killed_after_units"] = DISTRIBUTED_FAIL_AFTER_UNITS
 
+    deterministic = all(
+        point["reports_byte_identical_vs_jobs1"] for point in curve + [fault]
+    )
+    placement = all(point["misses_match_serial"] for point in curve)
     return {
         "programs": programs,
         "platforms": list(PLATFORMS),
         "seed": SEED,
-        "units": units,
+        "units": serial.units_total,
+        "cpu_count": os.cpu_count() or 1,
         "serial": {
             "elapsed_s": round(serial_elapsed, 3),
-            "units_per_sec": (
-                round(units / serial_elapsed, 2) if serial_elapsed else 0.0
-            ),
+            "units_per_sec": round(serial.units_total / serial_elapsed, 2),
+            "misses": misses(serial),
         },
         "curve": curve,
+        "fault": fault,
         "deterministic": deterministic,
-        "meets_target": deterministic,
+        "placement_matches_serial": placement,
+        "meets_target": deterministic and placement and fault["leases_reclaimed"] >= 1,
     }
 
 
@@ -1010,12 +1035,14 @@ def main(argv=None) -> int:
                              "detections lost vs. benchmarks/detection_baseline.json")
     parser.add_argument("--hotpath", action="store_true",
                         help="record the validation hot-path section: jobs=1 "
-                             "throughput, SAT invocations, per-cache hit rates "
-                             "and the jobs=1 vs jobs=4 determinism check")
+                             "throughput (not gated), SAT invocations, "
+                             "per-cache hit rates and the jobs=1 vs jobs=4 "
+                             "determinism check")
     parser.add_argument("--distributed", action="store_true",
                         help="record the coordinator/worker smoke: units/sec "
-                             "per fleet size, leases reclaimed under a worker "
-                             "kill, and the byte-identity check vs jobs=1")
+                             "and per-program cache misses per clean fleet "
+                             "size, leases reclaimed under a worker kill, and "
+                             "the byte-identity check vs jobs=1")
     parser.add_argument("--stateful", action="store_true",
                         help="record the multi-packet stateful campaign: "
                              "sequences/sec, state-divergence findings, "
@@ -1081,8 +1108,8 @@ def main(argv=None) -> int:
 
     if args.distributed:
         print(f"distributed smoke: {DISTRIBUTED_PROGRAMS} programs x "
-              f"{len(PLATFORMS)} platforms, workers {DISTRIBUTED_WORKERS}",
-              flush=True)
+              f"{len(PLATFORMS)} platforms, clean workers {DISTRIBUTED_WORKERS}, "
+              f"fault pass on {DISTRIBUTED_FAULT_WORKERS}", flush=True)
         payload["distributed"] = run_distributed()
 
     if args.stateful:
@@ -1118,11 +1145,10 @@ def main(argv=None) -> int:
     if "hotpath" in payload and args.hotpath:
         hotpath = payload["hotpath"]
         print(
-            f"hotpath: {hotpath['programs_per_sec']} programs/s "
-            f"({hotpath['speedup_vs_baseline']}x vs "
-            f"{hotpath['before']['programs_per_sec']}), "
+            f"hotpath: {hotpath['programs_per_sec']} programs/s on "
+            f"{hotpath['cpu_count']} CPU(s), "
             f"{hotpath['sat_invocations']} SAT invocations "
-            f"(was {hotpath['before']['sat_invocations']}), "
+            f"(must stay below {hotpath['before']['sat_invocations']}), "
             f"byte-identical jobs 1 vs 4: "
             f"{hotpath['reports_byte_identical_jobs1_vs_jobs4']}"
         )
@@ -1133,10 +1159,15 @@ def main(argv=None) -> int:
             )
     if "scaling" in payload:
         summary = [
-            (point["jobs"], point["elapsed_s"], point["speedup_vs_baseline"])
+            (
+                point["executor"],
+                point["jobs"],
+                point["elapsed_s"],
+                point["speedup_vs_baseline"],
+            )
             for point in payload["scaling"]["curve"]
         ]
-        print(f"scaling (jobs, s, x): {summary}")
+        print(f"scaling (executor, jobs, s, x): {summary}")
         print(f"deterministic across jobs: {payload['scaling']['deterministic']}")
     if "triage" in payload:
         triage = payload["triage"]
@@ -1160,20 +1191,28 @@ def main(argv=None) -> int:
             )
     if args.distributed and "distributed" in payload:
         distributed = payload["distributed"]
+        serial = distributed["serial"]
         print(
-            f"distributed: serial {distributed['serial']['units_per_sec']} units/s"
+            f"distributed: serial {serial['units_per_sec']} units/s, "
+            f"misses {serial['misses']}"
         )
         for point in distributed["curve"]:
-            killed = " (one worker killed mid-lease)" if point[
-                "worker_killed_mid_lease"
-            ] else ""
             print(
                 f"    workers={point['workers']}: {point['units_per_sec']} units/s, "
-                f"{point['leases_issued']} leases issued, "
-                f"{point['leases_reclaimed']} reclaimed, "
-                f"{point['duplicates_discarded']} duplicates discarded{killed}"
+                f"{point['leases_issued']} leases, "
+                f"misses match serial: {point['misses_match_serial']}"
             )
-        print(f"distributed deterministic vs jobs=1: {distributed['deterministic']}")
+        fault = distributed["fault"]
+        print(
+            f"    workers={fault['workers']}, one killed mid-lease: "
+            f"{fault['units_per_sec']} units/s, "
+            f"{fault['leases_reclaimed']} leases reclaimed, "
+            f"{fault['duplicates_discarded']} duplicates discarded"
+        )
+        print(
+            f"distributed deterministic vs jobs=1: {distributed['deterministic']}, "
+            f"placement matches serial: {distributed['placement_matches_serial']}"
+        )
     if args.stateful and "stateful" in payload:
         stateful = payload["stateful"]
         print(

@@ -21,7 +21,10 @@ Three interchangeable transports sit behind one seam
 campaign coordinator leasing contiguous unit ranges to a fleet of worker
 processes over line-JSON TCP (:mod:`repro.core.engine.protocol`), with
 heartbeat-based lease reclaim, streamed outcome shards, and incremental
-merge.  All three file byte-identical reports.
+merge.  All three file byte-identical reports.  Both parallel transports
+keep every unit of one program on one worker
+(:func:`~repro.core.engine.units.program_groups`), so a program's cached
+work runs once, as it does serially.
 
 See :mod:`repro.core.engine.engine` for orchestration,
 :mod:`repro.core.engine.stages` for the worker-side pipeline,

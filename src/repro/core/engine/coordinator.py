@@ -7,8 +7,14 @@ on a localhost (or LAN) TCP socket:
 
 * **lease** — a worker is granted a contiguous range of not-yet-done unit
   indexes, serialized in full (units are self-contained; programs are
-  regenerated worker-side from per-index seeds).  Backpressure is enforced
-  here: a worker already holding ``max_inflight_leases`` live leases, or a
+  regenerated worker-side from per-index seeds).  A lease holds whole
+  programs: at least ``lease_units`` units, then on to the end of the last
+  unit's program.  A program's platform units share its prefix
+  compilation, snapshot reparse and interpretation, symbolic tests and SAT
+  queries through per-process caches, so a program split across two
+  workers pays for that work twice.  (Only a reclaimed or resumed range
+  may start or stop mid-program.)  Backpressure is enforced here: a
+  worker already holding ``max_inflight_leases`` live leases, or a
   coordinator whose outcome buffer is above ``max_outstanding``, gets a
   ``retry_in`` backoff instead of work.
 * **outcome** — streamed back one line per finished unit, the same wire
@@ -53,6 +59,7 @@ from repro.core.engine.units import (
     KIND_WORK,
     outcome_from_dict,
     outcome_key,
+    program_groups,
     unit_key,
     unit_to_dict,
 )
@@ -144,6 +151,12 @@ class CoordinatorService:
         self._lock = threading.Lock()
         #: Unit indexes not currently leased and not yet done, ascending.
         self._pending: List[int] = list(range(len(self._units)))
+        #: unit index -> ordinal of its program (see ``program_groups``).
+        self._program_of: List[int] = [
+            ordinal
+            for ordinal, group in enumerate(program_groups(self._units))
+            for _ in group
+        ]
         self._leases: Dict[str, Lease] = {}
         self._lease_seq = 0
         self._dedup = OutcomeDedup()
@@ -342,15 +355,20 @@ class CoordinatorService:
             # (it may inherit a reclaimed range).
             return {"ok": True, "retry_in": DEFAULT_RETRY_S}
 
-        start = self._pending[0]
-        indexes = [start]
-        while (
-            len(indexes) < self._lease_units
-            and len(indexes) < len(self._pending)
-            and self._pending[len(indexes)] == indexes[-1] + 1
-        ):
-            indexes.append(self._pending[len(indexes)])
-        del self._pending[: len(indexes)]
+        # Take the next contiguous pending units: at least ``lease_units``,
+        # then on to the end of the last unit's program, so one program's
+        # units (and the caches they share) stay on one worker.
+        pending = self._pending
+        count = 1
+        while count < len(pending) and pending[count] == pending[count - 1] + 1:
+            same_program = (
+                self._program_of[pending[count]] == self._program_of[pending[count - 1]]
+            )
+            if count >= self._lease_units and not same_program:
+                break
+            count += 1
+        indexes = pending[:count]
+        del pending[:count]
 
         self._lease_seq += 1
         lease_id = f"L{self._lease_seq}"

@@ -42,7 +42,16 @@ from repro.core.engine.worker import worker_process_main
 
 
 class DistributedExecutor:
-    """Run unit batches on a leased coordinator/worker fleet."""
+    """Run unit batches on a leased coordinator/worker fleet.
+
+    ``lease_units`` is a minimum, not a size: a lease takes at least that
+    many contiguous pending units, then runs on to the end of the last
+    unit's program, so all of a program's units (and the per-process
+    caches they share) land on one worker.  The default of 4 leases two
+    programs at a time on three platforms and one program on four.
+    Triage units have no program to share and lease exactly
+    ``lease_units`` at a time.
+    """
 
     def __init__(
         self,

@@ -27,8 +27,8 @@ from repro.core.generator import GeneratorConfig
 from repro.core.schedule import (
     BanditScheduler,
     KnobArm,
-    MATRIX_STEERING,
     choose_arm_for_defect,
+    static_overrides_for_bug,
     train_profiles,
 )
 from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH
@@ -55,10 +55,6 @@ from repro.core.engine.units import (
     WorkUnit,
     build_units,
     platform_rank,
-)
-from repro.core.engine.coordinator import (
-    DEFAULT_LEASE_TTL_S,
-    DEFAULT_LEASE_UNITS,
 )
 
 
@@ -89,11 +85,6 @@ class CampaignSpec:
     #: workers: externally started ``--worker`` processes drain the
     #: campaign.  Overrides both ``jobs`` and ``distributed``.
     serve: Optional[str] = None
-    #: Lease geometry for the distributed transports (ignored otherwise):
-    #: units per lease, and how long a silent lease lives before the
-    #: coordinator reclaims and re-issues its unfinished range.
-    lease_units: int = DEFAULT_LEASE_UNITS
-    lease_ttl_s: float = DEFAULT_LEASE_TTL_S
     #: Drive program generation through the coverage-feedback bandit
     #: scheduler (:mod:`repro.core.schedule`) instead of a single static
     #: knob vector.  The program budget is split into ``schedule_rounds``
@@ -132,30 +123,6 @@ class _MatrixTask:
     arm_overrides: Tuple[Tuple[str, object], ...] = ()
 
 
-#: Generator steering for the per-defect detection matrix, keyed by trigger
-#: feature (paper §4.2: the generator biases its probabilities towards the
-#: language constructs a defect needs).  An override is applied only while
-#: the campaign generator leaves the corresponding knob at its dataclass
-#: default, so explicitly-configured generators are never second-guessed.
-#: The table itself lives in :mod:`repro.core.schedule` so the knob-arm
-#: catalog can be validated against it without an import cycle; this alias
-#: keeps the engine's historical name.
-_MATRIX_STEERING = MATRIX_STEERING
-
-
-def _steer_generator(generator: GeneratorConfig, bug: SeededBug) -> GeneratorConfig:
-    overrides: Dict[str, object] = {}
-    for feature in bug.trigger_features:
-        overrides.update(_MATRIX_STEERING.get(feature, {}))
-    defaults = GeneratorConfig.__dataclass_fields__
-    applicable = {
-        key: value
-        for key, value in overrides.items()
-        if getattr(generator, key) == defaults[key].default
-    }
-    return replace(generator, **applicable) if applicable else generator
-
-
 def _technique(outcome: UnitOutcome) -> str:
     """Map a detecting unit outcome onto the paper's technique names."""
 
@@ -178,10 +145,14 @@ def _detect_bug(task: _MatrixTask) -> Dict[str, object]:
 
     bug = BUG_CATALOG[task.bug_id]
     platform = "p4c" if bug.location != LOCATION_BACKEND else bug.platform
-    if task.arm_name:
-        generator = KnobArm(task.arm_name, task.arm_overrides).apply(task.generator)
-    else:
-        generator = _steer_generator(task.generator, bug)
+    # Static steering (paper §4.2: bias the generator towards the constructs
+    # the defect needs) is the arm of the defect's MATRIX_STEERING union.
+    overrides = (
+        task.arm_overrides
+        if task.arm_name
+        else tuple(static_overrides_for_bug(bug).items())
+    )
+    generator = KnobArm(task.arm_name or "static", overrides).apply(task.generator)
     key = campaign_key(
         generator,
         (task.bug_id,),
@@ -248,19 +219,9 @@ class CampaignEngine:
         spec = self.spec
         if spec.serve:
             host, port = parse_address(spec.serve)
-            return DistributedExecutor(
-                0,
-                host=host,
-                port=port,
-                lease_units=spec.lease_units,
-                lease_ttl_s=spec.lease_ttl_s,
-            )
+            return DistributedExecutor(0, host=host, port=port)
         if spec.distributed > 0:
-            return DistributedExecutor(
-                spec.distributed,
-                lease_units=spec.lease_units,
-                lease_ttl_s=spec.lease_ttl_s,
-            )
+            return DistributedExecutor(spec.distributed)
         return make_executor(spec.jobs)
 
     # ------------------------------------------------------------------

@@ -18,15 +18,19 @@ matrix shards per-defect tasks this way).
 The pool executor uses ``fork`` where the platform offers it: workers
 inherit the already-imported compiler/solver modules for free, and each
 worker process builds its own intern tables, simplify memo and validation
-caches (all of PR 1's hot-path state is process-local by design).
+caches (all hot-path state is process-local by design).  Because those
+caches are shared by a program's platform units, the pool dispatches
+whole programs (:func:`~repro.core.engine.units.program_groups`), as the
+fleet's coordinator leases them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, Dict, Iterator, Optional, Sequence, TypeVar
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
 
-from repro.core.engine.units import KIND_WORK
+from repro.core.engine.units import KIND_WORK, program_groups
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -55,8 +59,17 @@ def fork_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-class _LocalRunUnits:
-    """The ``run_units`` seam shared by the two in-process executors."""
+def _run_group(kind: str, units: Sequence) -> List[object]:
+    """Run one program's units back to back in one pool worker."""
+
+    runner = runner_for(kind)
+    return [runner(unit) for unit in units]
+
+
+class SerialExecutor:
+    """Run every unit in the calling process, in submission order."""
+
+    jobs = 1
 
     def run_units(
         self,
@@ -71,12 +84,6 @@ class _LocalRunUnits:
                 sink(outcome)
             yield outcome
 
-
-class SerialExecutor(_LocalRunUnits):
-    """Run every unit in the calling process, in submission order."""
-
-    jobs = 1
-
     def map_unordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
     ) -> Iterator[_R]:
@@ -84,7 +91,7 @@ class SerialExecutor(_LocalRunUnits):
             yield fn(item)
 
 
-class ProcessPoolExecutor(_LocalRunUnits):
+class ProcessPoolExecutor:
     """Shard units across ``jobs`` worker processes.
 
     ``fn`` must be a module-level function and every item picklable; both
@@ -96,6 +103,22 @@ class ProcessPoolExecutor(_LocalRunUnits):
         if jobs < 2:
             raise ValueError("ProcessPoolExecutor needs jobs >= 2; use SerialExecutor")
         self.jobs = jobs
+
+    def run_units(
+        self,
+        units: Sequence,
+        kind: str = KIND_WORK,
+        sink: Sink = None,
+        journal: Journal = None,
+    ) -> Iterator[object]:
+        # Whole programs go to the pool (see ``program_groups``), so the
+        # chunk size below counts programs; outcomes still stream one by one.
+        groups = program_groups(units)
+        for outcomes in self.map_unordered(partial(_run_group, kind), groups):
+            for outcome in outcomes:
+                if sink is not None:
+                    sink(outcome)
+                yield outcome
 
     def map_unordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]

@@ -11,10 +11,11 @@ Per-process caches:
 
 * ``_PROGRAM_MEMO`` — the generated program for ``(generator config,
   index)``, with its emitted source and its ``program_features`` cells:
-  the per-platform units of one program land on arbitrary workers, but
-  when several land on the same worker the program is generated, and its
-  features scanned, once.  Regeneration elsewhere is deterministic (child
-  seeds), so the memo is purely an optimisation.
+  every executor runs the per-platform units of one program on one worker
+  (:func:`~repro.core.engine.units.program_groups`), so the program is
+  generated, and its features scanned, once.  Regeneration elsewhere (a
+  reclaimed lease) is deterministic (child seeds), so the memo is purely
+  an optimisation.
 Symbolic packet tests are memoised per process by
 :func:`repro.core.testgen.cached_tests` (keyed by emitted source), shared
 between platforms and across the per-defect detection matrix.

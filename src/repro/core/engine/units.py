@@ -17,7 +17,7 @@ independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.generator import GeneratorConfig
 
@@ -364,6 +364,30 @@ class TriageOutcome:
             },
             min_sequence_length=payload.get("min_sequence_length", 0),
         )
+
+
+def program_groups(units: Sequence) -> List[List]:
+    """Split ``units`` into runs of consecutive units of one program.
+
+    A program's platform units share its prefix compilation, snapshot
+    reparse and interpretation, symbolic tests and SAT queries through
+    per-process caches, so an executor that keeps each run on one worker
+    does that work once per program, as the serial loop does.  Every
+    transport places units by this rule.  Triage units are groups of one.
+    (A batch holds one unit kind, so a work unit's predecessor is one too.)
+    """
+
+    groups: List[List] = []
+    for unit in units:
+        if (
+            groups
+            and isinstance(unit, WorkUnit)
+            and groups[-1][-1].program_index == unit.program_index
+        ):
+            groups[-1].append(unit)
+        else:
+            groups.append([unit])
+    return groups
 
 
 def build_units(

@@ -11,7 +11,9 @@ The service's contract extends the engine's executor-equivalence leg:
 * **stream hygiene** — torn streamed lines are discarded without
   poisoning the connection, and duplicate outcome lines (at-least-once
   delivery) are accepted exactly once, by the same first-write-wins
-  dedup the store's resume loader applies.
+  dedup the store's resume loader applies;
+* **placement** — a lease never ends inside a program (``lease_units``
+  is a minimum), so no program's units are split across workers.
 """
 
 import json
@@ -24,14 +26,16 @@ from repro.core.engine import (
     CampaignSpec,
     CoordinatorService,
     DistributedExecutor,
+    FindingRecord,
     OutcomeDedup,
+    TriageUnit,
     UnitOutcome,
     build_units,
     campaign_key,
     run_worker,
 )
 from repro.core.engine import protocol
-from repro.core.engine.units import STATUS_CLEAN
+from repro.core.engine.units import KIND_TRIAGE, STATUS_CLEAN
 from repro.core.generator import GeneratorConfig
 
 ENABLED = (
@@ -226,6 +230,90 @@ class TestCoordinatorService:
             assert throttled["ok"] and "retry_in" in throttled
             counters = service.status()["counters"]
             assert counters["dist_backpressure_retries"] == 1
+        finally:
+            stream.close()
+            service.stop()
+
+    def _drain_leases(self, stream):
+        """Lease until nothing is pending; returns the granted leases."""
+
+        stream.send({"op": "hello", "worker": "w"})
+        assert stream.recv()["ok"]
+        leases = []
+        while True:
+            stream.send({"op": "lease", "worker": "w"})
+            response = stream.recv()
+            if "lease" not in response:
+                return leases
+            leases.append(response["lease"])
+
+    def test_leases_hold_whole_programs(self):
+        units = self._units(programs=5, platforms=("p4c", "bmv2", "tofino"))
+        service, stream = self._start(
+            units, lease_units=4, max_inflight_leases=len(units)
+        )
+        try:
+            leases = self._drain_leases(stream)
+            # lease_units is a minimum: 4 units end mid-program, so each
+            # lease runs on to the end of its second program.
+            assert [lease["count"] for lease in leases] == [6, 6, 3]
+            programs = [
+                {unit["program_index"] for unit in lease["units"]} for lease in leases
+            ]
+            assert sorted(index for held in programs for index in held) == list(
+                range(5)
+            )
+        finally:
+            stream.close()
+            service.stop()
+
+    def test_reclaimed_lease_reissues_its_unfinished_units(self):
+        clock = {"now": 0.0}
+        units = self._units(programs=5, platforms=("p4c", "bmv2", "tofino"))
+        service, stream = self._start(
+            units, lease_units=4, lease_ttl_s=5.0, clock=lambda: clock["now"]
+        )
+        try:
+            stream.send({"op": "hello", "worker": "dead"})
+            assert stream.recv()["ok"]
+            stream.send({"op": "lease", "worker": "dead"})
+            first = stream.recv()["lease"]
+            stream.send(
+                {
+                    "op": "outcome",
+                    "worker": "dead",
+                    "lease": first["id"],
+                    "outcome": _clean_outcome(units[0]).to_dict(),
+                }
+            )
+            assert stream.recv()["ok"]
+
+            clock["now"] = 6.0  # the worker dies after its first outcome
+            stream.send({"op": "lease", "worker": "live"})
+            second = stream.recv()["lease"]
+            assert [
+                (unit["program_index"], unit["platform"]) for unit in second["units"]
+            ] == [unit.key for unit in units[1 : first["count"]]]
+        finally:
+            stream.close()
+            service.stop()
+
+    def test_triage_units_lease_exactly_lease_units(self):
+        finding = FindingRecord(
+            kind="crash", platform="p4c", pass_name="P", description="boom"
+        )
+        units = [
+            TriageUnit(identifier=f"p4c:{n}", platform="p4c", source="", finding=finding)
+            for n in range(10)
+        ]
+        service = CoordinatorService(
+            units, KIND_TRIAGE, lease_units=4, max_inflight_leases=len(units)
+        )
+        host, port = service.start()
+        stream = protocol.connect(host, port)
+        try:
+            leases = self._drain_leases(stream)
+            assert [lease["count"] for lease in leases] == [4, 4, 2]
         finally:
             stream.close()
             service.stop()

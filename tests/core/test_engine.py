@@ -11,23 +11,33 @@ The engine's contract has three legs:
 * **deterministic sharding** — program ``i`` of a corpus depends only on
   ``(seed, i)``, never on generation order, so any shard can be produced
   independently in any process.
+
+Parallel transports also keep each program's units on one worker, so
+their cache-miss counts equal the serial run's.
 """
 
 import json
 import os
 
+from repro import smt
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine import (
     ArtifactStore,
     CampaignEngine,
     CampaignSpec,
+    DistributedExecutor,
     FindingRecord,
+    ProcessPoolExecutor,
+    SerialExecutor,
     UnitOutcome,
     WorkUnit,
     build_units,
     campaign_key,
+    reset_worker_state,
     run_unit,
 )
+from repro.core.engine.units import program_groups
+from repro.core.validation import clear_validation_caches
 from repro.core.generator import (
     GeneratorConfig,
     RandomProgramGenerator,
@@ -179,6 +189,50 @@ class TestExecutorEquivalence:
         # Forked workers inherit warm caches, so only the *lookup* count is
         # guaranteed to be non-zero, not the miss count.
         assert stats.counters["interp_hits"] + stats.counters["interp_misses"] > 0
+
+
+class TestProgramPlacement:
+    """Every transport runs a program's units on one worker.
+
+    A program's platform units share its prefix compilation, snapshot
+    reparse and interpretation and symbolic tests through per-process
+    caches, so with whole programs per worker a parallel campaign misses
+    each cache exactly as often as the serial loop does.
+    """
+
+    MISSES = ("prefix_misses", "reparse_misses", "interp_misses", "testgen_misses")
+
+    def test_program_groups_split_at_program_boundaries(self):
+        units = build_units(3, ("p4c", "bmv2"), GeneratorConfig(seed=0), (), 4)
+        groups = program_groups(units[1:])
+        assert [[unit.key for unit in group] for group in groups] == [
+            [(0, "bmv2")],
+            [(1, "p4c"), (1, "bmv2")],
+            [(2, "p4c"), (2, "bmv2")],
+        ]
+
+    def test_parallel_transports_miss_the_caches_as_serial_does(self):
+        spec = CampaignSpec(
+            programs=12,
+            generator=GeneratorConfig(seed=0),
+            platforms=("p4c", "bmv2", "tofino"),
+        )
+        misses = {}
+        for name, executor in (
+            ("serial", SerialExecutor()),
+            ("pool", ProcessPoolExecutor(2)),
+            ("fleet", DistributedExecutor(2)),
+        ):
+            # Forked workers inherit this process's caches: start each
+            # run cold, as a campaign a user starts does.
+            smt.STATS.reset()
+            smt.clear_term_caches()
+            clear_validation_caches()
+            reset_worker_state()
+            counters = CampaignEngine(spec, executor=executor).run().counters
+            misses[name] = [counters[key] for key in self.MISSES]
+        assert misses["pool"] == misses["serial"]
+        assert misses["fleet"] == misses["serial"]
 
 
 class TestResume:
