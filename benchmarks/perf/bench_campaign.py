@@ -22,9 +22,9 @@ root so every PR leaves a perf data point behind:
   relative to the detection campaign.
 * **hotpath** (``--hotpath`` / ``make bench-hotpath``): the scaling
   workload at ``jobs=1`` with cold caches, recording programs/sec (with
-  ``cpu_count``), SAT invocations and per-cache hit rates, gated on the
-  deterministic ones, plus a seeded jobs=1 vs jobs=4
-  byte-identical-reports check.
+  ``cpu_count``), SAT invocations, per-cache hit rates and garbage
+  collections per generation, gated on the deterministic ones, plus a
+  seeded jobs=1 vs jobs=4 byte-identical-reports check.
 * **stateful** (``--stateful`` / ``make bench-stateful``): a seeded
   register-heavy campaign replayed as 3-packet sequences — sequences/sec,
   state-divergence findings, per-defect detection of the stateful seeded
@@ -139,6 +139,11 @@ HOTPATH_BASELINE = {
 #: Size of the seeded campaign used for the jobs=1 vs jobs=4 byte-identical
 #: report check (shared-prefix validation must not perturb determinism).
 HOTPATH_DETERMINISM_PROGRAMS = 25
+#: Full garbage collections the hot-path campaign may run.  Each one walks
+#: the whole long-lived heap; at CPython's default gen0 threshold this
+#: campaign ran 27 of them (Python 3.11), under the engine's
+#: ``GC_GEN0_THRESHOLD`` one.  The count repeats exactly for one interpreter.
+HOTPATH_MAX_FULL_COLLECTIONS = 2
 
 #: Committed per-defect detection expectations for the reference matrix
 #: (seed 0, 20 programs per defect).  The CI gate fails when a defect the
@@ -353,10 +358,11 @@ def run_hotpath(programs: int) -> dict:
     """Measure the validation hot path: throughput, solver load, cache yield.
 
     One cold-start ``jobs=1`` campaign gives the deterministic counters the
-    CI gate diffs (SAT invocations, per-cache hit rates); a smaller seeded
-    campaign then runs at ``jobs=1`` and ``jobs=4`` and the two report
-    lists must serialize byte-identically — shared-prefix validation and
-    batched solving must never leak scheduling into the findings.
+    CI gate diffs (SAT invocations, per-cache hit rates, full garbage
+    collections); a smaller seeded campaign then runs at ``jobs=1`` and
+    ``jobs=4`` and the two report lists must serialize byte-identically —
+    shared-prefix validation and batched solving must never leak
+    scheduling into the findings.
     """
 
     _reset_process_caches()
@@ -365,6 +371,10 @@ def run_hotpath(programs: int) -> dict:
     programs_per_sec = programs / elapsed if elapsed else float("inf")
     caches = _cache_report(counters)
     sat_invocations = counters.get("solver_sat_invocations", 0)
+    gc_collections = {
+        f"gen{generation}": counters.get(f"gc_gen{generation}_collections", 0)
+        for generation in range(3)
+    }
 
     def seeded_reports(jobs: int) -> str:
         _reset_process_caches()
@@ -386,6 +396,7 @@ def run_hotpath(programs: int) -> dict:
         and caches["reparse"]["hits"] > 0
         and caches["interp"]["hits"] > 0
         and caches["bitblast"]["hits"] > 0
+        and gc_collections["gen2"] <= HOTPATH_MAX_FULL_COLLECTIONS
         and byte_identical
     )
     return {
@@ -401,6 +412,8 @@ def run_hotpath(programs: int) -> dict:
         "batched_checks": counters.get("solver_batched_checks", 0),
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
         "caches": caches,
+        "gc_collections": gc_collections,
+        "max_full_collections": HOTPATH_MAX_FULL_COLLECTIONS,
         "reports_byte_identical_jobs1_vs_jobs4": byte_identical,
         "meets_target": meets_target,
     }
@@ -1036,8 +1049,8 @@ def main(argv=None) -> int:
     parser.add_argument("--hotpath", action="store_true",
                         help="record the validation hot-path section: jobs=1 "
                              "throughput (not gated), SAT invocations, "
-                             "per-cache hit rates and the jobs=1 vs jobs=4 "
-                             "determinism check")
+                             "per-cache hit rates, full garbage collections "
+                             "and the jobs=1 vs jobs=4 determinism check")
     parser.add_argument("--distributed", action="store_true",
                         help="record the coordinator/worker smoke: units/sec "
                              "and per-program cache misses per clean fleet "
@@ -1157,6 +1170,12 @@ def main(argv=None) -> int:
                 f"    {name:10s} {entry['hits']:6d} hits / "
                 f"{entry['misses']:6d} misses ({entry['hit_rate']:.0%})"
             )
+        collections = hotpath["gc_collections"]
+        print(
+            f"    gc collections: {collections['gen0']} gen0, "
+            f"{collections['gen1']} gen1, {collections['gen2']} full "
+            f"(must stay at or below {hotpath['max_full_collections']})"
+        )
     if "scaling" in payload:
         summary = [
             (

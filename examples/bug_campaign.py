@@ -146,6 +146,11 @@ def main() -> None:
     coverage = stats.coverage()
     if coverage:
         print(f"coverage cells lit : {len(coverage)}")
+    gen0, gen1, full = (
+        stats.counters.get(f"gc_gen{generation}_collections", 0)
+        for generation in range(3)
+    )
+    print(f"gc collections     : {gen0} gen0, {gen1} gen1, {full} full")
     print(f"distinct bugs filed: {len(stats.tracker)}\n")
 
     service = {

@@ -367,46 +367,16 @@ class SymbolicTestGenerator:
 #: test budget alone (the oracle never sees the backend), so they are
 #: shared between platforms, across the per-defect detection matrix, and
 #: across campaign work units scheduled onto the same worker process,
-#: keyed by ``(emitted source, max_tests)`` -- the budget is part of the
-#: key because the cache outlives any single campaign.  ``None`` records
-#: an oracle failure so it is not retried per platform.
-_TESTGEN_CACHE: "OrderedDict[Tuple[str, int], Optional[List[GeneratedTest]]]" = OrderedDict()
-_TESTGEN_CACHE_LIMIT = 256
+#: keyed by ``(emitted source, max_tests, sequence length)`` -- the budget
+#: is part of the key because the cache outlives any single campaign.  The
+#: sequence length is normalised to 1 for stateless programs, so a
+#: campaign running with ``sequence_length=3`` still shares entries across
+#: its (mostly stateless) corpus instead of tripling the solver work.
+#: ``None`` records an oracle failure so it is not retried per platform.
+_SEQGEN_CACHE: "OrderedDict[Tuple[str, int, int], Optional[List[TestSequence]]]" = OrderedDict()
+_SEQGEN_CACHE_LIMIT = 256
 _TESTGEN_STATS = {"testgen_hits": 0, "testgen_misses": 0}
 _MISSING = object()
-
-
-def cached_tests(
-    program: ast.Program, source: str, max_tests: int
-) -> Optional[List[GeneratedTest]]:
-    """Generate (or recall) the symbolic packet tests for ``source``.
-
-    Returns ``None`` when the symbolic oracle cannot handle the program
-    (an oracle limitation, never a finding -- paper §5.2).
-    """
-
-    key = (source, max_tests)
-    tests = _TESTGEN_CACHE.get(key, _MISSING)
-    if tests is not _MISSING:
-        _TESTGEN_CACHE.move_to_end(key)
-        _TESTGEN_STATS["testgen_hits"] += 1
-        return tests
-    _TESTGEN_STATS["testgen_misses"] += 1
-    try:
-        tests = SymbolicTestGenerator(program, max_tests=max_tests).generate()
-    except InterpreterError:
-        tests = None
-    _TESTGEN_CACHE[key] = tests
-    while len(_TESTGEN_CACHE) > _TESTGEN_CACHE_LIMIT:
-        _TESTGEN_CACHE.popitem(last=False)
-    return tests
-
-
-#: Sequence tests get their own cache: the key also carries the sequence
-#: length, normalised to 1 for stateless programs so a campaign running
-#: with ``sequence_length=3`` still shares entries across its (mostly
-#: stateless) corpus instead of tripling the solver work.
-_SEQGEN_CACHE: "OrderedDict[Tuple[str, int, int], Optional[List[TestSequence]]]" = OrderedDict()
 
 
 def cached_sequences(
@@ -438,7 +408,7 @@ def cached_sequences(
     except InterpreterError:
         sequences = None
     _SEQGEN_CACHE[key] = sequences
-    while len(_SEQGEN_CACHE) > _TESTGEN_CACHE_LIMIT:
+    while len(_SEQGEN_CACHE) > _SEQGEN_CACHE_LIMIT:
         _SEQGEN_CACHE.popitem(last=False)
     return sequences
 
@@ -446,17 +416,12 @@ def cached_sequences(
 def testgen_cache_stats() -> Dict[str, int]:
     """Hit/miss counters of the process-wide test cache."""
 
-    return dict(
-        _TESTGEN_STATS,
-        testgen_entries=len(_TESTGEN_CACHE),
-        seqgen_entries=len(_SEQGEN_CACHE),
-    )
+    return dict(_TESTGEN_STATS, seqgen_entries=len(_SEQGEN_CACHE))
 
 
 def clear_testgen_cache() -> None:
-    """Drop the test caches (memory bound for long-lived services)."""
+    """Drop the test cache (memory bound for long-lived services)."""
 
-    _TESTGEN_CACHE.clear()
     _SEQGEN_CACHE.clear()
     _TESTGEN_STATS["testgen_hits"] = 0
     _TESTGEN_STATS["testgen_misses"] = 0

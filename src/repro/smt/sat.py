@@ -352,7 +352,6 @@ class SatSolver:
         if len(self.learned) < 2000:
             return
         self.learned.sort(key=lambda clause: clause.activity)
-        keep = self.learned[len(self.learned) // 2 :]
         removed = set(id(clause) for clause in self.learned[: len(self.learned) // 2])
         # Only drop clauses that are not currently a reason for an assignment.
         locked = set(id(reason) for reason in self.reason if reason is not None)
@@ -367,7 +366,6 @@ class SatSolver:
         self.learned = survivors
         for watch_list in self.watches.values():
             watch_list[:] = [clause for clause in watch_list if id(clause) not in dropped]
-        del keep
 
     # -- main loop -------------------------------------------------------------
 

@@ -353,11 +353,14 @@ class TestWorkerDeath:
         spec = small_spec()
         serial = CampaignEngine(spec).run()
 
-        # Worker 0 hard-exits (os._exit, no goodbye) after 2 units — mid
-        # lease, since leases carry 3.  Its range must be reclaimed after
-        # one TTL and finish elsewhere, with the identical merged report.
+        # The only worker hard-exits (os._exit, no goodbye) after 2 units —
+        # mid lease, since leases carry at least 3.  Its clean replacement
+        # must reclaim the range after one TTL and finish the campaign, with
+        # the identical merged report.  One worker, not two: forked workers
+        # inherit the serial run's warm caches, so a second worker could
+        # drain every lease before the faulty one takes its first.
         executor = DistributedExecutor(
-            2,
+            1,
             lease_units=3,
             lease_ttl_s=1.0,
             heartbeat_s=0.2,

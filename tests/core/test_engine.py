@@ -16,6 +16,7 @@ Parallel transports also keep each program's units on one worker, so
 their cache-miss counts equal the serial run's.
 """
 
+import gc
 import json
 import os
 
@@ -36,6 +37,7 @@ from repro.core.engine import (
     reset_worker_state,
     run_unit,
 )
+from repro.core.engine.stages import GC_GEN0_THRESHOLD
 from repro.core.engine.units import program_groups
 from repro.core.validation import clear_validation_caches
 from repro.core.generator import (
@@ -233,6 +235,30 @@ class TestProgramPlacement:
             misses[name] = [counters[key] for key in self.MISSES]
         assert misses["pool"] == misses["serial"]
         assert misses["fleet"] == misses["serial"]
+
+
+def _gen0_threshold(_item):
+    """Pool-worker probe: the process it ran in and its gen0 threshold."""
+
+    return os.getpid(), gc.get_threshold()[0]
+
+
+class TestCollectorPolicy:
+    """Every process that runs units collects garbage under one policy."""
+
+    def test_import_sets_gen0_threshold_here_and_in_pool_workers(self):
+        assert gc.get_threshold()[0] == GC_GEN0_THRESHOLD
+        probes = list(
+            ProcessPoolExecutor(2).map_unordered(_gen0_threshold, range(4))
+        )
+        assert len(probes) == 4
+        assert all(pid != os.getpid() for pid, _ in probes)
+        assert {threshold for _, threshold in probes} == {GC_GEN0_THRESHOLD}
+
+    def test_campaign_reports_collections_per_generation(self):
+        stats = Campaign(small_config(programs=5, enabled_bugs=(), jobs=1)).run()
+        for generation in range(3):
+            assert stats.counters[f"gc_gen{generation}_collections"] >= 0
 
 
 class TestResume:
