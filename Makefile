@@ -19,10 +19,11 @@
 #                       sequences over a register-heavy corpus) plus the
 #                       detection matrix; fails if a stateful seeded defect
 #                       goes undetected or a baseline defect is lost
-#   make bench-coverage run the feedback-directed generation section: the
-#                       scheduled detection matrix must keep every baseline
-#                       defect within the static try budget, and scheduled
-#                       campaigns must be byte-identical across executors
+#   make bench-coverage run the swarm-generation section: the knob-arm
+#                       rotation must light at least as many rule cells as
+#                       the static config (every seed) and the replaced
+#                       bandit (in total), and scheduled campaigns must be
+#                       byte-identical across executors
 #   make check-detection run the per-defect detection matrix and fail if a
 #                       baseline-detected seeded defect is no longer found
 #   make check-docs     fail on dead relative links / stale module paths in docs

@@ -30,13 +30,12 @@ root so every PR leaves a perf data point behind:
   state-divergence findings, per-defect detection of the stateful seeded
   defects (the job fails when any goes undetected) and a ``--distributed
   2`` vs ``jobs=1`` byte-identity check.
-* **coverage** (``--coverage`` / ``make bench-coverage``): the
-  feedback-directed generation stack — the scheduled detection matrix
-  (profile-calibrated knob arms) diffed against the committed static
-  baseline (fails on any lost detection or a try budget above the static
-  total), pass/rule/feature/shape cell counts on static vs scheduled
-  unseeded corpora, and a scheduled-campaign byte-identity check across
-  jobs=1 / jobs=4 / ``--distributed 2``.
+* **coverage** (``--coverage`` / ``make bench-coverage``): swarm
+  generation — pass/rule/feature/shape cell counts of static vs
+  arm-rotation unseeded p4c corpora over three seeds (fails when the
+  rotation lights fewer rule cells than the static config on a seed, or
+  fewer in total than the bandit it replaced), and a scheduled-campaign
+  byte-identity check across jobs=1 / jobs=4 / ``--distributed 2``.
 * **distributed** (``--distributed`` / ``make bench-distributed``): the
   coordinator/worker service smoke — a 40-program, 3-platform campaign on
   clean localhost fleets of 1 and 2 workers (units/sec, and per-program
@@ -849,73 +848,49 @@ def run_distributed(programs: int = DISTRIBUTED_PROGRAMS) -> dict:
     }
 
 
-#: The coverage workload (``--coverage`` / ``make bench-coverage``): the
-#: feedback-directed generation stack end to end.  Sizes are deliberately
-#: small — the section gates on detection completeness, try budget and
-#: determinism, not throughput.
+#: The coverage workload (``--coverage`` / ``make bench-coverage``).  Per
+#: seed, one static and one scheduled (fixed arm rotation) unseeded p4c
+#: corpus, cold caches: the rotation must light at least as many rule
+#: cells as the static config on every seed.
+COVERAGE_SEEDS = (0, 1, 2)
+COVERAGE_CORPUS_PROGRAMS = 80
+COVERAGE_CORPUS_ROUNDS = 40
+#: Rule cells the coverage-feedback bandit lit on the same three scheduled
+#: corpora (seeds 0-2: 22 + 20 + 23), measured at commit 07e33d4, the last
+#: commit before the arm rotation replaced the bandit.  The rotation's
+#: total must not fall below it.
+BANDIT_RULE_CELLS_TOTAL = 65
+#: The cross-executor determinism check: a seeded scheduled campaign.
 COVERAGE_PROGRAMS = 12
 COVERAGE_ROUNDS = 4
-COVERAGE_MATRIX_JOBS = 4
 
 
 def run_coverage() -> dict:
-    """Record the feedback-directed generation section (``--coverage``).
+    """Record the swarm-generation section (``--coverage``).
 
-    Three sub-experiments, all three gating ``meets_target``:
+    Two sub-experiments, both gating ``meets_target``:
 
-    * **scheduled detection matrix**: the full catalog with
-      ``schedule=True`` (profile-calibrated knob arms, margin-guarded
-      against the static steering table).  Every defect the committed
-      baseline detects must stay detected, and the summed tries must not
-      exceed the static baseline's total.
-    * **rule coverage on unseeded pipelines**: one static and one
-      scheduled bug-free campaign; records how many distinct pass / rule /
-      feature cells each corpus lights (the scheduler's exploration value,
-      measured on the instrumentation itself).
+    * **rule coverage on unseeded corpora**: per seed in
+      ``COVERAGE_SEEDS``, one static and one ``COVERAGE_CORPUS_ROUNDS``-round
+      scheduled p4c campaign of ``COVERAGE_CORPUS_PROGRAMS`` programs.  The
+      scheduled corpus must light at least as many rule cells as the
+      static one on every seed, and ``BANDIT_RULE_CELLS_TOTAL`` or more
+      over all seeds.
     * **scheduled determinism**: a seeded scheduled campaign at jobs=1,
       jobs=4 and ``--distributed 2`` must file byte-identical reports
       (including the v4 knob-arm provenance) and identical merged
       coverage counters.
     """
 
-    # 1. Scheduled detection matrix vs. the committed static baseline.
-    records = Campaign(
-        CampaignConfig(seed=SEED, jobs=COVERAGE_MATRIX_JOBS)
-    ).run_detection_matrix(schedule=True)
-    detection = {
-        record.bug.bug_id: {
-            "detected": record.detected,
-            "technique": record.technique,
-            "programs_tried": record.programs_tried,
-            "knob_arm": record.knob_arm,
-        }
-        for record in records
-    }
-    all_detected = all(entry["detected"] for entry in detection.values())
-    scheduled_tries = sum(entry["programs_tried"] for entry in detection.values())
-    baseline = {}
-    if os.path.exists(DETECTION_BASELINE_PATH):
-        with open(DETECTION_BASELINE_PATH) as handle:
-            baseline = json.load(handle)
-    static_tries = sum(
-        entry.get("programs_tried", 0) for entry in baseline.values()
-    )
-    lost = sorted(
-        bug_id
-        for bug_id, entry in baseline.items()
-        if entry.get("detected") and not detection.get(bug_id, {}).get("detected")
-    )
-
-    # 2. Distinct coverage cells: static vs scheduled unseeded corpora.
-    def unseeded_cells(schedule: bool) -> dict:
+    # 1. Distinct coverage cells: static vs scheduled unseeded corpora.
+    def unseeded_cells(seed: int, rounds: int) -> dict:
         _reset_process_caches()
         stats = Campaign(
             CampaignConfig(
-                programs=COVERAGE_PROGRAMS,
-                seed=SEED,
-                platforms=PLATFORMS,
-                schedule=schedule,
-                schedule_rounds=COVERAGE_ROUNDS,
+                programs=COVERAGE_CORPUS_PROGRAMS,
+                seed=seed,
+                platforms=("p4c",),
+                schedule_rounds=rounds,
             )
         ).run()
         coverage = stats.coverage()
@@ -927,11 +902,21 @@ def run_coverage() -> dict:
         }
 
     coverage_cells = {
-        "static": unseeded_cells(schedule=False),
-        "scheduled": unseeded_cells(schedule=True),
+        str(seed): {
+            "static": unseeded_cells(seed, 0),
+            "scheduled": unseeded_cells(seed, COVERAGE_CORPUS_ROUNDS),
+        }
+        for seed in COVERAGE_SEEDS
     }
+    scheduled_rules = sum(
+        cells["scheduled"]["rule_cells"] for cells in coverage_cells.values()
+    )
+    at_least_static = all(
+        cells["scheduled"]["rule_cells"] >= cells["static"]["rule_cells"]
+        for cells in coverage_cells.values()
+    )
 
-    # 3. Scheduled-campaign determinism across executors.
+    # 2. Scheduled-campaign determinism across executors.
     def scheduled_run(**overrides):
         _reset_process_caches()
         base = dict(
@@ -939,7 +924,6 @@ def run_coverage() -> dict:
             seed=REDUCE_SEED,
             enabled_bugs=REDUCE_BUGS,
             platforms=PLATFORMS,
-            schedule=True,
             schedule_rounds=COVERAGE_ROUNDS,
         )
         base.update(overrides)
@@ -966,22 +950,22 @@ def run_coverage() -> dict:
     )
 
     meets_target = (
-        all_detected
-        and not lost
-        and scheduled_tries <= static_tries
+        at_least_static
+        and scheduled_rules >= BANDIT_RULE_CELLS_TOTAL
         and byte_identical
         and coverage_identical
     )
     return {
+        "corpus_programs": COVERAGE_CORPUS_PROGRAMS,
+        "corpus_schedule_rounds": COVERAGE_CORPUS_ROUNDS,
+        "corpus_platforms": ["p4c"],
+        "coverage_cells": coverage_cells,
+        "scheduled_rule_cells_at_least_static": at_least_static,
+        "scheduled_rule_cells_total": scheduled_rules,
+        "bandit_rule_cells_total": BANDIT_RULE_CELLS_TOTAL,
         "programs": COVERAGE_PROGRAMS,
         "schedule_rounds": COVERAGE_ROUNDS,
         "platforms": list(PLATFORMS),
-        "detection": detection,
-        "all_defects_detected": all_detected,
-        "lost_detections": lost,
-        "scheduled_tries_total": scheduled_tries,
-        "static_tries_total": static_tries,
-        "coverage_cells": coverage_cells,
         "scheduled_reports_byte_identical_jobs1_jobs4_distributed2": byte_identical,
         "scheduled_coverage_identical_across_executors": coverage_identical,
         "report_knob_arms": provenance,
@@ -1038,11 +1022,10 @@ def main(argv=None) -> int:
     parser.add_argument("--reduce", action="store_true",
                         help="also record per-report reduction ratio + wall time")
     parser.add_argument("--coverage", action="store_true",
-                        help="record the feedback-directed generation section: "
-                             "scheduled detection matrix vs the static try "
-                             "budget, pass/rule cell counts on unseeded "
-                             "corpora, and the scheduled-campaign "
-                             "byte-identity check across executors")
+                        help="record the swarm-generation section: rule cells "
+                             "of static vs arm-rotation unseeded corpora, and "
+                             "the scheduled-campaign byte-identity check "
+                             "across executors")
     parser.add_argument("--matrix", action="store_true",
                         help="run the per-defect detection matrix and fail on "
                              "detections lost vs. benchmarks/detection_baseline.json")
@@ -1132,8 +1115,9 @@ def main(argv=None) -> int:
         payload["stateful"] = run_stateful()
 
     if args.coverage:
-        print("coverage: scheduled detection matrix + unseeded cell counts + "
-              "scheduled determinism", flush=True)
+        print(f"coverage: static vs {COVERAGE_CORPUS_ROUNDS}-round corpora of "
+              f"{COVERAGE_CORPUS_PROGRAMS} p4c programs (seeds {COVERAGE_SEEDS}) "
+              "+ scheduled determinism", flush=True)
         payload["coverage"] = run_coverage()
 
     if args.matrix:
@@ -1252,28 +1236,24 @@ def main(argv=None) -> int:
         )
     if args.coverage and "coverage" in payload:
         coverage = payload["coverage"]
-        detected = sum(
-            1 for entry in coverage["detection"].values() if entry["detected"]
-        )
+        for seed, modes in coverage["coverage_cells"].items():
+            for mode, cells in modes.items():
+                print(
+                    f"    seed {seed} {mode:9s} {cells['pass_cells']} pass / "
+                    f"{cells['rule_cells']} rule / {cells['feature_cells']} feature / "
+                    f"{cells['shape_cells']} shape cells"
+                )
         print(
-            f"coverage: scheduled matrix {detected}/{len(coverage['detection'])} "
-            f"defects in {coverage['scheduled_tries_total']} tries "
-            f"(static baseline {coverage['static_tries_total']})"
+            f"coverage: scheduled rule cells {coverage['scheduled_rule_cells_total']} "
+            f"(bandit {coverage['bandit_rule_cells_total']}), at least static on "
+            f"every seed: {coverage['scheduled_rule_cells_at_least_static']}"
         )
-        for mode, cells in coverage["coverage_cells"].items():
-            print(
-                f"    {mode:9s} {cells['pass_cells']} pass / "
-                f"{cells['rule_cells']} rule / {cells['feature_cells']} feature / "
-                f"{cells['shape_cells']} shape cells"
-            )
         print(
             f"coverage byte-identical jobs1/jobs4/distributed2: "
             f"{coverage['scheduled_reports_byte_identical_jobs1_jobs4_distributed2']}"
             f", coverage counters identical: "
             f"{coverage['scheduled_coverage_identical_across_executors']}"
         )
-        if coverage["lost_detections"]:
-            print(f"LOST DETECTIONS (scheduled matrix): {coverage['lost_detections']}")
     if args.matrix:
         matrix = payload["detection_matrix"]
         detected = sum(1 for entry in matrix["results"].values() if entry["detected"])

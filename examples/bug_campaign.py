@@ -77,12 +77,10 @@ def main() -> None:
     parser.add_argument("--reduce", action="store_true",
                         help="triage the findings: minimize every filed report's "
                              "trigger program and localize the defective pass")
-    parser.add_argument("--schedule", action="store_true",
-                        help="feedback-directed generation: let the coverage "
-                             "bandit pick generator knob arms round by round")
-    parser.add_argument("--schedule-rounds", type=int, metavar="N", default=4,
-                        help="rounds the scheduled program budget is split "
-                             "into (default 4)")
+    parser.add_argument("--schedule-rounds", type=int, metavar="N", default=0,
+                        help="swarm generation: split the programs into N rounds, "
+                             "each generated with the next generator knob arm "
+                             "of the catalog (default 0: one static round)")
     parser.add_argument("--distributed", type=int, metavar="N", default=0,
                         help="run on the coordinator/worker service with N "
                              "locally spawned workers (overrides --jobs)")
@@ -120,7 +118,6 @@ def main() -> None:
             reduce=args.reduce,
             distributed=args.distributed,
             serve=args.serve,
-            schedule=args.schedule,
             schedule_rounds=args.schedule_rounds,
         )
     )

@@ -1,7 +1,7 @@
-"""Per-program pipeline coverage (the feedback half of the feedback loop).
+"""Per-program pipeline coverage instrumentation.
 
 The paper's generator is blind (§4.2 leaves coverage feedback as future
-work); this module is the reproduction's answer: every compilation
+work); this module measures what a corpus reaches: every compilation
 produces a :class:`CoverageMap` describing *which parts of the compiler
 the program exercised*, cheap enough to compute on every campaign unit:
 
@@ -17,8 +17,8 @@ the program exercised*, cheap enough to compute on every campaign unit:
   equality),
 * ``feature:<name>`` — syntactic features of the generated program.  The
   names deliberately coincide with
-  :attr:`~repro.compiler.bugs.SeededBug.trigger_features` so a scheduler
-  can ask "which programs light the cells defect X needs?".
+  :attr:`~repro.compiler.bugs.SeededBug.trigger_features` so a campaign
+  can tell which programs light the cells defect X needs.
 
 A coverage map is a plain ``cell -> count`` dictionary: serialisation is
 lossless (:meth:`to_dict`/:meth:`from_dict` round-trip exactly) and
@@ -29,8 +29,8 @@ shard order, exactly like the solver/cache counters.
 Everything here is a pure function of the program (and the enabled
 front/mid-end defects), never of process state: two workers — or a
 worker and a store resume — report byte-identical coverage for the same
-unit.  That invariant is what lets scheduled campaigns stay
-deterministic across ``jobs=1``, pools and distributed fleets.
+unit.  That invariant is what keeps merged campaign coverage identical
+across ``jobs=1``, pools, distributed fleets and store resumes.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def program_features(program: ast.Program) -> CoverageMap:
 
     One AST walk; every cell name matches a
     :attr:`~repro.compiler.bugs.SeededBug.trigger_features` entry, so
-    ``feature:<name>`` coverage directly tells a scheduler which defects'
-    trigger shapes a knob vector is producing.
+    ``feature:<name>`` coverage directly tells which defects' trigger
+    shapes a knob vector is producing.
     """
 
     coverage = CoverageMap()

@@ -30,7 +30,7 @@ from repro.core.campaign import Campaign, CampaignConfig, CampaignStatistics
 from repro.core.engine import CampaignEngine, CampaignSpec, DetectionRecord
 from repro.core.levels import ConformanceLevel, classify_input_level
 from repro.core.reduce import ReductionResult, program_size, reduce_program
-from repro.core.schedule import ARM_CATALOG, ArmProfile, BanditScheduler, KnobArm
+from repro.core.schedule import ARM_CATALOG, KnobArm
 
 __all__ = [
     "BugKind",
@@ -61,7 +61,5 @@ __all__ = [
     "program_size",
     "reduce_program",
     "ARM_CATALOG",
-    "ArmProfile",
-    "BanditScheduler",
     "KnobArm",
 ]

@@ -92,12 +92,11 @@ class CampaignConfig:
     #: and wait for externally started workers (``bug_campaign.py
     #: --worker``) to drain the campaign.  Overrides ``distributed``.
     serve: Optional[str] = None
-    #: Feedback-directed generation: split the program budget into
-    #: ``schedule_rounds`` rounds and let the coverage bandit
-    #: (:mod:`repro.core.schedule`) pick each round's generator knob arm.
-    #: Off by default — the static corpus stays byte-identical.
-    schedule: bool = False
-    schedule_rounds: int = 4
+    #: Swarm generation: split the program budget into ``schedule_rounds``
+    #: contiguous rounds and generate round *r* with knob arm
+    #: ``ARM_CATALOG[r % len(ARM_CATALOG)]`` (:mod:`repro.core.schedule`).
+    #: ``0`` (the default) is a static campaign: one round, one config.
+    schedule_rounds: int = 0
 
 
 class Campaign:
@@ -122,7 +121,6 @@ class Campaign:
             reduce_rounds=config.reduce_rounds,
             distributed=config.distributed,
             serve=config.serve,
-            schedule=config.schedule,
             schedule_rounds=config.schedule_rounds,
         )
 
@@ -141,15 +139,13 @@ class Campaign:
         self,
         bug_ids: Optional[Sequence[str]] = None,
         programs_per_bug: int = 20,
-        schedule: bool = False,
     ) -> List[DetectionRecord]:
         """For each seeded defect, check whether Gauntlet detects it.
 
-        ``schedule=True`` steers each defect with the profile-calibrated
-        knob arm from :mod:`repro.core.schedule` (margin-guarded; falls
-        back to the static steering table per defect).
+        Each defect's programs are steered with its static
+        ``MATRIX_STEERING`` union (:mod:`repro.core.schedule`).
         """
 
         return CampaignEngine(self._spec()).run_detection_matrix(
-            bug_ids=bug_ids, programs_per_bug=programs_per_bug, schedule=schedule
+            bug_ids=bug_ids, programs_per_bug=programs_per_bug
         )

@@ -4,7 +4,8 @@ This is the orchestration layer between the campaign facade
 (:mod:`repro.core.campaign`) and the worker stages
 (:mod:`repro.core.engine.stages`):
 
-1. expand the campaign spec into the deterministic unit list
+1. expand the campaign spec into its generation rounds (one for a static
+   campaign) and each round into its deterministic unit list
    (``program_index`` × platform),
 2. serve already-completed units from the JSONL artifact store (resume),
 3. shard the remainder over the chosen executor,
@@ -24,13 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND, SeededBug
 from repro.core.generator import GeneratorConfig
-from repro.core.schedule import (
-    BanditScheduler,
-    KnobArm,
-    choose_arm_for_defect,
-    static_overrides_for_bug,
-    train_profiles,
-)
+from repro.core.schedule import KnobArm, round_plan, static_overrides_for_bug
 from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH
 from repro.core.engine.distributed import DistributedExecutor
 from repro.core.engine.executor import make_executor
@@ -54,7 +49,6 @@ from repro.core.engine.units import (
     UnitOutcome,
     WorkUnit,
     build_units,
-    platform_rank,
 )
 
 
@@ -85,14 +79,12 @@ class CampaignSpec:
     #: workers: externally started ``--worker`` processes drain the
     #: campaign.  Overrides both ``jobs`` and ``distributed``.
     serve: Optional[str] = None
-    #: Drive program generation through the coverage-feedback bandit
-    #: scheduler (:mod:`repro.core.schedule`) instead of a single static
-    #: knob vector.  The program budget is split into ``schedule_rounds``
-    #: rounds; each round's knob arm is chosen from the coverage the
-    #: earlier rounds produced.  Off by default: the seed-0 corpus stays
-    #: byte-identical unless a campaign opts in.
-    schedule: bool = False
-    schedule_rounds: int = 4
+    #: ``schedule_rounds > 0`` splits the program budget into that many
+    #: contiguous rounds and generates round *r* with
+    #: ``ARM_CATALOG[r % len(ARM_CATALOG)]``
+    #: (:func:`repro.core.schedule.round_plan`).  ``0`` runs one static
+    #: round with ``generator`` as given.
+    schedule_rounds: int = 0
 
 
 @dataclass
@@ -103,9 +95,6 @@ class DetectionRecord:
     detected: bool
     technique: str = ""
     programs_tried: int = 0
-    #: Knob-vector provenance: which scheduler arm generated the detecting
-    #: programs ("static" when the static steering table was used).
-    knob_arm: str = "static"
 
 
 @dataclass(frozen=True)
@@ -118,9 +107,6 @@ class _MatrixTask:
     max_tests: int
     artifact_path: Optional[str] = None
     sequence_length: int = DEFAULT_SEQUENCE_LENGTH
-    #: Scheduler-chosen knob arm; empty name means "use static steering".
-    arm_name: str = ""
-    arm_overrides: Tuple[Tuple[str, object], ...] = ()
 
 
 def _technique(outcome: UnitOutcome) -> str:
@@ -147,12 +133,8 @@ def _detect_bug(task: _MatrixTask) -> Dict[str, object]:
     platform = "p4c" if bug.location != LOCATION_BACKEND else bug.platform
     # Static steering (paper §4.2: bias the generator towards the constructs
     # the defect needs) is the arm of the defect's MATRIX_STEERING union.
-    overrides = (
-        task.arm_overrides
-        if task.arm_name
-        else tuple(static_overrides_for_bug(bug).items())
-    )
-    generator = KnobArm(task.arm_name or "static", overrides).apply(task.generator)
+    overrides = tuple(static_overrides_for_bug(bug).items())
+    generator = KnobArm("static", overrides).apply(task.generator)
     key = campaign_key(
         generator,
         (task.bug_id,),
@@ -194,7 +176,6 @@ def _detect_bug(task: _MatrixTask) -> Dict[str, object]:
         "store_key": key,
         "fresh": [outcome.to_dict() for outcome in fresh],
         "reused": len(completed),
-        "knob_arm": task.arm_name or "static",
     }
 
 
@@ -225,123 +206,44 @@ class CampaignEngine:
         return make_executor(spec.jobs)
 
     # ------------------------------------------------------------------
-    # Full campaign
+    # Campaign: one round loop, static (one round) or scheduled
     # ------------------------------------------------------------------
 
     def run(self) -> CampaignStatistics:
-        if self.spec.schedule:
-            return self._run_scheduled()
-        spec = self.spec
-        units = build_units(
-            programs=spec.programs,
-            platforms=tuple(spec.platforms),
-            generator=spec.generator,
-            enabled_bugs=tuple(spec.enabled_bugs),
-            max_tests=spec.max_tests,
-            sequence_length=spec.sequence_length,
-        )
-        key = campaign_key(
-            spec.generator,
-            spec.enabled_bugs,
-            spec.platforms,
-            spec.max_tests,
-            sequence_length=spec.sequence_length,
-        )
-        completed: Dict[Tuple[int, str], UnitOutcome] = {}
-        if self.store is not None:
-            stored = self.store.load(key)
-            completed = {
-                unit.key: stored[unit.key] for unit in units if unit.key in stored
-            }
-        pending = [unit for unit in units if unit.key not in completed]
+        """Run the campaign's generation rounds, then merge (and triage).
 
-        statistics = CampaignStatistics(
-            programs_generated=spec.programs,
-            units_total=len(units),
-            units_reused=len(completed),
-        )
-        merger = OutcomeMerger(spec.enabled_bugs)
-        # Reused outcomes contribute their findings but not their counters:
-        # CampaignStatistics.counters reports work performed by *this* run,
-        # and the store units' solving happened in an earlier one.
-        for outcome in completed.values():
-            merger.add(replace(outcome, counters={}), statistics)
-
-        executor = self._make_executor()
-        sink = None
-        journal = None
-        if self.store is not None:
-            sink = lambda outcome: self.store.append(key, outcome)  # noqa: E731
-            journal = lambda event: self.store.append_lease_event(key, event)  # noqa: E731
-        # The transport persists (sink) before the engine merges; under the
-        # distributed executor the sink runs on the coordinator's service
-        # threads while the merge stays here, on the consuming thread.
-        for outcome in executor.run_units(pending, sink=sink, journal=journal):
-            merger.add(outcome, statistics)
-        self._fold_service_counters(executor, statistics)
-
-        statistics = merger.finalize(statistics)
-        if spec.reduce:
-            self._run_triage(executor, merger.provenance, statistics)
-        return statistics
-
-    # ------------------------------------------------------------------
-    # Scheduled campaign: coverage-feedback knob arms, round by round
-    # ------------------------------------------------------------------
-
-    def _run_scheduled(self) -> CampaignStatistics:
-        """Coverage-feedback campaign: the bandit picks knob arms per round.
-
-        The program budget is split into ``schedule_rounds`` contiguous
-        index ranges.  Each round draws an arm from the bandit (seeded via
-        ``derive_child_seed`` on the campaign seed, so the arm sequence is
-        identical under every executor), generates its slice with that
-        arm's knob vector, and feeds the round's merged coverage back as
-        the bandit reward.  Rounds are persisted under a ``scheduled``
-        store scope keyed by the steered generator; because
-        ``UnitOutcome.coverage`` is a pure function of the unit, resumed
-        rounds reward the bandit exactly like fresh ones and the arm
-        sequence survives kill/resume unchanged.
+        A static campaign (``schedule_rounds == 0``) is one round over
+        every program, generated with ``spec.generator`` and stored under
+        the ``campaign`` scope.  A scheduled campaign runs the rounds of
+        :func:`~repro.core.schedule.round_plan`: each generates its index
+        range with its arm's knob vector and is stored under a
+        ``scheduled`` key of the steered generator, so kill/resume reuses
+        every finished round.  Outcomes of all rounds feed one merger.
         """
 
         spec = self.spec
-        ordered_platforms = tuple(sorted(spec.platforms, key=platform_rank))
-        scheduler = BanditScheduler(seed=spec.generator.seed)
-        rounds = min(max(1, spec.schedule_rounds), spec.programs) if spec.programs else 0
+        scope = "scheduled" if spec.schedule_rounds > 0 else "campaign"
         statistics = CampaignStatistics(programs_generated=spec.programs)
         merger = OutcomeMerger(spec.enabled_bugs)
         executor = self._make_executor()
-        arm_by_index: Dict[int, KnobArm] = {}
-        base, extra = divmod(spec.programs, rounds) if rounds else (0, 0)
-        start = 0
-        for round_index in range(rounds):
-            count = base + (1 if round_index < extra else 0)
-            if count == 0:
-                continue
-            arm = scheduler.next_arm()
-            round_generator = arm.apply(spec.generator)
-            indices = range(start, start + count)
-            start += count
-            for index in indices:
-                arm_by_index[index] = arm
-            units = [
-                WorkUnit(
-                    program_index=index,
-                    platform=platform,
-                    generator=round_generator,
-                    enabled_bugs=tuple(spec.enabled_bugs),
-                    max_tests=spec.max_tests,
-                    sequence_length=spec.sequence_length,
-                )
-                for index in indices
-                for platform in ordered_platforms
-            ]
+        arm_by_index: Dict[int, Optional[KnobArm]] = {}
+        for arm, indices in round_plan(spec.programs, spec.schedule_rounds):
+            generator = arm.apply(spec.generator) if arm else spec.generator
+            # Unknown platforms raise here, before any unit runs.
+            units = build_units(
+                programs=indices,
+                platforms=tuple(spec.platforms),
+                generator=generator,
+                enabled_bugs=tuple(spec.enabled_bugs),
+                max_tests=spec.max_tests,
+                sequence_length=spec.sequence_length,
+            )
             key = campaign_key(
-                round_generator,
+                generator,
                 spec.enabled_bugs,
                 spec.platforms,
                 spec.max_tests,
-                scope="scheduled",
+                scope=scope,
                 sequence_length=spec.sequence_length,
             )
             completed: Dict[Tuple[int, str], UnitOutcome] = {}
@@ -353,10 +255,11 @@ class CampaignEngine:
             pending = [unit for unit in units if unit.key not in completed]
             statistics.units_total += len(units)
             statistics.units_reused += len(completed)
-            round_outcomes: List[UnitOutcome] = []
+            # Reused outcomes contribute their findings but not their
+            # counters: CampaignStatistics.counters reports work performed
+            # by *this* run, and the store units' solving happened earlier.
             for outcome in completed.values():
                 merger.add(replace(outcome, counters={}), statistics)
-                round_outcomes.append(outcome)
             sink = None
             journal = None
             if self.store is not None:
@@ -364,15 +267,16 @@ class CampaignEngine:
                 journal = lambda event, key=key: self.store.append_lease_event(  # noqa: E731
                     key, event
                 )
+            # The transport persists (sink) before the engine merges; under
+            # the distributed executor the sink runs on the coordinator's
+            # service threads while the merge stays here, on the consuming
+            # thread.
             for outcome in executor.run_units(pending, sink=sink, journal=journal):
                 merger.add(outcome, statistics)
-                round_outcomes.append(outcome)
-            round_coverage: Dict[str, int] = {}
-            for outcome in round_outcomes:
-                for cell, value in outcome.coverage.items():
-                    round_coverage[cell] = round_coverage.get(cell, 0) + value
-            scheduler.update(arm, round_coverage)
-        self._fold_service_counters(executor, statistics)
+            # Fold every round: the fleet resets its counters per run_units.
+            self._fold_service_counters(executor, statistics)
+            arm_by_index.update(dict.fromkeys(indices, arm))
+
         statistics = merger.finalize(statistics)
         self._annotate_arm_provenance(statistics, merger.provenance, arm_by_index)
         if spec.reduce:
@@ -383,12 +287,13 @@ class CampaignEngine:
     def _annotate_arm_provenance(
         statistics: CampaignStatistics,
         provenance: Dict[str, TriageSource],
-        arm_by_index: Dict[int, KnobArm],
+        arm_by_index: Dict[int, Optional[KnobArm]],
     ) -> None:
         """Stamp each filed report with the knob arm that generated it.
 
         Provenance keys the *winning* (lowest unit key) finding of each
         report, which is executor-invariant, so the stamped arm is too.
+        Reports of a static campaign (no arm) stay unstamped.
         """
 
         for identifier, source in provenance.items():
@@ -506,27 +411,11 @@ class CampaignEngine:
         self,
         bug_ids: Optional[Sequence[str]] = None,
         programs_per_bug: int = 20,
-        schedule: bool = False,
-        programs_per_arm: int = 12,
     ) -> List[DetectionRecord]:
-        """For each seeded defect, check whether Gauntlet detects it.
-
-        With ``schedule=True`` the matrix first runs a compile-only
-        calibration pass (:func:`repro.core.schedule.train_profiles`) and
-        steers each defect with the profile-chosen knob arm; the choice is
-        margin-guarded, falling back to the static steering table whenever
-        the profiles do not show a clearly better arm.
-        """
+        """For each seeded defect, check whether Gauntlet detects it."""
 
         spec = self.spec
         targets = list(bug_ids) if bug_ids is not None else list(BUG_CATALOG)
-        arms: Dict[str, Optional[KnobArm]] = {bug_id: None for bug_id in targets}
-        if schedule:
-            profiles = train_profiles(spec.generator, programs_per_arm=programs_per_arm)
-            arms = {
-                bug_id: choose_arm_for_defect(BUG_CATALOG[bug_id], profiles)
-                for bug_id in targets
-            }
         tasks = [
             _MatrixTask(
                 bug_id=bug_id,
@@ -535,8 +424,6 @@ class CampaignEngine:
                 max_tests=spec.max_tests,
                 artifact_path=spec.artifact_path,
                 sequence_length=spec.sequence_length,
-                arm_name=arms[bug_id].name if arms[bug_id] else "",
-                arm_overrides=arms[bug_id].overrides if arms[bug_id] else (),
             )
             for bug_id in targets
         ]
@@ -555,7 +442,6 @@ class CampaignEngine:
                 detected=results[bug_id]["detected"],
                 technique=results[bug_id]["technique"],
                 programs_tried=results[bug_id]["attempts"],
-                knob_arm=str(results[bug_id]["knob_arm"]),
             )
             for bug_id in targets
         ]

@@ -391,18 +391,19 @@ def program_groups(units: Sequence) -> List[List]:
 
 
 def build_units(
-    programs: int,
+    programs: range,
     platforms: Tuple[str, ...],
     generator: GeneratorConfig,
     enabled_bugs: Tuple[str, ...],
     max_tests: int,
     sequence_length: int = 3,
 ) -> List[WorkUnit]:
-    """The full unit list of a campaign, in deterministic order.
+    """The unit list of one campaign round, in deterministic order.
 
-    Unknown platforms are rejected here, in the parent, before any work is
-    scheduled: a worker raising mid-campaign would abort the pool with a
-    half-written artifact store.
+    ``programs`` is the round's range of program indices (``range(n)``
+    for a static campaign).  Unknown platforms are rejected here, in the
+    parent, before any work is scheduled: a worker raising mid-campaign
+    would abort the pool with a half-written artifact store.
     """
 
     unknown = [platform for platform in platforms if platform not in PLATFORM_ORDER]
@@ -420,6 +421,6 @@ def build_units(
             max_tests=max_tests,
             sequence_length=sequence_length,
         )
-        for index in range(programs)
+        for index in programs
         for platform in ordered_platforms
     ]

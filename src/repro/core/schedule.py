@@ -1,62 +1,37 @@
-"""Feedback-directed knob scheduling for the campaign generator.
+"""Generator steering: the static per-defect table and the arm rotation.
 
-The static steering table (:data:`MATRIX_STEERING`) maps a seeded defect's
-trigger features to generator knob overrides.  It is a good prior but a blind
-one: it never learns which knob vectors actually light the coverage cells a
-campaign has not seen yet.  This module closes that loop.
+Both consumers steer through one mechanism, :meth:`KnobArm.apply`:
 
-Three pieces:
+* The detection matrix steers each seeded defect with the union of the
+  :data:`MATRIX_STEERING` rows for its trigger features
+  (:func:`static_overrides_for_bug`; paper §4.2: bias the generator
+  towards the constructs the defect needs).
+* A scheduled campaign (``schedule_rounds > 0``) splits its program
+  budget into contiguous rounds and generates round *r* with
+  ``ARM_CATALOG[r % len(ARM_CATALOG)]`` (:func:`round_plan`).  This is
+  swarm testing (Groce et al., ISSTA 2012): each round explores another
+  slice of the knob space and no arm is starved.
 
-* :class:`KnobArm` — a named, frozen knob-override vector.  The catalog
-  (:data:`ARM_CATALOG`) mirrors the unions the static steering table can
-  produce, so a scheduled campaign explores the same knob space the static
-  baseline occupies (plus the un-steered baseline arm).
-* :class:`BanditScheduler` — a seeded epsilon-greedy multi-armed bandit.
-  The reward for pulling an arm is the number of *previously uncovered*
-  coverage cells the resulting programs lit, so the bandit drifts toward
-  arms that still produce novelty and away from saturated ones.  Every
-  random draw is seeded through :func:`derive_child_seed`, making the arm
-  sequence a pure function of the campaign seed — jobs=1, jobs=4 and
-  distributed runs schedule identically.
-* :func:`train_profiles` / :func:`choose_arm_for_defect` — a compile-only
-  calibration pass for the detection matrix.  Each arm generates a handful
-  of unseeded programs; the per-cell hit rates become an
-  :class:`ArmProfile`.  ``choose_arm_for_defect`` scores arms by the
-  product of the defect's trigger-feature hit rates and only displaces the
-  static-steering arm when a challenger beats it by a clear margin, so the
-  scheduled matrix never spends more tries than the static baseline unless
-  the profiles show a genuinely better arm.
-
-Determinism contract: nothing in this module reads wall-clock time, process
-identity, or unseeded randomness.  Same seed, same catalog, same observed
-coverage => same decisions, on any executor.
+Determinism contract: nothing in this module reads wall-clock time,
+process identity or randomness.  The round plan is a pure function of the
+program count and the round count, so jobs=1, jobs=4 and distributed runs
+schedule identically.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.compiler import CompilerOptions, compile_prefix
 from repro.compiler.bugs import SeededBug
-from repro.compiler.coverage import CoverageMap, feature_cell, program_features
-from repro.core.generator import (
-    GeneratorConfig,
-    RandomProgramGenerator,
-    derive_child_seed,
-)
-from repro.p4 import emit_program
+from repro.core.generator import GeneratorConfig
 
 __all__ = [
     "ARM_CATALOG",
-    "ArmProfile",
-    "BanditScheduler",
     "KnobArm",
     "MATRIX_STEERING",
-    "choose_arm_for_defect",
-    "static_arm_for_bug",
-    "train_profiles",
+    "round_plan",
+    "static_overrides_for_bug",
 ]
 
 
@@ -88,7 +63,7 @@ MATRIX_STEERING: Mapping[str, Mapping[str, object]] = {
 
 @dataclass(frozen=True)
 class KnobArm:
-    """A named generator knob vector the scheduler can pull.
+    """A named generator knob vector.
 
     ``overrides`` is a tuple of ``(knob, value)`` pairs so the arm is
     hashable and survives the pickled work-unit wire format unchanged.
@@ -100,9 +75,9 @@ class KnobArm:
     def apply(self, generator: GeneratorConfig) -> GeneratorConfig:
         """Overlay this arm on ``generator``, touching only default knobs.
 
-        Same discipline as the static steering path: a knob the caller set
-        explicitly (anything not at its dataclass default) wins over the
-        arm, so user configuration is never silently overridden.
+        A knob the caller set explicitly (anything not at its dataclass
+        default) wins over the arm, so user configuration is never
+        silently overridden.
         """
 
         defaults = GeneratorConfig.__dataclass_fields__
@@ -123,9 +98,10 @@ def _arm(name: str, **overrides: object) -> KnobArm:
     return KnobArm(name=name, overrides=tuple(sorted(overrides.items())))
 
 
-#: The arm catalog.  Every union of :data:`MATRIX_STEERING` rows that a
-#: catalog defect can produce appears here, plus the un-steered baseline,
-#: so the bandit explores a superset of what static steering exploits.
+#: The arm catalog, in rotation order.  Every union of
+#: :data:`MATRIX_STEERING` rows that a catalog defect can produce appears
+#: here, plus the un-steered baseline, so a scheduled campaign rotates
+#: through every knob vector the detection matrix steers with.
 ARM_CATALOG: Tuple[KnobArm, ...] = (
     _arm("baseline"),
     _arm("functions", p_function=1.0),
@@ -141,7 +117,7 @@ ARM_CATALOG: Tuple[KnobArm, ...] = (
 
 
 def static_overrides_for_bug(bug: SeededBug) -> Dict[str, object]:
-    """The override union static steering would apply for ``bug``."""
+    """The override union static steering applies for ``bug``."""
 
     merged: Dict[str, object] = {}
     for feature in bug.trigger_features:
@@ -149,200 +125,22 @@ def static_overrides_for_bug(bug: SeededBug) -> Dict[str, object]:
     return merged
 
 
-def static_arm_for_bug(
-    bug: SeededBug, arms: Sequence[KnobArm] = ARM_CATALOG
-) -> Optional[KnobArm]:
-    """The catalog arm equivalent to static steering for ``bug``.
+def round_plan(programs: int, rounds: int) -> List[Tuple[Optional[KnobArm], range]]:
+    """The generation rounds of a campaign: ``(arm, program indices)`` pairs.
 
-    Returns ``None`` when the steering union has no exact catalog
-    counterpart; callers should fall back to static steering then.
+    ``rounds <= 0`` is a static campaign: one round over every program
+    with no arm.  Otherwise the budget is split into ``min(rounds,
+    programs)`` contiguous index ranges (earlier rounds take the
+    remainder) and round *r* pulls ``ARM_CATALOG[r % len(ARM_CATALOG)]``.
     """
 
-    union = static_overrides_for_bug(bug)
-    for arm in arms:
-        if arm.overrides_dict() == union:
-            return arm
-    return None
-
-
-# ----------------------------------------------------------------------
-# Bandit scheduler (full-campaign feedback loop)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class BanditScheduler:
-    """Seeded epsilon-greedy bandit over :class:`KnobArm` vectors.
-
-    Rewards are *novel coverage cells*: :meth:`update` counts how many of
-    the observed cells had never been seen by this scheduler before.  Once
-    the space saturates every reward is zero and the scheduler degrades
-    gracefully to the lowest-index arm (the baseline) on exploit draws.
-    """
-
-    seed: int
-    arms: Tuple[KnobArm, ...] = ARM_CATALOG
-    epsilon: float = 0.2
-
-    _pulls: List[int] = field(default_factory=list, repr=False)
-    _rewards: List[float] = field(default_factory=list, repr=False)
-    _covered: Set[str] = field(default_factory=set, repr=False)
-    _draws: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.arms:
-            raise ValueError("BanditScheduler needs at least one arm")
-        self._pulls = [0] * len(self.arms)
-        self._rewards = [0.0] * len(self.arms)
-
-    @property
-    def covered_cells(self) -> Set[str]:
-        return set(self._covered)
-
-    def next_arm(self) -> KnobArm:
-        """Pick the next arm; the draw index seeds the RNG deterministically."""
-
-        rng = random.Random(derive_child_seed(self.seed, self._draws))
-        self._draws += 1
-        for index, pulls in enumerate(self._pulls):
-            if pulls == 0:
-                # Optimistic initialisation: visit every arm once, in
-                # catalog order, before trusting any mean-reward estimate.
-                return self.arms[index]
-        if rng.random() < self.epsilon:
-            return self.arms[rng.randrange(len(self.arms))]
-        best_index = 0
-        best_mean = -1.0
-        for index, pulls in enumerate(self._pulls):
-            mean = self._rewards[index] / pulls
-            if mean > best_mean:
-                best_index = index
-                best_mean = mean
-        return self.arms[best_index]
-
-    def update(self, arm: KnobArm, cells: Mapping[str, int]) -> int:
-        """Record the coverage produced by pulling ``arm``.
-
-        Returns the reward (number of cells not covered before this pull).
-        """
-
-        try:
-            index = self.arms.index(arm)
-        except ValueError:
-            raise ValueError(f"unknown arm {arm.name!r}") from None
-        novel = [cell for cell in cells if cell not in self._covered]
-        self._covered.update(cells)
-        self._pulls[index] += 1
-        self._rewards[index] += len(novel)
-        return len(novel)
-
-
-# ----------------------------------------------------------------------
-# Compile-only arm profiling (detection-matrix feedback loop)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArmProfile:
-    """Per-cell hit rates for one arm, estimated from unseeded programs.
-
-    ``cells`` maps a coverage cell to the number of training programs that
-    lit it at least once; ``tries`` is the number of training programs.
-    """
-
-    arm: KnobArm
-    tries: int
-    cells: Mapping[str, int]
-
-    def rate(self, cell: str) -> float:
-        if self.tries <= 0:
-            return 0.0
-        return self.cells.get(cell, 0) / self.tries
-
-
-def train_profiles(
-    generator: GeneratorConfig,
-    programs_per_arm: int = 12,
-    arms: Sequence[KnobArm] = ARM_CATALOG,
-) -> Dict[str, ArmProfile]:
-    """Estimate per-arm coverage rates from short unseeded compile runs.
-
-    Deliberately cheap: no seeded bugs, no oracles, no test generation —
-    just generate, compile through the bug-free pipeline (a shared-prefix
-    memo hit when the campaign later compiles the same source), and fold
-    the program-feature + pass/rule coverage into presence counts.
-    """
-
-    options = CompilerOptions()
-    profiles: Dict[str, ArmProfile] = {}
-    for arm_index, arm in enumerate(arms):
-        steered = arm.apply(
-            replace(generator, seed=derive_child_seed(generator.seed, arm_index))
-        )
-        program_generator = RandomProgramGenerator(steered)
-        cells: Dict[str, int] = {}
-        for index in range(programs_per_arm):
-            program = program_generator.generate_indexed(index)
-            coverage = program_features(program)
-            try:
-                result = compile_prefix(program, emit_program(program), options)
-                coverage.update(result.coverage.to_dict())
-            except Exception:  # noqa: BLE001 - profiling must never abort
-                pass
-            for cell in coverage.cells:
-                cells[cell] = cells.get(cell, 0) + 1
-        profiles[arm.name] = ArmProfile(
-            arm=arm, tries=programs_per_arm, cells=dict(sorted(cells.items()))
-        )
-    return profiles
-
-
-def _score(bug: SeededBug, profile: ArmProfile) -> float:
-    """Probability-style score: product of trigger-feature hit rates."""
-
-    score = 1.0
-    for feature in bug.trigger_features:
-        score *= profile.rate(feature_cell(feature))
-    return score
-
-
-def choose_arm_for_defect(
-    bug: SeededBug,
-    profiles: Mapping[str, ArmProfile],
-    margin: float = 0.25,
-) -> Optional[KnobArm]:
-    """Pick the calibrated arm for ``bug``, guarded against regressions.
-
-    Returns ``None`` when plain static steering should be used: the
-    steering union has no exact catalog counterpart, or no profile was
-    trained for it.  Otherwise the static-equivalent arm is kept unless
-    the calibration shows it *cannot* light one of the defect's trigger
-    features at all (product score zero) while some challenger lights all
-    of them — feature-rate products are a good blindness detector but a
-    poor detectability ranking, so a static arm that works is never
-    displaced on score alone.  Among qualifying challengers the best
-    score wins; a later-catalog arm must beat the incumbent by ``margin``
-    (relative), keeping the choice stable under profile noise.
-    """
-
-    static_arm = static_arm_for_bug(bug)
-    if static_arm is None or static_arm.name not in profiles:
-        return None
-    static_score = _score(bug, profiles[static_arm.name])
-    if static_score > 0.0:
-        return static_arm
-    best_arm: Optional[KnobArm] = None
-    best_score = 0.0
-    for arm in ARM_CATALOG:
-        profile = profiles.get(arm.name)
-        if profile is None:
-            continue
-        score = _score(bug, profile)
-        if score <= 0.0:
-            continue
-        if best_arm is None or score > best_score * (1.0 + margin):
-            best_arm = arm
-            best_score = score
-    if best_arm is None:
-        return static_arm
-    return best_arm
+    if rounds <= 0:
+        return [(None, range(programs))]
+    rounds = min(rounds, programs)
+    plan: List[Tuple[Optional[KnobArm], range]] = []
+    start = 0
+    for index in range(rounds):
+        count = programs // rounds + (1 if index < programs % rounds else 0)
+        plan.append((ARM_CATALOG[index % len(ARM_CATALOG)], range(start, start + count)))
+        start += count
+    return plan

@@ -3,9 +3,9 @@
 The per-pass tests assert *exact* coverage dicts for crafted programs —
 both that the expected rule cells fired with the expected counts and,
 through dict equality, that nothing else did.  That precision is the
-point: the scheduler's rewards are computed from these cells, so a pass
-that silently starts (or stops) recording would skew arm selection
-without failing any behavioural test.
+point: campaign coverage and the `make bench-coverage` gate are computed
+from these cells, so a pass that silently starts (or stops) recording
+would skew them without failing any behavioural test.
 """
 
 import pytest

@@ -4,9 +4,9 @@ The determinism contract under test: a scheduled campaign is a pure
 function of its config — same reports, same knob-arm provenance and same
 merged coverage counters at jobs=1, jobs=4 and on a two-worker distributed
 fleet, and again after a store resume.  Plus the regression guard the
-scheduler ships with: with ``schedule=False`` the seed-0 corpus stays
-byte-identical to the committed digest (the new knobs gate before they
-draw, so adding them moved no RNG stream).
+arm catalog ships with: with ``schedule_rounds=0`` the seed-0 corpus
+stays byte-identical to the committed digest (the knobs the arms steer
+gate before they draw, so adding them moved no RNG stream).
 """
 
 import hashlib
@@ -16,9 +16,10 @@ import pytest
 
 from repro.core.bugs import BUG_REPORT_SCHEMA, BugKind, BugLocation, BugReport
 from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.engine.store import ArtifactStore, campaign_key
 from repro.core.engine.units import UnitOutcome
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
-from repro.core.schedule import ARM_CATALOG
+from repro.core.schedule import ARM_CATALOG, round_plan
 from repro.p4 import emit_program
 
 
@@ -26,8 +27,8 @@ BUGS = ("predication_nested_else_lost", "dead_code_removes_validity_call")
 PLATFORMS = ("p4c", "bmv2")
 
 #: sha256 over the emitted sources of seed-0 programs 0..11 (the static
-#: corpus).  The scheduler must not perturb this: knob arms only apply when
-#: ``schedule=True``, and the scheduler-era generator knobs default to
+#: corpus).  Knob arms must not perturb this: they only apply when
+#: ``schedule_rounds > 0``, and the generator knobs they steer default to
 #: "off" without consuming RNG draws.
 SEED0_CORPUS_SHA256 = (
     "9f2564085b0425654261a748e72e474ebeab6784c1a13596a8cff74364f5a660"
@@ -40,7 +41,6 @@ def scheduled_config(**overrides) -> CampaignConfig:
         seed=0,
         enabled_bugs=BUGS,
         platforms=PLATFORMS,
-        schedule=True,
         schedule_rounds=4,
     )
     base.update(overrides)
@@ -70,8 +70,20 @@ class TestScheduledDeterminism:
             arm = next(arm for arm in ARM_CATALOG if arm.name == report.knob_arm)
             assert report.knob_overrides == arm.overrides_dict()
 
+    def test_fleet_counters_cover_every_round(self):
+        stats = Campaign(scheduled_config(distributed=2)).run()
+        assert stats.units_total == 16
+        assert stats.counters["dist_outcomes_streamed"] == stats.units_total
+
+    def test_unknown_platform_rejected_before_any_round_runs(self, tmp_path):
+        path = tmp_path / "artifacts.jsonl"
+        config = scheduled_config(platforms=("p4c", "nosuch"), artifact_path=str(path))
+        with pytest.raises(ValueError, match="nosuch"):
+            Campaign(config).run()
+        assert not path.exists()  # no unit ran, so nothing was stored
+
     def test_static_campaign_files_unstamped_reports(self):
-        stats = Campaign(scheduled_config(schedule=False)).run()
+        stats = Campaign(scheduled_config(schedule_rounds=0)).run()
         assert stats.tracker.reports
         for report in stats.tracker.reports:
             assert report.knob_arm == ""
@@ -79,15 +91,53 @@ class TestScheduledDeterminism:
 
 
 class TestStoreResume:
-    def test_provenance_survives_resume(self, tmp_path):
+    #: (programs, rounds): static; 4 rounds; 12 rounds, whose last two wrap
+    #: around onto the arms (and store keys) of rounds 0 and 1; more rounds
+    #: than programs, clamped to one program per round.
+    PLANS = [(8, 0), (8, 4), (12, 12), (3, 12)]
+
+    @pytest.mark.parametrize("programs, rounds", [(8, 4), (12, 12)])
+    def test_provenance_survives_resume(self, tmp_path, programs, rounds):
         path = str(tmp_path / "artifacts.jsonl")
-        first = Campaign(scheduled_config(artifact_path=path)).run()
-        second = Campaign(scheduled_config(artifact_path=path)).run()
+        config = scheduled_config(
+            programs=programs, schedule_rounds=rounds, artifact_path=path
+        )
+        first = Campaign(config).run()
+        second = Campaign(config).run()
         assert second.units_reused == second.units_total
         assert report_blob(first) == report_blob(second)
         assert first.coverage() == second.coverage()
         for report in second.tracker.reports:
             assert report.knob_arm
+
+    @pytest.mark.parametrize("programs, rounds", PLANS)
+    def test_each_round_is_stored_under_its_arm_key(self, tmp_path, programs, rounds):
+        """A static campaign stores under the ``campaign`` key of its
+        generator, a scheduled round under the ``scheduled`` key of its
+        arm's steered generator; nothing else is stored."""
+
+        path = str(tmp_path / "artifacts.jsonl")
+        config = scheduled_config(
+            programs=programs, schedule_rounds=rounds, artifact_path=path
+        )
+        Campaign(config).run()
+        store = ArtifactStore(path)
+        generator = GeneratorConfig(seed=config.seed)
+        expected = {}
+        for arm, indices in round_plan(programs, rounds):
+            key = campaign_key(
+                arm.apply(generator) if arm else generator,
+                BUGS,
+                PLATFORMS,
+                config.max_tests_per_program,
+                scope="scheduled" if arm else "campaign",
+                sequence_length=config.sequence_length,
+            )
+            expected.setdefault(key, set()).update(
+                (index, platform) for index in indices for platform in PLATFORMS
+            )
+        assert {key: set(store.load(key)) for key in expected} == expected
+        assert len(store) == programs * len(PLATFORMS)
 
     def test_unit_outcome_coverage_round_trips(self):
         outcome = UnitOutcome(

@@ -109,7 +109,7 @@ def _clean_outcome(unit):
 class TestCoordinatorService:
     def _units(self, programs=4, platforms=("p4c", "bmv2")):
         return build_units(
-            programs=programs,
+            programs=range(programs),
             platforms=platforms,
             generator=GeneratorConfig(seed=3),
             enabled_bugs=ENABLED,
@@ -447,7 +447,7 @@ class TestSharedDedup:
         path = str(tmp_path / "dup.jsonl")
         store = ArtifactStore(path)
         unit = build_units(
-            programs=1,
+            programs=range(1),
             platforms=("p4c",),
             generator=GeneratorConfig(seed=3),
             enabled_bugs=ENABLED,
@@ -478,7 +478,7 @@ class TestSharedDedup:
         store = ArtifactStore(path)
         store.append_lease_event("k", {"event": "issued", "lease": "L1"})
         unit = build_units(
-            programs=1,
+            programs=range(1),
             platforms=("p4c",),
             generator=GeneratorConfig(seed=3),
             enabled_bugs=ENABLED,
@@ -533,7 +533,7 @@ class TestSpecWiring:
 
     def test_outcome_wire_round_trip_preserves_attribution(self):
         unit = build_units(
-            programs=1,
+            programs=range(1),
             platforms=("bmv2",),
             generator=GeneratorConfig(seed=3),
             enabled_bugs=ENABLED,

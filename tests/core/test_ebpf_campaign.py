@@ -134,7 +134,7 @@ class TestPlatformRegistryErrors:
     def test_build_units_rejects_unknown_platform_by_name(self):
         with pytest.raises(ValueError) as excinfo:
             build_units(
-                programs=2,
+                programs=range(2),
                 platforms=("p4c", "xpu"),
                 generator=GeneratorConfig(seed=0),
                 enabled_bugs=(),

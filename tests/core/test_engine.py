@@ -21,6 +21,7 @@ import json
 import os
 
 from repro import smt
+from repro.compiler.bugs import BUG_CATALOG
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine import (
     ArtifactStore,
@@ -45,6 +46,7 @@ from repro.core.generator import (
     RandomProgramGenerator,
     derive_child_seed,
 )
+from repro.core.schedule import KnobArm, static_overrides_for_bug
 from repro.p4 import emit_program
 
 ENABLED = (
@@ -103,12 +105,17 @@ class TestShardedGeneration:
 class TestUnits:
     def test_build_units_is_deterministic_and_ordered(self):
         generator = GeneratorConfig(seed=0)
-        units = build_units(3, ("tofino", "p4c", "bmv2"), generator, (), 4)
+        units = build_units(range(3), ("tofino", "p4c", "bmv2"), generator, (), 4)
         assert [unit.key for unit in units] == [
             (0, "p4c"), (0, "bmv2"), (0, "tofino"),
             (1, "p4c"), (1, "bmv2"), (1, "tofino"),
             (2, "p4c"), (2, "bmv2"), (2, "tofino"),
         ]
+
+    def test_build_units_of_a_round_range_match_the_full_list(self):
+        generator = GeneratorConfig(seed=0)
+        whole = build_units(range(4), ("p4c", "bmv2"), generator, (), 4)
+        assert build_units(range(2, 4), ("bmv2", "p4c"), generator, (), 4) == whole[4:]
 
     def test_outcome_json_round_trip(self):
         outcome = UnitOutcome(
@@ -205,7 +212,7 @@ class TestProgramPlacement:
     MISSES = ("prefix_misses", "reparse_misses", "interp_misses", "testgen_misses")
 
     def test_program_groups_split_at_program_boundaries(self):
-        units = build_units(3, ("p4c", "bmv2"), GeneratorConfig(seed=0), (), 4)
+        units = build_units(range(3), ("p4c", "bmv2"), GeneratorConfig(seed=0), (), 4)
         groups = program_groups(units[1:])
         assert [[unit.key for unit in group] for group in groups] == [
             [(0, "bmv2")],
@@ -322,6 +329,22 @@ class TestResume:
         assert [(r.detected, r.technique, r.programs_tried) for r in second] == [
             (r.detected, r.technique, r.programs_tried) for r in first
         ]
+
+    def test_detection_matrix_stores_under_the_static_arm_key(self, tmp_path):
+        config = self._config(str(tmp_path))
+        bug = BUG_CATALOG["strength_reduction_negative_slice"]
+        Campaign(config).run_detection_matrix([bug.bug_id], programs_per_bug=4)
+        arm = KnobArm("static", tuple(static_overrides_for_bug(bug).items()))
+        key = campaign_key(
+            arm.apply(GeneratorConfig(seed=config.seed)),
+            (bug.bug_id,),
+            ("p4c",),
+            config.max_tests_per_program,
+            scope="matrix",
+            sequence_length=config.sequence_length,
+        )
+        store = ArtifactStore(config.artifact_path)
+        assert len(store) == len(store.load(key)) > 0
 
 
 class TestArtifactStore:

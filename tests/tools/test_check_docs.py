@@ -62,3 +62,46 @@ def test_the_repository_readme_is_consistent():
     with open(os.path.join(ROOT, "Makefile"), encoding="utf-8") as handle:
         makefile = handle.read()
     assert problems(readme, makefile, check_docs.catalog_size()) == []
+
+
+WORDS = {"CampaignEngine", "run", "KnobArm", "apply", "ARM_CATALOG", "coverage"}
+
+
+def symbols(text, words=WORDS):
+    return list(check_docs.symbol_problems(text, words))
+
+
+def test_live_symbols_pass():
+    text = "`CampaignEngine.run` steers with `KnobArm.apply()` over `ARM_CATALOG`.\n"
+    assert symbols(text) == []
+
+
+def test_deleted_member_is_flagged():
+    text = "See `KnobArm`.\nThe loop is `CampaignEngine._run_scheduled`.\n"
+    assert symbols(text) == [(2, "stale symbol: `CampaignEngine._run_scheduled`")]
+
+
+def test_deleted_class_and_constant_are_flagged():
+    text = "`BanditScheduler` draws from `ARM_PROFILES`.\n"
+    assert symbols(text) == [
+        (1, "stale symbol: `BanditScheduler`"),
+        (1, "stale symbol: `ARM_PROFILES`"),
+    ]
+
+
+def test_non_symbol_spans_literals_and_fences_are_ignored():
+    text = (
+        "`schedule_rounds=4`, `coverage()`, `None`, `True`, `False`, `SAT`\n"
+        "```\nsee `BanditScheduler`\n```\n"
+    )
+    assert symbols(text) == []
+
+
+def test_the_repository_package_readmes_name_live_symbols():
+    words = check_docs.code_words()
+    for path in check_docs.markdown_files(ROOT):
+        stale = [
+            entry for entry in check_docs.check_file(path, words)
+            if entry[1].startswith("stale symbol")
+        ]
+        assert stale == [], path

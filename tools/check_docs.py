@@ -14,6 +14,13 @@ absolute URLs and pure anchors are ignored.  The goal is cheap CI
 protection for the READMEs' paper-section → module maps: renaming a
 module must fail the docs job until the maps are updated.
 
+In the package READMEs (``*/README.md``) a third check catches **stale
+symbols**: an inline-code span that is ``CamelCase``,
+``CamelCase.member`` or ``UPPER_SNAKE`` fails when some part of it is a
+word in no ``.py`` file under the code directories (:data:`CODE_DIRS`),
+so deleting or renaming a class, method or constant fails the docs job
+until the READMEs stop naming it.
+
 Two facts the top-level ``README.md`` states about the code are checked
 against the code itself (:func:`readme_problems`):
 
@@ -42,6 +49,17 @@ _FENCE = re.compile(r"^(```|~~~)")
 #: A defect count in prose: ``34 defects`` / ``34 seeded defects``.
 _DEFECT_COUNT = re.compile(r"\b(\d+) (?:seeded )?defects\b")
 _PHONY = re.compile(r"^\.PHONY:(.*)$", re.MULTILINE)
+#: A symbol-shaped inline code span: ``CamelCase`` or ``CamelCase.member``
+#: (a trailing ``()`` allowed), or ``UPPER_SNAKE``.
+_SYMBOL = re.compile(
+    r"(?:[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)*(?:\.\w+)?(?:\(\))?"
+    r"|[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)"
+)
+_WORD = re.compile(r"\w+")
+#: Spans that look like symbols but are Python literals.
+_LITERALS = {"None", "True", "False"}
+#: Directories whose ``.py`` files define the symbols READMEs may name.
+CODE_DIRS = ("src", "tests", "benchmarks", "perfbench", "examples", "tools")
 
 #: Roots a bare module path may be relative to (checked in order).
 _PATH_ROOTS = ("", "src", os.path.join("src", "repro"))
@@ -107,8 +125,12 @@ def strip_fences(text: str) -> str:
     return "\n".join(lines)
 
 
-def check_file(path: str):
-    """Yield ``(line_number, problem)`` pairs for one Markdown file."""
+def check_file(path: str, words: set):
+    """Yield ``(line_number, problem)`` pairs for one Markdown file.
+
+    A package README (``*/README.md``) is also checked for symbols that
+    are not among ``words`` (see :func:`code_words`).
+    """
 
     with open(path, encoding="utf-8") as handle:
         text = strip_fences(handle.read())
@@ -137,6 +159,34 @@ def check_file(path: str):
                 ]
                 if not any(os.path.exists(entry) for entry in anchored):
                     yield line_number, f"stale module path: `{candidate}`"
+    if os.path.basename(path) == "README.md" and directory != ROOT:
+        yield from symbol_problems(text, words)
+
+
+def code_words(root: str = ROOT) -> set:
+    """Every word (``\\w+`` run) of the ``.py`` files under :data:`CODE_DIRS`."""
+
+    words = set()
+    for name in CODE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, name)):
+            dirnames[:] = [entry for entry in dirnames if entry not in _SKIP_DIRS]
+            for filename in filenames:
+                if filename.endswith(".py"):
+                    with open(os.path.join(dirpath, filename), encoding="utf-8") as handle:
+                        words.update(_WORD.findall(handle.read()))
+    return words
+
+
+def symbol_problems(text: str, words: set):
+    """Yield ``(line_number, problem)`` for symbol spans no code file names."""
+
+    for line_number, line in enumerate(strip_fences(text).splitlines(), start=1):
+        for span in _INLINE_CODE.finditer(line):
+            symbol = span.group(1)
+            if symbol in _LITERALS or not _SYMBOL.fullmatch(symbol):
+                continue
+            if any(part not in words for part in _WORD.findall(symbol)):
+                yield line_number, f"stale symbol: `{symbol}`"
 
 
 def readme_problems(readme: str, makefile: str, defect_count: int):
@@ -168,10 +218,11 @@ def catalog_size() -> int:
 def main() -> int:
     problems = []
     checked = 0
+    words = code_words()
     for path in markdown_files(ROOT):
         checked += 1
         relative = os.path.relpath(path, ROOT)
-        for line_number, problem in check_file(path):
+        for line_number, problem in check_file(path, words):
             problems.append(f"{relative}:{line_number}: {problem}")
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
