@@ -4,7 +4,7 @@
 #   make fast           unit tests only (the slow paper benchmarks are deselected)
 #   make bench          run the perf harness; writes BENCH_campaign.json
 #   make bench-scaling  also record the worker-scaling curve (jobs = 1, 2, 4, 8;
-#                       fork pool and fleet side by side)
+#                       serial at 1, a local worker fleet above)
 #   make bench-reduce   also record per-report reduction ratio + wall time
 #   make bench-hotpath  record the validation hot-path section (programs/sec,
 #                       SAT invocations, cache hit rates, garbage collections)

@@ -12,8 +12,8 @@ root so every PR leaves a perf data point behind:
 * **scaling** (``--scaling``): a larger campaign (default 200 programs,
   3 platforms) run at jobs = 1, 2, 4, 8 on the staged engine, recording
   the worker-scaling curve and verifying that every job count files the
-  identical deduplicated bug set.  Every job count above 1 runs on the
-  fork pool and on a local fleet side by side.  Wall-clock speedup is
+  identical deduplicated bug set.  Job count 1 runs serially, every job
+  count above 1 on a local worker fleet.  Wall-clock speedup is
   hardware-bound: the recorded ``cpu_count`` says how many cores the curve
   had to work with.
 * **triage** (``--reduce`` / ``make bench-reduce``): the seeded reference
@@ -28,14 +28,14 @@ root so every PR leaves a perf data point behind:
 * **stateful** (``--stateful`` / ``make bench-stateful``): a seeded
   register-heavy campaign replayed as 3-packet sequences — sequences/sec,
   state-divergence findings, per-defect detection of the stateful seeded
-  defects (the job fails when any goes undetected) and a ``--distributed
-  2`` vs ``jobs=1`` byte-identity check.
+  defects (the job fails when any goes undetected) and a ``jobs=2`` (a
+  two-worker fleet) vs ``jobs=1`` byte-identity check.
 * **coverage** (``--coverage`` / ``make bench-coverage``): swarm
   generation — pass/rule/feature/shape cell counts of static vs
   arm-rotation unseeded p4c corpora over three seeds (fails when the
   rotation lights fewer rule cells than the static config on a seed, or
   fewer in total than the bandit it replaced), and a scheduled-campaign
-  byte-identity check across jobs=1 / jobs=4 / ``--distributed 2``.
+  byte-identity check across jobs=1 / jobs=2 / jobs=4.
 * **distributed** (``--distributed`` / ``make bench-distributed``): the
   coordinator/worker service smoke — a 40-program, 3-platform campaign on
   clean localhost fleets of 1 and 2 workers (units/sec, and per-program
@@ -100,7 +100,7 @@ BACKENDS_BUGS = (
     "ebpf_tail_call_limit_crash",
 )
 
-#: The scaling workload (≥ 200 programs exercises pool amortisation).
+#: The scaling workload (≥ 200 programs amortises the fleet's start-up).
 SCALING_PROGRAMS = 200
 SCALING_JOBS = (1, 2, 4, 8)
 
@@ -165,15 +165,12 @@ SEED_BASELINE_S = 4860.0
 SEED_BASELINE_COMPLETED = False
 
 
-def _run_campaign(
-    programs: int, jobs: int, seed: int = SEED, distributed: int = 0
-) -> tuple:
+def _run_campaign(programs: int, jobs: int, seed: int = SEED) -> tuple:
     config = CampaignConfig(
         programs=programs,
         seed=seed,
         platforms=PLATFORMS,
         jobs=jobs,
-        distributed=distributed,
     )
     campaign = Campaign(config)
     start = time.perf_counter()
@@ -250,8 +247,8 @@ def run_backends() -> dict:
 def _reset_process_caches() -> None:
     """Cold-start every process-wide cache so scaling runs are comparable.
 
-    All job counts run from this parent process and fork-based pool
-    workers inherit its state, so without a reset the first run would pay
+    All job counts run from this parent process and forked fleet workers
+    inherit its state, so without a reset the first run would pay
     every cache miss and later runs would ride its warm reparse/interp/
     testgen caches and intern tables — the curve would measure cache
     warmth, not worker count.
@@ -269,46 +266,40 @@ def _reset_process_caches() -> None:
 def run_scaling(programs: int, jobs_list: tuple) -> dict:
     """Record the worker-scaling curve for a larger campaign.
 
-    Every job count above 1 runs the same cold-cache campaign twice, on
-    the fork pool (``jobs=N``) and on a local fleet (``distributed=N``),
-    so the two parallel transports are compared on one runner.  The
-    baseline row is the first run (serial unless ``--jobs-list`` starts
-    above 1); speedups are relative to it.
+    One cold-cache campaign per job count: serial at 1, a local fleet of
+    that many workers above 1.  The baseline row is the first run (serial
+    unless ``--jobs-list`` starts above 1); speedups are relative to it.
     """
 
     curve = []
     bug_sets = []
     baseline_elapsed = None
     for jobs in jobs_list:
-        for executor in ("pool", "fleet") if jobs > 1 else ("serial",):
-            _reset_process_caches()
-            stats, elapsed = _run_campaign(
-                programs, jobs=jobs, distributed=jobs if executor == "fleet" else 0
-            )
-            if baseline_elapsed is None:
-                baseline_elapsed = elapsed
-            bug_sets.append(
-                sorted(report.identifier for report in stats.tracker.reports)
-            )
-            curve.append(
-                {
-                    "executor": executor,
-                    "jobs": jobs,
-                    "elapsed_s": round(elapsed, 3),
-                    "speedup_vs_baseline": round(baseline_elapsed / elapsed, 2)
-                    if elapsed
-                    else float("inf"),
-                    "distinct_bugs": len(stats.tracker),
-                    "units": stats.units_total,
-                    "merged_worker_counters": stats.counters,
-                }
-            )
-            print(
-                f"  {executor} jobs={jobs}: {elapsed:.1f}s, "
-                f"{curve[-1]['speedup_vs_baseline']}x vs the first run, "
-                f"{len(stats.tracker)} distinct bugs",
-                flush=True,
-            )
+        executor = "fleet" if jobs > 1 else "serial"
+        _reset_process_caches()
+        stats, elapsed = _run_campaign(programs, jobs=jobs)
+        if baseline_elapsed is None:
+            baseline_elapsed = elapsed
+        bug_sets.append(sorted(report.identifier for report in stats.tracker.reports))
+        curve.append(
+            {
+                "executor": executor,
+                "jobs": jobs,
+                "elapsed_s": round(elapsed, 3),
+                "speedup_vs_baseline": round(baseline_elapsed / elapsed, 2)
+                if elapsed
+                else float("inf"),
+                "distinct_bugs": len(stats.tracker),
+                "units": stats.units_total,
+                "merged_worker_counters": stats.counters,
+            }
+        )
+        print(
+            f"  {executor} jobs={jobs}: {elapsed:.1f}s, "
+            f"{curve[-1]['speedup_vs_baseline']}x vs the first run, "
+            f"{len(stats.tracker)} distinct bugs",
+            flush=True,
+        )
     cores = os.cpu_count() or 1
     payload = {
         "programs": programs,
@@ -323,9 +314,9 @@ def run_scaling(programs: int, jobs_list: tuple) -> dict:
     if cores < max(jobs_list):
         payload["note"] = (
             f"wall-clock scaling is bounded by the {cores} CPU core(s) visible "
-            "to this runner; the pool and the fleet shard whole programs across "
-            "their workers, so on an N-core machine the curve tracks N up to "
-            "the job count (determinism is asserted above regardless)"
+            "to this runner; the fleet shards whole programs across its "
+            "workers, so on an N-core machine the curve tracks N up to the "
+            "job count (determinism is asserted above regardless)"
         )
     return payload
 
@@ -658,8 +649,8 @@ def run_stateful() -> dict:
     * the write-only probe is caught by the final ``$state.*`` comparison
       — a state-divergence finding no payload diff could produce — proving
       the state oracle does work the packet oracle cannot, and
-    * a two-worker distributed run files reports byte-identical to
-      ``jobs=1``.
+    * a ``jobs=2`` run (a two-worker fleet) files reports byte-identical
+      to ``jobs=1``.
     """
 
     from repro.core.generator import GeneratorConfig
@@ -710,8 +701,8 @@ def run_stateful() -> dict:
     all_detected = all(entry["detected"] for entry in detection.values())
 
     _reset_process_caches()
-    distributed = Campaign(config(distributed=2)).run()
-    byte_identical = report_blob(distributed) == report_blob(serial)
+    fleet = Campaign(config(jobs=2)).run()
+    byte_identical = report_blob(fleet) == report_blob(serial)
 
     meets_target = all_detected and probe_caught and byte_identical
     return {
@@ -877,9 +868,8 @@ def run_coverage() -> dict:
       static one on every seed, and ``BANDIT_RULE_CELLS_TOTAL`` or more
       over all seeds.
     * **scheduled determinism**: a seeded scheduled campaign at jobs=1,
-      jobs=4 and ``--distributed 2`` must file byte-identical reports
-      (including the v4 knob-arm provenance) and identical merged
-      coverage counters.
+      jobs=2 and jobs=4 must file byte-identical reports (including the v4
+      knob-arm provenance) and identical merged coverage counters.
     """
 
     # 1. Distinct coverage cells: static vs scheduled unseeded corpora.
@@ -934,15 +924,10 @@ def run_coverage() -> dict:
         return json.dumps([report.to_dict() for report in reports], sort_keys=True)
 
     serial = scheduled_run(jobs=1)
-    pooled = scheduled_run(jobs=4)
-    fleet = scheduled_run(distributed=2)
-    serial_blob = report_blob(serial)
-    byte_identical = (
-        serial_blob == report_blob(pooled) == report_blob(fleet)
-    )
-    coverage_identical = (
-        serial.coverage() == pooled.coverage() == fleet.coverage()
-    )
+    fleet2 = scheduled_run(jobs=2)
+    fleet4 = scheduled_run(jobs=4)
+    byte_identical = report_blob(serial) == report_blob(fleet2) == report_blob(fleet4)
+    coverage_identical = serial.coverage() == fleet2.coverage() == fleet4.coverage()
     provenance = sorted(
         (report.identifier, report.knob_arm)
         for report in serial.tracker.reports
@@ -1043,7 +1028,7 @@ def main(argv=None) -> int:
                         help="record the multi-packet stateful campaign: "
                              "sequences/sec, state-divergence findings, "
                              "per-defect detection of the stateful seeded "
-                             "defects, and the distributed byte-identity check")
+                             "defects, and the jobs=2 byte-identity check")
     parser.add_argument("--programs", type=int, default=SCALING_PROGRAMS,
                         help="campaign size for the scaling curve")
     parser.add_argument("--jobs-list", default=",".join(map(str, SCALING_JOBS)),
@@ -1231,7 +1216,7 @@ def main(argv=None) -> int:
                 f"via {entry['technique'] or '-'}"
             )
         print(
-            f"stateful byte-identical distributed=2 vs jobs=1: "
+            f"stateful byte-identical jobs=2 vs jobs=1: "
             f"{stateful['reports_byte_identical_distributed2_vs_jobs1']}"
         )
     if args.coverage and "coverage" in payload:
@@ -1249,7 +1234,7 @@ def main(argv=None) -> int:
             f"every seed: {coverage['scheduled_rule_cells_at_least_static']}"
         )
         print(
-            f"coverage byte-identical jobs1/jobs4/distributed2: "
+            f"coverage byte-identical jobs 1/2/4: "
             f"{coverage['scheduled_reports_byte_identical_jobs1_jobs4_distributed2']}"
             f", coverage counters identical: "
             f"{coverage['scheduled_coverage_identical_across_executors']}"

@@ -9,17 +9,15 @@ bugs with translation validation (open back ends), and semantic bugs with
 symbolic-execution packet tests (closed back ends); and print Table
 2/3-shaped summaries of the confirmed findings.
 
-The campaign runs on the staged engine: ``--jobs N`` shards the
-``(program, platform)`` work units across N worker processes, and
-``--artifacts PATH`` appends every finished unit to a JSONL store so a
-killed campaign resumes where it stopped (same command, same result).
+The campaign runs on the staged engine, and ``--artifacts PATH`` appends
+every finished unit to a JSONL store so a killed campaign resumes where it
+stopped (same command, same result).  Three ways to run it (all produce
+the identical report, per the engine's determinism contract):
 
-Three ways to run the coordinator/worker service instead of the fork pool
-(all produce the identical report, per the engine's determinism contract):
-
-* ``--distributed N`` — one-command fleet: spawn an in-process
-  coordinator plus N local worker processes that lease unit ranges from
-  it over localhost TCP.
+* ``--jobs N`` — in this process (``N = 1``, the default), or on a
+  one-command fleet: an in-process coordinator plus N local worker
+  processes that lease ``(program, platform)`` unit ranges from it over
+  localhost TCP.
 * ``--serve HOST:PORT`` — coordinator daemon only: bind the campaign's
   unit space and wait for workers to dial in and drain it.
 * ``--worker HOST:PORT`` — stateless worker: join the coordinator at that
@@ -66,7 +64,8 @@ def main() -> None:
     parser.add_argument("programs", nargs="?", type=int, default=15,
                         help="number of random programs to generate (default 15)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes to shard work units across (default 1)")
+                        help="worker processes to shard work units across; above 1 "
+                             "they lease units from a local coordinator (default 1)")
     parser.add_argument("--seed", type=int, default=2020,
                         help="campaign seed (default 2020)")
     parser.add_argument("--artifacts", metavar="PATH", default=None,
@@ -81,9 +80,6 @@ def main() -> None:
                         help="swarm generation: split the programs into N rounds, "
                              "each generated with the next generator knob arm "
                              "of the catalog (default 0: one static round)")
-    parser.add_argument("--distributed", type=int, metavar="N", default=0,
-                        help="run on the coordinator/worker service with N "
-                             "locally spawned workers (overrides --jobs)")
     parser.add_argument("--serve", metavar="HOST:PORT", default=None,
                         help="bind the campaign coordinator on this address and "
                              "wait for --worker processes to drain it")
@@ -116,7 +112,6 @@ def main() -> None:
             jobs=args.jobs,
             artifact_path=args.artifacts,
             reduce=args.reduce,
-            distributed=args.distributed,
             serve=args.serve,
             schedule_rounds=args.schedule_rounds,
         )
@@ -124,13 +119,9 @@ def main() -> None:
     if args.serve:
         print(f"serving campaign on {args.serve}; waiting for workers ...\n")
     else:
-        mode = (
-            f"distributed={args.distributed}" if args.distributed
-            else f"jobs={args.jobs}"
-        )
         print(
             f"generating and testing {args.programs} random programs "
-            f"({mode}) ...\n"
+            f"(jobs={args.jobs}) ...\n"
         )
     stats = campaign.run()
 

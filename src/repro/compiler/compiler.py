@@ -135,7 +135,7 @@ def prefix_cache_stats() -> Dict[str, int]:
 
 
 def clear_prefix_cache() -> None:
-    """Drop the prefix memo (tests, benchmarks, pool recycling)."""
+    """Drop the prefix memo (tests and benchmarks start runs cold)."""
 
     _PREFIX_MEMO.clear()
     _PREFIX_STATS["prefix_hits"] = 0

@@ -30,7 +30,7 @@ Everything here is a pure function of the program (and the enabled
 front/mid-end defects), never of process state: two workers — or a
 worker and a store resume — report byte-identical coverage for the same
 unit.  That invariant is what keeps merged campaign coverage identical
-across ``jobs=1``, pools, distributed fleets and store resumes.
+across ``jobs=1``, worker fleets and store resumes.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ Two modes are provided:
 
 Since the staged-engine refactor this module is a thin facade: the actual
 pipeline lives in :mod:`repro.core.engine`, which decomposes the campaign
-into ``(program_index, platform)`` work units, shards them across worker
-processes when ``CampaignConfig.jobs > 1``, persists every unit outcome to
-a JSONL artifact store when ``CampaignConfig.artifact_path`` is set (so an
+into ``(program_index, platform)`` work units, shards them across a local
+worker fleet when ``CampaignConfig.jobs > 1``, persists every unit outcome
+to a JSONL artifact store when ``CampaignConfig.artifact_path`` is set (so an
 interrupted campaign resumes where it stopped), and merges results
 deterministically — a fixed seed files byte-identical bug reports whether
 the campaign ran on one core or eight.
@@ -69,7 +69,8 @@ class CampaignConfig:
     platforms: Sequence[str] = ("p4c", "bmv2", "tofino")
     generator: Optional[GeneratorConfig] = None
     #: Worker processes to shard ``(program, platform)`` units across.
-    #: ``1`` runs everything in-process (no pool).
+    #: ``1`` runs everything in-process; ``N > 1`` forks N local workers
+    #: that lease unit ranges from an in-process coordinator over TCP.
     jobs: int = 1
     #: JSONL artifact store path.  When set, every finished unit is
     #: appended there and a re-run with the same config resumes from the
@@ -79,18 +80,14 @@ class CampaignConfig:
     #: report's trigger program with the delta-debugging reducer (the
     #: reduced program still fails the report's original oracle) and
     #: localize the defect to a compiler pass.  Triage units shard across
-    #: the same worker pool and resume from the same artifact store.
+    #: the same workers and resume from the same artifact store.
     reduce: bool = False
     #: Round budget per reduction (each round cycles every transformation
     #: class to a fixpoint check).
     reduce_rounds: int = 8
-    #: Run the campaign on a coordinator/worker fleet instead of the fork
-    #: pool: that many worker processes are spawned locally and lease unit
-    #: ranges from an in-process coordinator over TCP.  Overrides ``jobs``.
-    distributed: int = 0
     #: Serve-only deployment: bind the coordinator on this ``host:port``
     #: and wait for externally started workers (``bug_campaign.py
-    #: --worker``) to drain the campaign.  Overrides ``distributed``.
+    #: --worker``) to drain the campaign.  Overrides ``jobs``.
     serve: Optional[str] = None
     #: Swarm generation: split the program budget into ``schedule_rounds``
     #: contiguous rounds and generate round *r* with knob arm
@@ -119,7 +116,6 @@ class Campaign:
             artifact_path=config.artifact_path,
             reduce=config.reduce,
             reduce_rounds=config.reduce_rounds,
-            distributed=config.distributed,
             serve=config.serve,
             schedule_rounds=config.schedule_rounds,
         )

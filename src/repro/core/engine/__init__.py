@@ -3,10 +3,10 @@
 The engine decomposes a campaign into independent ``(program_index,
 platform)`` work units, runs them through explicit stages
 (``generate → compile(platform) → oracles → report``) on a pluggable
-executor (serial, or a ``multiprocessing`` pool sharding units across
-cores), persists every outcome to a JSONL artifact store for crash-safe
-resume, and merges results deterministically so serial and parallel runs
-file byte-identical bug reports.
+executor (serial, or a worker fleet sharding units across cores),
+persists every outcome to a JSONL artifact store for crash-safe resume,
+and merges results deterministically so serial and parallel runs file
+byte-identical bug reports.
 
 With ``reduce=True`` a **triage stage** runs after the merge: every
 deduplicated report becomes one :class:`TriageUnit` that shrinks the
@@ -15,16 +15,19 @@ trigger program with the delta-debugging reducer
 localizes the defect to a compiler pass (pair), riding the same executor
 and artifact store as the generation units.
 
-Three interchangeable transports sit behind one seam
-(``run_units(units, kind, sink, journal)``): :class:`SerialExecutor`,
-:class:`ProcessPoolExecutor`, and :class:`DistributedExecutor` — a
+Two interchangeable executors sit behind one seam
+(``run_units(units, kind, sink, journal)``): :class:`SerialExecutor`
+(``jobs=1``) and :class:`DistributedExecutor` (``jobs=N``: N locally
+forked workers; or serve-only, for workers started elsewhere) — a
 campaign coordinator leasing contiguous unit ranges to a fleet of worker
 processes over line-JSON TCP (:mod:`repro.core.engine.protocol`), with
 heartbeat-based lease reclaim, streamed outcome shards, and incremental
-merge.  All three file byte-identical reports.  Both parallel transports
-keep every unit of one program on one worker
+merge.  Both file byte-identical reports.  A lease keeps every unit of
+one program on one worker
 (:func:`~repro.core.engine.units.program_groups`), so a program's cached
-work runs once, as it does serially.
+work runs once, as it does serially.  Generation, triage and
+detection-matrix units (:data:`~repro.core.engine.units.KINDS`) all ride
+the same seam.
 
 See :mod:`repro.core.engine.engine` for orchestration,
 :mod:`repro.core.engine.stages` for the worker-side pipeline,
@@ -40,11 +43,7 @@ from repro.core.engine.engine import (
     CampaignSpec,
     DetectionRecord,
 )
-from repro.core.engine.executor import (
-    ProcessPoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.core.engine.executor import SerialExecutor
 from repro.core.engine.store import OutcomeDedup
 from repro.core.engine.worker import run_worker
 from repro.core.engine.merge import (
@@ -53,12 +52,19 @@ from repro.core.engine.merge import (
     TriageSource,
     apply_triage,
 )
-from repro.core.engine.stages import reset_worker_state, run_triage_unit, run_unit
+from repro.core.engine.stages import (
+    reset_worker_state,
+    run_matrix_unit,
+    run_triage_unit,
+    run_unit,
+)
 from repro.core.engine.store import ArtifactStore, campaign_key, triage_key
 from repro.core.engine.units import (
     TRIAGE_REDUCED,
     TRIAGE_UNREPRODUCED,
     FindingRecord,
+    MatrixOutcome,
+    MatrixUnit,
     TriageOutcome,
     TriageUnit,
     UnitOutcome,
@@ -75,9 +81,10 @@ __all__ = [
     "DetectionRecord",
     "DistributedExecutor",
     "FindingRecord",
+    "MatrixOutcome",
+    "MatrixUnit",
     "OutcomeDedup",
     "OutcomeMerger",
-    "ProcessPoolExecutor",
     "SerialExecutor",
     "TRIAGE_REDUCED",
     "TRIAGE_UNREPRODUCED",
@@ -89,8 +96,8 @@ __all__ = [
     "apply_triage",
     "build_units",
     "campaign_key",
-    "make_executor",
     "reset_worker_state",
+    "run_matrix_unit",
     "run_triage_unit",
     "run_unit",
     "run_worker",

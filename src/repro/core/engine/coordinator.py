@@ -1,10 +1,13 @@
 """The campaign coordinator: owns the unit space, leases ranges, merges.
 
 One :class:`CoordinatorService` instance runs one *phase* of one campaign
-(generation units or triage units).  It owns the phase's unit list and
-serves the line-oriented JSON protocol of :mod:`repro.core.engine.protocol`
-on a localhost (or LAN) TCP socket:
+(generation, triage or detection-matrix units).  It owns the phase's unit
+list and serves the line-oriented JSON protocol of
+:mod:`repro.core.engine.protocol` on a localhost (or LAN) TCP socket:
 
+* **hello** — opens a connection.  A service started with a ``token``
+  (every local fleet phase gets a fresh one) refuses every other request
+  on a connection whose hello did not carry it.
 * **lease** — a worker is granted a contiguous range of not-yet-done unit
   indexes, serialized in full (units are self-contained; programs are
   regenerated worker-side from per-index seeds).  A lease holds whole
@@ -47,6 +50,7 @@ units are never re-run (asserted in ``tests/core/test_distributed.py``).
 
 from __future__ import annotations
 
+import hmac
 import socket
 import threading
 import queue as queue_module
@@ -55,14 +59,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.core.engine import protocol
 from repro.core.engine.store import OutcomeDedup
-from repro.core.engine.units import (
-    KIND_WORK,
-    outcome_from_dict,
-    outcome_key,
-    program_groups,
-    unit_key,
-    unit_to_dict,
-)
+from repro.core.engine.units import KIND_WORK, KINDS, program_groups
 
 #: Default service tuning.  The TTL must exceed the worst single-unit wall
 #: time (a divergent program can cost 100x the median): heartbeats renew a
@@ -126,6 +123,7 @@ class CoordinatorService:
         max_inflight_leases: int = DEFAULT_MAX_INFLIGHT_LEASES,
         max_outstanding: int = DEFAULT_MAX_OUTSTANDING,
         clock: Callable[[], float] = None,
+        token: Optional[str] = None,
     ) -> None:
         import time
 
@@ -139,6 +137,7 @@ class CoordinatorService:
         self._max_inflight = max(1, max_inflight_leases)
         self._max_outstanding = max(1, max_outstanding)
         self._clock = clock or time.monotonic
+        self._token = token
 
         self._host = host
         self._requested_port = port
@@ -162,9 +161,7 @@ class CoordinatorService:
         self._dedup = OutcomeDedup()
         #: unit identity -> index, to map streamed outcomes back onto the
         #: unit space (and to reject outcomes for units we never issued).
-        self._key_to_index = {
-            unit_key(kind, unit): index for index, unit in enumerate(self._units)
-        }
+        self._key_to_index = {unit.key: index for index, unit in enumerate(self._units)}
         self._queue: "queue_module.Queue" = queue_module.Queue()
         self._workers_seen: Set[str] = set()
         self.counters = _ServiceCounters()
@@ -274,6 +271,7 @@ class CoordinatorService:
             self._handler_threads.append(thread)
 
     def _handle_connection(self, stream: protocol.MessageStream) -> None:
+        authenticated = self._token is None
         try:
             while not self._stopping.is_set():
                 message = stream.recv()
@@ -285,7 +283,11 @@ class CoordinatorService:
                     with self._lock:
                         self.counters.torn_lines += 1
                     continue
-                response = self._dispatch(message)
+                if authenticated or message.get("op") == protocol.OP_HELLO:
+                    response = self._dispatch(message)
+                    authenticated = authenticated or response["ok"]
+                else:
+                    response = {"ok": False, "error": "unauthenticated"}
                 try:
                     stream.send(response)
                 except OSError:
@@ -325,6 +327,10 @@ class CoordinatorService:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def _on_hello(self, message: Dict) -> Dict:
+        if self._token is not None and not hmac.compare_digest(
+            str(message.get("token")).encode(), self._token.encode()
+        ):
+            return {"ok": False, "error": "bad token"}
         worker = str(message.get("worker", ""))
         if worker and worker not in self._workers_seen:
             self._workers_seen.add(worker)
@@ -398,9 +404,7 @@ class CoordinatorService:
                 "kind": self._kind,
                 "start": lease.start,
                 "count": lease.count,
-                "units": [
-                    unit_to_dict(self._kind, self._units[index]) for index in indexes
-                ],
+                "units": [self._units[index].to_dict() for index in indexes],
             },
         }
 
@@ -417,10 +421,10 @@ class CoordinatorService:
         if not isinstance(payload, dict):
             return {"ok": False, "error": "malformed outcome"}
         try:
-            outcome = outcome_from_dict(self._kind, payload)
+            outcome = KINDS[self._kind].outcome.from_dict(payload)
         except (KeyError, TypeError, ValueError):
             return {"ok": False, "error": "undecodable outcome"}
-        key = outcome_key(self._kind, outcome)
+        key = outcome.key
         index = self._key_to_index.get(key)
         if index is None:
             return {"ok": False, "error": f"unknown unit {key!r}"}

@@ -1,44 +1,46 @@
 """DistributedExecutor: a coordinator plus a fleet of worker processes.
 
-The third executor behind the engine's transport seam (next to
-``SerialExecutor`` and ``ProcessPoolExecutor``): ``run_units`` starts a
+The parallel executor behind the engine's transport seam (``jobs=N > 1``
+runs on N local workers): ``run_units`` starts a
 :class:`~repro.core.engine.coordinator.CoordinatorService` for the phase,
-spawns ``workers`` local worker processes that dial it over localhost TCP
-(the same protocol remote workers would use over a LAN), and yields
-accepted outcomes as they stream in.  With ``workers=0`` the executor is
-*serve-only*: it binds the given address and waits for externally started
-workers (``examples/bug_campaign.py --worker HOST:PORT``) to drain the
-phase — that is the coordinator-daemon deployment.
+forks up to ``workers`` local worker processes (no more than the phase
+has programs) that dial it over localhost TCP with the phase's secret
+token (the same protocol remote workers would use over a LAN), and
+yields accepted outcomes as they stream in.  With ``workers=0`` the
+executor is *serve-only*: it binds the given address and waits for
+externally started workers (``examples/bug_campaign.py --worker
+HOST:PORT``) to drain the phase — that is the coordinator-daemon
+deployment.
 
 Fleet supervision is deliberately thin: the coordinator already converts
 a dead worker into a reclaimed lease, so the executor only needs to keep
-*some* worker alive.  When a spawned worker exits before the phase is
-done it is replaced (up to ``max_respawns``); a worker fleet that cannot
-stay up long enough to finish raises instead of hanging.
+*some* worker alive.  A spawned worker that dies before the phase is done
+is replaced (at most ``workers`` times); a worker fleet that cannot stay
+up long enough to finish raises instead of hanging.  A worker that exits
+with status 1 let a unit's exception escape, and re-leasing that unit
+would crash its replacement too, so the phase fails at once.
 
 ``fail_after`` maps worker ordinals to a unit count after which that
 worker hard-exits mid-lease (``os._exit``, no goodbye) — the fault
 injection used by ``tests/core/test_distributed.py`` and
 ``benchmarks/perf/bench_campaign.py --distributed`` to prove the
-reclaim/merge path under real process death.  Injected workers are never
-respawned (their death is the point).
+reclaim/merge path under real process death.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import secrets
 from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from repro.core.engine.coordinator import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
     DEFAULT_LEASE_UNITS,
-    DEFAULT_MAX_INFLIGHT_LEASES,
-    DEFAULT_MAX_OUTSTANDING,
     CoordinatorService,
 )
-from repro.core.engine.executor import fork_context
-from repro.core.engine.units import KIND_WORK
-from repro.core.engine.worker import worker_process_main
+from repro.core.engine.units import KIND_WORK, program_groups
+from repro.core.engine.worker import run_worker
 
 
 class DistributedExecutor:
@@ -49,8 +51,9 @@ class DistributedExecutor:
     unit's program, so all of a program's units (and the per-process
     caches they share) land on one worker.  The default of 4 leases two
     programs at a time on three platforms and one program on four.
-    Triage units have no program to share and lease exactly
-    ``lease_units`` at a time.
+    Triage and matrix units have no program to share and lease one at a
+    time: each runs for seconds, so a lease round trip costs nothing, and
+    a phase of a few such units spreads over every worker.
     """
 
     def __init__(
@@ -62,11 +65,7 @@ class DistributedExecutor:
         lease_units: int = DEFAULT_LEASE_UNITS,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        max_inflight_leases: int = DEFAULT_MAX_INFLIGHT_LEASES,
-        max_outstanding: int = DEFAULT_MAX_OUTSTANDING,
         fail_after: Optional[Dict[int, int]] = None,
-        max_respawns: Optional[int] = None,
-        announce: Optional[Callable[[str], None]] = None,
     ) -> None:
         if workers < 0:
             raise ValueError("DistributedExecutor needs workers >= 0")
@@ -82,11 +81,7 @@ class DistributedExecutor:
         self._lease_units = lease_units
         self._ttl = lease_ttl_s
         self._heartbeat_s = heartbeat_s
-        self._max_inflight = max_inflight_leases
-        self._max_outstanding = max_outstanding
         self._fail_after = dict(fail_after or {})
-        self._max_respawns = workers if max_respawns is None else max_respawns
-        self._announce = announce or (lambda message: None)
         #: Service counters of the most recent ``run_units`` phase
         #: (``dist_*`` keys), merged into ``CampaignStatistics.counters``.
         self.service_counters: Dict[str, int] = {}
@@ -102,6 +97,10 @@ class DistributedExecutor:
         self.service_counters = {}
         if not units:
             return
+        # The port is open to every local process, so a per-phase secret
+        # admits only the workers forked below.  Serve mode admits any
+        # worker that dials it.
+        token = secrets.token_hex(16) if self.workers else None
         coordinator = CoordinatorService(
             units,
             kind,
@@ -109,34 +108,38 @@ class DistributedExecutor:
             port=self._port,
             sink=sink,
             journal=journal,
-            lease_units=self._lease_units,
+            lease_units=self._lease_units if kind == KIND_WORK else 1,
             lease_ttl_s=self._ttl,
             heartbeat_s=self._heartbeat_s,
-            max_inflight_leases=self._max_inflight,
-            max_outstanding=self._max_outstanding,
+            token=token,
         )
         host, port = coordinator.start()
-        self._announce(f"coordinator serving {len(units)} {kind} units on {host}:{port}")
 
-        context = fork_context()
+        # ``fork`` where the platform offers it: workers inherit the
+        # imported compiler and solver modules for free.
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         procs: list = []
         spawn_seq = 0
-        respawns_left = self._max_respawns
+        respawns_left = self.workers
 
         def spawn(ordinal: int, fault: Optional[int]) -> None:
             nonlocal spawn_seq
             spawn_seq += 1
             name = f"dw{ordinal}-{spawn_seq}"
             proc = context.Process(
-                target=worker_process_main,
-                args=(host, port, name, fault),
+                target=run_worker,
+                args=(host, port, name),
+                kwargs={"fail_after": fault, "token": token},
                 name=name,
                 daemon=True,
             )
             proc.start()
-            procs.append((ordinal, proc, fault))
+            procs.append((ordinal, proc))
 
-        for ordinal in range(self.workers):
+        # A lease never splits a program, so a worker beyond the phase's
+        # program count would only sit idle.
+        for ordinal in range(min(self.workers, len(program_groups(units)))):
             spawn(ordinal, self._fail_after.get(ordinal))
 
         def supervise() -> None:
@@ -150,8 +153,14 @@ class DistributedExecutor:
             if self.workers == 0 or coordinator.done:
                 return
             nonlocal respawns_left
+            for _, proc in procs:
+                if proc.exitcode == 1:
+                    raise RuntimeError(
+                        f"distributed worker {proc.name} exited with status 1: "
+                        "a unit raised (see the worker's traceback on stderr)"
+                    )
             for slot in range(len(procs)):
-                ordinal, proc, _ = procs[slot]
+                ordinal, proc = procs[slot]
                 if proc.exitcode is None or respawns_left <= 0:
                     continue
                 respawns_left -= 1
@@ -159,7 +168,7 @@ class DistributedExecutor:
                 procs.pop(slot)
                 spawn(ordinal, None)
                 break
-            if procs and not any(proc.exitcode is None for _, proc, _ in procs):
+            if procs and not any(proc.exitcode is None for _, proc in procs):
                 raise RuntimeError(
                     "all distributed workers exited before the phase drained "
                     "and the respawn budget is exhausted"
@@ -169,9 +178,10 @@ class DistributedExecutor:
             yield from coordinator.outcomes(on_idle=supervise)
             self.service_counters = coordinator.counters.snapshot()
         finally:
+            # A drained phase has accepted and persisted every outcome; do
+            # not wait out a worker asleep in a ``retry_in`` backoff.
+            for _, proc in procs:
+                proc.terminate()
             coordinator.stop()
-            for _, proc, _ in procs:
-                proc.join(timeout=10.0)
-                if proc.exitcode is None:
-                    proc.terminate()
-                    proc.join(timeout=5.0)
+            for _, proc in procs:
+                proc.join(timeout=5.0)

@@ -14,21 +14,22 @@ This is the orchestration layer between the campaign facade
    and statistics, independent of completion order.
 
 The per-defect detection matrix rides the same machinery: each seeded
-defect becomes a sequence of single-defect units with an early exit on
-the first detection, sharded *across defects* when ``jobs > 1``.
+defect becomes one :class:`~repro.core.engine.units.MatrixUnit`, a try
+loop over single-defect programs with an early exit on the first
+detection, sharded *across defects* on the same executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND, SeededBug
 from repro.core.generator import GeneratorConfig
 from repro.core.schedule import KnobArm, round_plan, static_overrides_for_bug
 from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH
 from repro.core.engine.distributed import DistributedExecutor
-from repro.core.engine.executor import make_executor
+from repro.core.engine.executor import SerialExecutor
 from repro.core.engine.merge import (
     CampaignStatistics,
     OutcomeMerger,
@@ -37,18 +38,19 @@ from repro.core.engine.merge import (
 )
 from repro.core.engine.protocol import parse_address
 from repro.core.engine.store import ArtifactStore, campaign_key, triage_key
-from repro.core.engine.stages import run_unit
 from repro.core.engine.units import (
-    FINDING_CRASH,
     FindingRecord,
+    KIND_MATRIX,
     KIND_TRIAGE,
     STATUS_FINDING,
     TRIAGE_REDUCED,
+    MatrixOutcome,
+    MatrixUnit,
     TriageOutcome,
     TriageUnit,
     UnitOutcome,
-    WorkUnit,
     build_units,
+    detection_technique,
 )
 
 
@@ -65,19 +67,18 @@ class CampaignSpec:
     #: to single-packet tests, so this only costs solver time where a
     #: register/counter makes later packets observable).
     sequence_length: int = DEFAULT_SEQUENCE_LENGTH
+    #: ``1`` runs every unit in this process; ``N > 1`` runs them on a
+    #: coordinator plus N locally forked workers (leased unit ranges over
+    #: localhost TCP).
     jobs: int = 1
     artifact_path: Optional[str] = None
     #: Run the triage stage after merge: one reduction + localization per
     #: deduplicated report, sharded over the same executor.
     reduce: bool = False
     reduce_rounds: int = 8
-    #: ``distributed > 0`` runs the campaign on a coordinator/worker fleet
-    #: of that many locally spawned workers (TCP transport, leased unit
-    #: ranges) instead of the fork pool.  Overrides ``jobs``.
-    distributed: int = 0
     #: ``serve`` binds the coordinator on ``host:port`` and spawns *no*
     #: workers: externally started ``--worker`` processes drain the
-    #: campaign.  Overrides both ``jobs`` and ``distributed``.
+    #: campaign.  Overrides ``jobs``.
     serve: Optional[str] = None
     #: ``schedule_rounds > 0`` splits the program budget into that many
     #: contiguous rounds and generates round *r* with
@@ -97,96 +98,14 @@ class DetectionRecord:
     programs_tried: int = 0
 
 
-@dataclass(frozen=True)
-class _MatrixTask:
-    """One defect's share of the detection matrix (shipped to a worker)."""
-
-    bug_id: str
-    programs_per_bug: int
-    generator: GeneratorConfig
-    max_tests: int
-    artifact_path: Optional[str] = None
-    sequence_length: int = DEFAULT_SEQUENCE_LENGTH
-
-
-def _technique(outcome: UnitOutcome) -> str:
-    """Map a detecting unit outcome onto the paper's technique names."""
-
-    if any(finding.kind == FINDING_CRASH for finding in outcome.findings):
-        return "crash"
-    if outcome.platform == "p4c":
-        return "translation_validation"
-    return "symbolic_execution"
-
-
-def _detect_bug(task: _MatrixTask) -> Dict[str, object]:
-    """Try to detect one seeded defect; module-level so pools can pickle it.
-
-    Programs are tried in index order with an early exit on the first
-    detection — identical logic under every executor, so the matrix result
-    does not depend on scheduling.  Completed units are read from the
-    artifact store (read-only here; the parent is the sole writer) and
-    fresh outcomes are returned for the parent to persist.
-    """
-
-    bug = BUG_CATALOG[task.bug_id]
-    platform = "p4c" if bug.location != LOCATION_BACKEND else bug.platform
-    # Static steering (paper §4.2: bias the generator towards the constructs
-    # the defect needs) is the arm of the defect's MATRIX_STEERING union.
-    overrides = tuple(static_overrides_for_bug(bug).items())
-    generator = KnobArm("static", overrides).apply(task.generator)
-    key = campaign_key(
-        generator,
-        (task.bug_id,),
-        (platform,),
-        task.max_tests,
-        scope="matrix",
-        sequence_length=task.sequence_length,
-    )
-    completed: Dict[Tuple[int, str], UnitOutcome] = {}
-    if task.artifact_path:
-        completed = ArtifactStore(task.artifact_path).load(key)
-    fresh: List[UnitOutcome] = []
-    detected = False
-    technique = ""
-    attempts = 0
-    for index in range(task.programs_per_bug):
-        unit = WorkUnit(
-            program_index=index,
-            platform=platform,
-            generator=generator,
-            enabled_bugs=(task.bug_id,),
-            max_tests=task.max_tests,
-            sequence_length=task.sequence_length,
-        )
-        outcome = completed.get(unit.key)
-        if outcome is None:
-            outcome = run_unit(unit)
-            fresh.append(outcome)
-        attempts = index + 1
-        if outcome.status == STATUS_FINDING:
-            detected = True
-            technique = _technique(outcome)
-            break
-    return {
-        "bug_id": task.bug_id,
-        "detected": detected,
-        "technique": technique,
-        "attempts": attempts,
-        "store_key": key,
-        "fresh": [outcome.to_dict() for outcome in fresh],
-        "reused": len(completed),
-    }
-
-
 class CampaignEngine:
     """Run campaigns and detection matrices over an executor.
 
     The executor is chosen from the spec (``serve`` → serve-only
-    coordinator, ``distributed`` → local worker fleet, else ``jobs`` →
-    serial / fork pool); tests can inject a pre-configured executor —
-    typically a :class:`DistributedExecutor` with fault injection — via
-    the ``executor`` override.
+    coordinator, ``jobs > 1`` → local worker fleet, else serial); tests
+    can inject a pre-configured executor — typically a
+    :class:`DistributedExecutor` with fault injection — via the
+    ``executor`` override.
     """
 
     def __init__(self, spec: CampaignSpec, executor=None) -> None:
@@ -201,9 +120,9 @@ class CampaignEngine:
         if spec.serve:
             host, port = parse_address(spec.serve)
             return DistributedExecutor(0, host=host, port=port)
-        if spec.distributed > 0:
-            return DistributedExecutor(spec.distributed)
-        return make_executor(spec.jobs)
+        if spec.jobs > 1:
+            return DistributedExecutor(spec.jobs)
+        return SerialExecutor()
 
     # ------------------------------------------------------------------
     # Campaign: one round loop, static (one round) or scheduled
@@ -412,36 +331,80 @@ class CampaignEngine:
         bug_ids: Optional[Sequence[str]] = None,
         programs_per_bug: int = 20,
     ) -> List[DetectionRecord]:
-        """For each seeded defect, check whether Gauntlet detects it."""
+        """For each seeded defect, check whether Gauntlet detects it.
+
+        One :class:`MatrixUnit` per defect runs on the executor; its tries
+        are stored under a ``matrix`` key of its steered generator.
+        """
 
         spec = self.spec
         targets = list(bug_ids) if bug_ids is not None else list(BUG_CATALOG)
-        tasks = [
-            _MatrixTask(
+        results: Dict[str, MatrixOutcome] = {}
+        keys: Dict[str, str] = {}
+        pending: List[MatrixUnit] = []
+        # One unit per distinct defect: the fleet keys units by defect.
+        for bug_id in dict.fromkeys(targets):
+            bug = BUG_CATALOG[bug_id]
+            # Static steering (paper §4.2: bias the generator towards the
+            # constructs the defect needs) is the arm of the defect's
+            # MATRIX_STEERING union.
+            overrides = tuple(static_overrides_for_bug(bug).items())
+            unit = MatrixUnit(
                 bug_id=bug_id,
+                platform="p4c" if bug.location != LOCATION_BACKEND else bug.platform,
+                generator=KnobArm("static", overrides).apply(spec.generator),
                 programs_per_bug=programs_per_bug,
-                generator=spec.generator,
                 max_tests=spec.max_tests,
-                artifact_path=spec.artifact_path,
                 sequence_length=spec.sequence_length,
             )
-            for bug_id in targets
-        ]
-        executor = make_executor(spec.jobs)
-        results: Dict[str, Dict[str, object]] = {}
-        for result in executor.map_unordered(_detect_bug, tasks):
-            results[result["bug_id"]] = result
-            if self.store is not None:
-                for payload in result["fresh"]:
-                    self.store.append(
-                        result["store_key"], UnitOutcome.from_dict(payload)
-                    )
+            keys[bug_id] = campaign_key(
+                unit.generator,
+                (bug_id,),
+                (unit.platform,),
+                spec.max_tests,
+                scope="matrix",
+                sequence_length=spec.sequence_length,
+            )
+            stored = self.store.load(keys[bug_id]) if self.store is not None else {}
+            resumed = self._resume_matrix_unit(unit, stored)
+            if isinstance(resumed, MatrixUnit):
+                pending.append(resumed)
+            else:
+                results[bug_id] = resumed
+
+        sink = None
+        if self.store is not None:
+
+            def sink(outcome: MatrixOutcome) -> None:
+                for fresh in outcome.fresh:
+                    self.store.append(keys[outcome.bug_id], fresh)
+
+        executor = self._make_executor()
+        for outcome in executor.run_units(pending, kind=KIND_MATRIX, sink=sink):
+            results[outcome.bug_id] = outcome
         return [
             DetectionRecord(
                 bug=BUG_CATALOG[bug_id],
-                detected=results[bug_id]["detected"],
-                technique=results[bug_id]["technique"],
-                programs_tried=results[bug_id]["attempts"],
+                detected=results[bug_id].detected,
+                technique=results[bug_id].technique,
+                programs_tried=results[bug_id].attempts,
             )
             for bug_id in targets
         ]
+
+    @staticmethod
+    def _resume_matrix_unit(
+        unit: MatrixUnit, stored: Dict[Tuple[int, str], UnitOutcome]
+    ) -> Union[MatrixUnit, MatrixOutcome]:
+        """Replay a defect's stored tries (a prefix of its try loop): the
+        defect's result, or the unit that resumes the loop after them."""
+
+        for index in range(unit.programs_per_bug):
+            outcome = stored.get((index, unit.platform))
+            if outcome is None:
+                return replace(unit, start=index)
+            if outcome.status == STATUS_FINDING:
+                return MatrixOutcome(
+                    unit.bug_id, True, detection_technique(outcome), index + 1
+                )
+        return MatrixOutcome(unit.bug_id, False, "", unit.programs_per_bug)

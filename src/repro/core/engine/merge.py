@@ -21,8 +21,8 @@ tallies are order-independent sums; report candidates keep a running
 per-identifier winner) and ``finalize()`` files the winners in their
 canonical order.  The distributed coordinator calls ``add()`` as shards
 stream in; ``merge()`` keeps the one-shot convenience API on top of the
-same two steps, so ``jobs=1``, a local pool, and a worker fleet produce
-byte-identical reports.
+same two steps, so ``jobs=1`` and a worker fleet produce byte-identical
+reports.
 
 Per-worker observability counters (solver STATS, validation/testgen cache
 hits) are summed into :attr:`CampaignStatistics.counters` so campaign

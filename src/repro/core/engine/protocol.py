@@ -11,13 +11,16 @@ stream.
 
 Requests (worker → coordinator)::
 
-    {"op": "hello",     "worker": W}
+    {"op": "hello",     "worker": W, "token": T}
     {"op": "lease",     "worker": W}
     {"op": "heartbeat", "worker": W, "lease": L}
     {"op": "outcome",   "worker": W, "lease": L, "outcome": {...}}
     {"op": "complete",  "worker": W, "lease": L}
     {"op": "status"}
     {"op": "bye",       "worker": W}
+
+A coordinator started with a token (a local fleet's per-phase secret)
+refuses every request on a connection whose hello did not carry it.
 
 Responses (coordinator → worker) always carry ``"ok"``; a lease response
 carries either a lease grant (``lease`` + serialized ``units``), a
@@ -121,9 +124,19 @@ class MessageStream:
 
 
 def connect(host: str, port: int, timeout: Optional[float] = None) -> MessageStream:
-    """Dial the coordinator and wrap the connection in a message stream."""
+    """Dial the coordinator (IPv4, as it listens) and wrap the connection.
 
-    sock = socket.create_connection((host, port), timeout=timeout)
+    A plain ``connect`` skips ``create_connection``'s ``getaddrinfo``,
+    whose first call costs a freshly forked worker about 6 ms.
+    """
+
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.settimeout(timeout)
+    try:
+        sock.connect((host, port))
+    except OSError:
+        sock.close()
+        raise
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return MessageStream(sock)
 

@@ -5,7 +5,7 @@ be the parent, under the serial executor).  Workers hold their own
 compiler, validator, solver and cache state — PR 1's intern tables and
 memo caches are process-local by design — so nothing here touches shared
 mutable state, and the only thing that crosses back to the parent is the
-JSON-serialisable :class:`~repro.core.engine.units.UnitOutcome`.
+JSON-serialisable outcome.
 
 Per-process caches:
 
@@ -23,7 +23,7 @@ between platforms and across the per-defect detection matrix.
 
 Importing this module also sets the process's garbage-collection policy
 (:data:`GC_GEN0_THRESHOLD`): every process that runs units imports it, and
-forked pool and fleet workers inherit the setting.
+forked fleet workers inherit the setting.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import gc
 import time
 from collections import OrderedDict
 from dataclasses import astuple, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import smt
 from repro.compiler import (
@@ -63,6 +63,7 @@ from repro.core.engine.units import (
     FINDING_CRASH,
     FINDING_INVALID,
     FINDING_SEMANTIC,
+    KINDS,
     STATUS_CLEAN,
     STATUS_FINDING,
     STATUS_ORACLE_ERROR,
@@ -70,10 +71,13 @@ from repro.core.engine.units import (
     TRIAGE_REDUCED,
     TRIAGE_UNREPRODUCED,
     FindingRecord,
+    MatrixOutcome,
+    MatrixUnit,
     TriageOutcome,
     TriageUnit,
     UnitOutcome,
     WorkUnit,
+    detection_technique,
 )
 from repro.core.reduce import (
     build_predicate,
@@ -129,7 +133,7 @@ _VALIDATOR = TranslationValidator()
 
 
 def reset_worker_state() -> None:
-    """Drop per-process memo caches (used by tests and pool recycling)."""
+    """Drop per-process memo caches (tests and benchmarks start runs cold)."""
 
     _PROGRAM_MEMO.clear()
     clear_testgen_cache()
@@ -401,9 +405,9 @@ def _unit_coverage(unit: WorkUnit, generated: GeneratedProgram) -> Dict[str, int
 def run_unit(unit: WorkUnit) -> UnitOutcome:
     """Execute one work unit end to end and report its outcome.
 
-    This is the function handed to the process pool; it must stay
-    module-level (picklable by reference) and must never raise — an oracle
-    failure is an outcome, not an exception.
+    An oracle failure is an outcome, not an exception: a unit that raises
+    fails its campaign (under the fleet, the worker exits with status 1
+    and the executor raises).
     """
 
     before = _counters_snapshot()
@@ -432,6 +436,27 @@ def run_unit(unit: WorkUnit) -> UnitOutcome:
     )
 
 
+def runner_for(kind: str) -> Callable:
+    """This module's runner for ``kind``, looked up when called: a tracer
+    may have rebound the name since import."""
+
+    return globals()[KINDS[kind].runner]
+
+
+def run_matrix_unit(unit: MatrixUnit) -> MatrixOutcome:
+    """Try one seeded defect's programs in index order until one detects it."""
+
+    fresh: List[UnitOutcome] = []
+    for index in range(unit.start, unit.programs_per_bug):
+        outcome = run_unit(unit.work_unit(index))
+        fresh.append(outcome)
+        if outcome.status == STATUS_FINDING:
+            return MatrixOutcome(
+                unit.bug_id, True, detection_technique(outcome), index + 1, fresh
+            )
+    return MatrixOutcome(unit.bug_id, False, "", unit.programs_per_bug, fresh)
+
+
 # ----------------------------------------------------------------------
 # The triage stage (reduce + localize), one unit per deduplicated report
 # ----------------------------------------------------------------------
@@ -439,8 +464,8 @@ def run_unit(unit: WorkUnit) -> UnitOutcome:
 def run_triage_unit(unit: TriageUnit) -> TriageOutcome:
     """Reduce one filed report's trigger program and localize its defect.
 
-    Runs worker-side on the same executor as generation units (module-level
-    and picklable by reference, never raises).  The whole computation is a
+    Runs worker-side on the same executor as generation units (never
+    raises).  The whole computation is a
     deterministic function of the unit — the trigger source is parsed back
     to an AST, the oracle predicate is rebuilt from the original finding,
     and the reducer enumerates edits in program order — so ``jobs=1`` and

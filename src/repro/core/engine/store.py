@@ -4,7 +4,7 @@ Every finished work unit is appended to the store as one JSON line, so a
 campaign killed at any point leaves a valid prefix on disk.  On restart the
 engine loads the completed units for its *campaign key* and only schedules
 the remainder; ``run_detection_matrix`` shares the same store, so a matrix
-re-run reuses every unit an earlier (possibly interrupted) run finished.
+re-run reuses every unit an earlier run persisted.
 
 The campaign key is a content hash of everything that determines a unit's
 result — generator config (which embeds the seed), enabled defects,
@@ -13,9 +13,10 @@ reuses stale outcomes.  The program count is deliberately excluded: units
 are keyed by program index, so growing a 100-program campaign to 1000
 reuses the first 100 programs' outcomes verbatim.
 
-The parent process is the only writer; workers ship outcomes back over the
-pool and the engine appends them as they complete.  A torn final line
-(process killed mid-write) is skipped on load.
+The parent process is the only writer: the serial executor runs units
+there, and fleet workers stream outcomes to the coordinator there, which
+appends each one before acknowledging it.  A torn final line (process
+killed mid-write) is skipped on load.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict
 from typing import Dict, Iterable, Tuple
 
 from repro.core.generator import GeneratorConfig
-from repro.core.engine.units import KIND_TRIAGE, KIND_WORK, TriageOutcome, UnitOutcome
+from repro.core.engine.units import TriageOutcome, UnitOutcome
 
 
 class OutcomeDedup:
@@ -131,14 +132,6 @@ class ArtifactStore:
 
         self._append_line({"key": key, "triage": outcome.to_dict()})
 
-    def append_outcome(self, key: str, kind: str, outcome) -> None:
-        """Kind-dispatching append (the coordinator streams both kinds)."""
-
-        if kind == KIND_WORK:
-            self.append(key, outcome)
-        else:
-            self.append_triage(key, outcome)
-
     def append_lease_event(self, key: str, event: Dict) -> None:
         """One line of the coordinator's lease journal.
 
@@ -185,21 +178,19 @@ class ArtifactStore:
     def load(self, key: str) -> Dict[Tuple[int, str], UnitOutcome]:
         """All completed outcomes recorded for ``key`` (first write wins)."""
 
-        return self._load_outcomes(key, KIND_WORK)
+        return self._load_outcomes(key, "outcome", UnitOutcome)
 
     def load_triage(self, key: str) -> Dict[str, TriageOutcome]:
         """All completed reductions recorded for ``key``, by report identifier."""
 
-        return self._load_outcomes(key, KIND_TRIAGE)
+        return self._load_outcomes(key, "triage", TriageOutcome)
 
-    def _load_outcomes(self, key: str, kind: str) -> Dict:
+    def _load_outcomes(self, key: str, payload_field: str, outcome_cls) -> Dict:
         """Resume loader: decode, then dedup with the shared first-write-wins
         policy — the same :class:`OutcomeDedup` the coordinator applies to
         streamed shard lines, so a store written under at-least-once
         delivery loads exactly the set the coordinator accepted."""
 
-        payload_field = "outcome" if kind == KIND_WORK else "triage"
-        outcome_cls = UnitOutcome if kind == KIND_WORK else TriageOutcome
         dedup = OutcomeDedup()
         for entry in self._entries():
             if entry.get("key") != key:
@@ -208,9 +199,7 @@ class ArtifactStore:
                 outcome = outcome_cls.from_dict(entry[payload_field])
             except (KeyError, TypeError):
                 continue
-            dedup.accept(
-                outcome.key if kind == KIND_WORK else outcome.identifier, outcome
-            )
+            dedup.accept(outcome.key, outcome)
         return dedup.accepted
 
     def load_lease_events(self, key: str) -> list:

@@ -1,10 +1,11 @@
 """Work units and their outcomes — the engine's wire format.
 
 A campaign is decomposed into independent ``(program_index, platform)``
-work units.  Each unit is *picklable* (it crosses a process boundary on the
-way to a pool worker) and each outcome is *JSON-serialisable* (it is
-appended to the campaign's JSONL artifact store so an interrupted campaign
-can resume without recomputing finished units).
+work units.  Every unit and outcome of every kind (:data:`KINDS`) has a
+``key`` and a JSON form (``to_dict`` / ``from_dict``): units cross a TCP
+connection on the way to a fleet worker, and outcomes are appended to the
+campaign's JSONL artifact store so an interrupted campaign can resume
+without recomputing finished units.
 
 The outcome deliberately carries raw, attribution-free data: which oracle
 fired, the finding's signature/pass/witness, and the emitted source that
@@ -17,7 +18,7 @@ independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.generator import GeneratorConfig
 
@@ -46,40 +47,14 @@ TRIAGE_REDUCED = "reduced"
 TRIAGE_UNREPRODUCED = "unreproduced"
 
 #: Unit kinds: every executor stage (local or distributed) schedules one
-#: homogeneous batch of either generation units (:class:`WorkUnit` →
-#: :class:`UnitOutcome`) or triage units (:class:`TriageUnit` →
-#: :class:`TriageOutcome`).  The kind travels with a distributed lease so
-#: a worker knows which runner to dispatch.
+#: homogeneous batch of generation units (:class:`WorkUnit` →
+#: :class:`UnitOutcome`), triage units (:class:`TriageUnit` →
+#: :class:`TriageOutcome`) or detection-matrix units (:class:`MatrixUnit` →
+#: :class:`MatrixOutcome`).  The kind travels with a distributed lease so
+#: a worker knows which runner to dispatch (:data:`KINDS`).
 KIND_WORK = "work"
 KIND_TRIAGE = "triage"
-
-
-def unit_key(kind: str, unit) -> object:
-    """The dedup identity of a unit (work: ``(index, platform)``; triage: id)."""
-
-    return unit.key if kind == KIND_WORK else unit.identifier
-
-
-def outcome_key(kind: str, outcome) -> object:
-    """The dedup identity of an outcome, matching :func:`unit_key`."""
-
-    return outcome.key if kind == KIND_WORK else outcome.identifier
-
-
-def unit_to_dict(kind: str, unit) -> Dict[str, object]:
-    """JSON wire form of a unit (leases ship units to remote workers)."""
-
-    return unit.to_dict()
-
-
-def unit_from_dict(kind: str, payload: Dict[str, object]):
-    cls = WorkUnit if kind == KIND_WORK else TriageUnit
-    return cls.from_dict(payload)
-
-
-def outcome_from_dict(kind: str, payload: Dict[str, object]):
-    cls = UnitOutcome if kind == KIND_WORK else TriageOutcome
-    return cls.from_dict(payload)
+KIND_MATRIX = "matrix"
 
 
 def platform_rank(platform: str) -> int:
@@ -99,7 +74,7 @@ class WorkUnit:
     (the generator config embeds the campaign seed; the program itself is
     derived from ``(seed, program_index)`` via
     :func:`repro.core.generator.derive_child_seed`) rather than the program
-    AST itself: regeneration is cheap, deterministic, and keeps the pickled
+    AST itself: regeneration is cheap, deterministic, and keeps the
     payload tiny.
     """
 
@@ -117,9 +92,6 @@ class WorkUnit:
     @property
     def key(self) -> Tuple[int, str]:
         return (self.program_index, self.platform)
-
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.program_index, platform_rank(self.platform))
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -321,6 +293,10 @@ class TriageOutcome:
     min_sequence_length: int = 0
 
     @property
+    def key(self) -> str:
+        return self.identifier
+
+    @property
     def reduction_ratio(self) -> float:
         if self.original_size <= 0:
             return 0.0
@@ -366,14 +342,106 @@ class TriageOutcome:
         )
 
 
+def detection_technique(outcome: UnitOutcome) -> str:
+    """Map a detecting unit outcome onto the paper's technique names."""
+
+    if any(finding.kind == FINDING_CRASH for finding in outcome.findings):
+        return "crash"
+    if outcome.platform == "p4c":
+        return "translation_validation"
+    return "symbolic_execution"
+
+
+@dataclass(frozen=True)
+class MatrixUnit:
+    """One defect's detection-matrix try loop, shipped to a worker.
+
+    The loop runs programs ``start``, ``start + 1``, ... of the steered
+    ``generator`` on ``platform`` until the first finding or
+    ``programs_per_bug``; ``start`` skips the tries the store holds.
+    """
+
+    bug_id: str
+    platform: str
+    generator: GeneratorConfig
+    programs_per_bug: int
+    max_tests: int = 4
+    sequence_length: int = 3
+    start: int = 0
+
+    @property
+    def key(self) -> str:
+        return self.bug_id
+
+    def work_unit(self, program_index: int) -> WorkUnit:
+        """The single-defect generation unit of one try."""
+
+        return WorkUnit(
+            program_index=program_index,
+            platform=self.platform,
+            generator=self.generator,
+            enabled_bugs=(self.bug_id,),
+            max_tests=self.max_tests,
+            sequence_length=self.sequence_length,
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "MatrixUnit":
+        return cls(**{**payload, "generator": GeneratorConfig(**payload["generator"])})
+
+
+@dataclass
+class MatrixOutcome:
+    """Whether one defect's try loop detected it, plus the units it ran."""
+
+    bug_id: str
+    detected: bool
+    technique: str = ""
+    #: Programs tried, counting the ones reused from the store.
+    attempts: int = 0
+    #: Outcomes of the tries this loop ran, for the engine to persist.
+    fresh: List[UnitOutcome] = field(default_factory=list)
+
+    @property
+    def key(self) -> str:
+        return self.bug_id
+
+    def to_dict(self) -> Dict[str, object]:
+        return {**vars(self), "fresh": [outcome.to_dict() for outcome in self.fresh]}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "MatrixOutcome":
+        fresh = [UnitOutcome.from_dict(entry) for entry in payload["fresh"]]
+        return cls(**{**payload, "fresh": fresh})
+
+
+class Kind(NamedTuple):
+    """A unit kind's classes, and the name of its runner in ``stages``."""
+
+    unit: type
+    outcome: type
+    runner: str
+
+
+KINDS: Dict[str, Kind] = {
+    KIND_WORK: Kind(WorkUnit, UnitOutcome, "run_unit"),
+    KIND_TRIAGE: Kind(TriageUnit, TriageOutcome, "run_triage_unit"),
+    KIND_MATRIX: Kind(MatrixUnit, MatrixOutcome, "run_matrix_unit"),
+}
+
+
 def program_groups(units: Sequence) -> List[List]:
     """Split ``units`` into runs of consecutive units of one program.
 
     A program's platform units share its prefix compilation, snapshot
     reparse and interpretation, symbolic tests and SAT queries through
     per-process caches, so an executor that keeps each run on one worker
-    does that work once per program, as the serial loop does.  Every
-    transport places units by this rule.  Triage units are groups of one.
+    does that work once per program, as the serial loop does.  The fleet's
+    leases place units by this rule.  Triage and matrix units are groups
+    of one.
     (A batch holds one unit kind, so a work unit's predecessor is one too.)
     """
 
@@ -403,7 +471,7 @@ def build_units(
     ``programs`` is the round's range of program indices (``range(n)``
     for a static campaign).  Unknown platforms are rejected here, in the
     parent, before any work is scheduled: a worker raising mid-campaign
-    would abort the pool with a half-written artifact store.
+    would abort the campaign with a half-written artifact store.
     """
 
     unknown = [platform for platform in platforms if platform not in PLATFORM_ORDER]

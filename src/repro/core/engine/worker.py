@@ -34,18 +34,19 @@ import time
 from typing import Dict, Optional
 
 from repro.core.engine import protocol
-from repro.core.engine.executor import runner_for
-from repro.core.engine.units import KIND_WORK, unit_from_dict
+from repro.core.engine.stages import runner_for
+from repro.core.engine.units import KIND_WORK, KINDS
 
 
 class _HeartbeatPump(threading.Thread):
     """Second-connection heartbeats for the lease currently executing."""
 
-    def __init__(self, host: str, port: int, worker_id: str, interval_s: float) -> None:
-        super().__init__(name=f"{worker_id}-heartbeat", daemon=True)
+    def __init__(self, host: str, port: int, hello: Dict, interval_s: float) -> None:
+        super().__init__(name=f"{hello['worker']}-heartbeat", daemon=True)
         self._host = host
         self._port = port
-        self._worker_id = worker_id
+        self._hello = hello
+        self._worker_id = hello["worker"]
         self._interval = max(0.05, interval_s)
         self._lease_id: Optional[str] = None
         self._lock = threading.Lock()
@@ -68,6 +69,8 @@ class _HeartbeatPump(threading.Thread):
             try:
                 if stream is None:
                     stream = protocol.connect(self._host, self._port, timeout=10.0)
+                    stream.send(self._hello)
+                    stream.recv()
                 stream.send(
                     {
                         "op": protocol.OP_HEARTBEAT,
@@ -89,6 +92,7 @@ def run_worker(
     port: int,
     worker_id: Optional[str] = None,
     *,
+    token: Optional[str] = None,
     fail_after: Optional[int] = None,
     connect_timeout_s: float = 30.0,
     quiet: bool = True,
@@ -99,7 +103,9 @@ def run_worker(
     coordinator may still be binding when the fleet starts) but exits as
     soon as a live conversation ends — a vanished coordinator means the
     campaign was killed; the journal and store make the *restarted*
-    campaign re-lease whatever this worker did not finish.
+    campaign re-lease whatever this worker did not finish.  ``token`` is
+    the secret of a local fleet's coordinator; a serve-mode coordinator
+    takes none.
     """
 
     worker_id = worker_id or f"worker-{os.getpid()}"
@@ -117,14 +123,16 @@ def run_worker(
     executed = 0
     pump = None
     try:
-        stream.send({"op": protocol.OP_HELLO, "worker": worker_id})
+        hello = {"op": protocol.OP_HELLO, "worker": worker_id, "token": token}
+        stream.send(hello)
         welcome = stream.recv()
         if not welcome or not welcome.get("ok"):
             return stats
         kind = welcome.get("kind", KIND_WORK)
+        unit_cls = KINDS[kind].unit
         runner = runner_for(kind)
         heartbeat_s = float(welcome.get("heartbeat_s", 5.0))
-        pump = _HeartbeatPump(host, port, worker_id, heartbeat_s)
+        pump = _HeartbeatPump(host, port, hello, heartbeat_s)
         pump.start()
 
         while True:
@@ -148,8 +156,7 @@ def run_worker(
                     flush=True,
                 )
             for payload in lease["units"]:
-                unit = unit_from_dict(kind, payload)
-                outcome = runner(unit)
+                outcome = runner(unit_cls.from_dict(payload))
                 executed += 1
                 stream.send(
                     {
@@ -189,10 +196,3 @@ def run_worker(
         stream.close()
     return stats
 
-
-def worker_process_main(
-    host: str, port: int, worker_id: str, fail_after: Optional[int] = None
-) -> None:
-    """``multiprocessing.Process`` target for locally spawned fleets."""
-
-    run_worker(host, port, worker_id, fail_after=fail_after)

@@ -21,7 +21,7 @@ for every candidate; the oracle
 Everything here is deterministic: transformations enumerate edits in
 program order and the predicate is a pure function of the candidate, so
 the same (program, finding) pair reduces to the same result in every
-process — which is what lets the engine shard reductions across a pool
+process — which is what lets the engine shard reductions across a fleet
 and still merge byte-identical reports.
 """
 

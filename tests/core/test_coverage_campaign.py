@@ -2,8 +2,8 @@
 
 The determinism contract under test: a scheduled campaign is a pure
 function of its config — same reports, same knob-arm provenance and same
-merged coverage counters at jobs=1, jobs=4 and on a two-worker distributed
-fleet, and again after a store resume.  Plus the regression guard the
+merged coverage counters at jobs=1, 2 and 4 (the last two on a local
+worker fleet), and again after a store resume.  Plus the regression guard the
 arm catalog ships with: with ``schedule_rounds=0`` the seed-0 corpus
 stays byte-identical to the committed digest (the knobs the arms steer
 gate before they draw, so adding them moved no RNG stream).
@@ -53,12 +53,12 @@ def report_blob(stats) -> str:
 
 
 class TestScheduledDeterminism:
-    def test_jobs1_jobs4_distributed2_byte_identical(self):
+    def test_jobs_1_2_4_byte_identical(self):
         serial = Campaign(scheduled_config()).run()
-        pooled = Campaign(scheduled_config(jobs=4)).run()
-        fleet = Campaign(scheduled_config(distributed=2)).run()
-        assert report_blob(serial) == report_blob(pooled) == report_blob(fleet)
-        assert serial.coverage() == pooled.coverage() == fleet.coverage()
+        fleet2 = Campaign(scheduled_config(jobs=2)).run()
+        fleet4 = Campaign(scheduled_config(jobs=4)).run()
+        assert report_blob(serial) == report_blob(fleet2) == report_blob(fleet4)
+        assert serial.coverage() == fleet2.coverage() == fleet4.coverage()
         assert serial.coverage(), "scheduled campaign produced no coverage"
         assert serial.tracker.reports, "seeded campaign filed no reports"
 
@@ -71,7 +71,7 @@ class TestScheduledDeterminism:
             assert report.knob_overrides == arm.overrides_dict()
 
     def test_fleet_counters_cover_every_round(self):
-        stats = Campaign(scheduled_config(distributed=2)).run()
+        stats = Campaign(scheduled_config(jobs=2)).run()
         assert stats.units_total == 16
         assert stats.counters["dist_outcomes_streamed"] == stats.units_total
 

@@ -18,24 +18,38 @@ The service's contract extends the engine's executor-equivalence leg:
 
 import json
 import threading
+import time
+
+import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine import (
+    TRIAGE_UNREPRODUCED,
     ArtifactStore,
     CampaignEngine,
     CampaignSpec,
     CoordinatorService,
     DistributedExecutor,
     FindingRecord,
+    MatrixOutcome,
+    MatrixUnit,
     OutcomeDedup,
+    SerialExecutor,
+    TriageOutcome,
     TriageUnit,
     UnitOutcome,
     build_units,
     campaign_key,
     run_worker,
 )
-from repro.core.engine import protocol
-from repro.core.engine.units import KIND_TRIAGE, STATUS_CLEAN
+from repro.core.engine import coordinator, protocol, stages
+from repro.core.engine.units import (
+    KIND_MATRIX,
+    KIND_TRIAGE,
+    KIND_WORK,
+    KINDS,
+    STATUS_CLEAN,
+)
 from repro.core.generator import GeneratorConfig
 
 ENABLED = (
@@ -318,6 +332,34 @@ class TestCoordinatorService:
             stream.close()
             service.stop()
 
+    def test_a_token_service_refuses_requests_without_it(self):
+        units = self._units(programs=1, platforms=("p4c",))
+        service, stream = self._start(units, token="phase-secret")
+        outcome = {
+            "op": "outcome",
+            "worker": "w",
+            "outcome": _clean_outcome(units[0]).to_dict(),
+        }
+        try:
+            stream.send(outcome)
+            assert stream.recv()["ok"] is False
+            for token in (None, "guess"):
+                stream.send({"op": "hello", "worker": "w", "token": token})
+                assert stream.recv()["ok"] is False
+                stream.send(outcome)
+                assert stream.recv()["ok"] is False
+            assert service.status()["done"] == 0
+
+            stream.send({"op": "hello", "worker": "w", "token": "phase-secret"})
+            assert stream.recv()["ok"]
+            stream.send(outcome)
+            accepted = stream.recv()
+            assert accepted["ok"] and accepted["duplicate"] is False
+            assert service.done
+        finally:
+            stream.close()
+            service.stop()
+
     def test_in_process_worker_drains_service(self):
         """The real worker loop against the real service, no subprocesses."""
 
@@ -519,8 +561,9 @@ class TestDefectAttribution:
 
 
 class TestSpecWiring:
-    def test_spec_distributed_selects_the_distributed_executor(self):
-        engine = CampaignEngine(small_spec(distributed=2))
+    def test_spec_jobs_selects_the_executor(self):
+        assert isinstance(CampaignEngine(small_spec())._make_executor(), SerialExecutor)
+        engine = CampaignEngine(small_spec(jobs=2))
         executor = engine._make_executor()
         assert isinstance(executor, DistributedExecutor)
         assert executor.workers == 2
@@ -531,7 +574,8 @@ class TestSpecWiring:
         assert isinstance(executor, DistributedExecutor)
         assert executor.workers == 0
 
-    def test_outcome_wire_round_trip_preserves_attribution(self):
+    @pytest.mark.parametrize("case", ["work-unit", "matrix-unit", "matrix-outcome"])
+    def test_outcome_wire_round_trip_preserves_attribution(self, case):
         unit = build_units(
             programs=range(1),
             platforms=("bmv2",),
@@ -539,10 +583,102 @@ class TestSpecWiring:
             enabled_bugs=ENABLED,
             max_tests=4,
         )[0]
-        payload = json.loads(json.dumps(unit.to_dict()))
-        from repro.core.engine.units import WorkUnit
+        matrix_unit = MatrixUnit(
+            bug_id="bmv2_wide_field_truncation",
+            platform="bmv2",
+            generator=GeneratorConfig(seed=3, p_narrowing_cast=0.4),
+            programs_per_bug=12,
+            sequence_length=1,
+            start=2,
+        )
+        original, cls = {
+            "work-unit": (unit, KINDS[KIND_WORK].unit),
+            "matrix-unit": (matrix_unit, KINDS[KIND_MATRIX].unit),
+            "matrix-outcome": (
+                MatrixOutcome(
+                    bug_id="bmv2_wide_field_truncation",
+                    detected=True,
+                    technique="symbolic_execution",
+                    attempts=3,
+                    fresh=[stages.run_unit(matrix_unit.work_unit(2))],
+                ),
+                KINDS[KIND_MATRIX].outcome,
+            ),
+        }[case]
+        payload = json.loads(json.dumps(original.to_dict()))
+        back = cls.from_dict(payload)
+        assert back == original
+        assert back.key == original.key
+        if case == "work-unit":
+            assert back.generator == unit.generator
+            assert back.enabled_bugs == unit.enabled_bugs
 
-        back = WorkUnit.from_dict(payload)
-        assert back.key == unit.key
-        assert back.generator == unit.generator
-        assert back.enabled_bugs == unit.enabled_bugs
+
+class TestPhaseEnd:
+    def test_phase_ends_without_waiting_out_a_retry_sleep(self, monkeypatch):
+        # Two one-platform programs fill one lease, so the second worker
+        # is told to retry in 30 s; the phase must end when the first
+        # worker's outcomes arrive, not when the sleeper wakes.
+        monkeypatch.setattr(coordinator, "DEFAULT_RETRY_S", 30.0)
+        units = build_units(range(2), ("p4c",), GeneratorConfig(seed=3), ENABLED, 4)
+        start = time.monotonic()
+        outcomes = list(DistributedExecutor(2).run_units(units))
+        assert sorted(outcome.key for outcome in outcomes) == [unit.key for unit in units]
+        assert time.monotonic() - start < 5.0
+
+    def test_a_unit_that_raises_fails_the_phase_without_a_crash_loop(
+        self, monkeypatch
+    ):
+        original = stages.run_unit
+
+        def run_unit(unit):
+            if unit.program_index == 3:
+                raise KeyError("injected")
+            return original(unit)
+
+        # Fleet workers are forked after the patch, so they run it.  At the
+        # default lease TTL, re-leasing the unit to replacement workers
+        # would take minutes to give up.
+        monkeypatch.setattr(stages, "run_unit", run_unit)
+        with pytest.raises(KeyError):
+            CampaignEngine(small_spec(programs=8)).run()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            CampaignEngine(
+                small_spec(programs=8), executor=DistributedExecutor(2)
+            ).run()
+        assert time.monotonic() - start < 30.0
+
+    @pytest.mark.parametrize("kind", [KIND_TRIAGE, KIND_MATRIX])
+    def test_triage_and_matrix_units_lease_one_at_a_time(self, kind, monkeypatch):
+        # One lease per unit, so two workers can run two reductions side by
+        # side: the program-sized lease minimum is for generation units.
+        finding = FindingRecord(
+            kind="crash", platform="p4c", pass_name="P", description="boom"
+        )
+        units = {
+            KIND_TRIAGE: [
+                TriageUnit(identifier=f"p4c:{n}", platform="p4c", source="", finding=finding)
+                for n in range(2)
+            ],
+            KIND_MATRIX: [
+                MatrixUnit(bug, "p4c", GeneratorConfig(seed=3), programs_per_bug=1)
+                for bug in ENABLED[:2]
+            ],
+        }[kind]
+        monkeypatch.setattr(
+            stages,
+            "run_triage_unit",
+            lambda unit: TriageOutcome(unit.identifier, TRIAGE_UNREPRODUCED),
+        )
+        monkeypatch.setattr(
+            stages,
+            "run_matrix_unit",
+            lambda unit: MatrixOutcome(unit.bug_id, False, "", 1, []),
+        )
+        executor = DistributedExecutor(2)
+        outcomes = list(executor.run_units(units, kind))
+        assert sorted(outcome.key for outcome in outcomes) == sorted(
+            unit.key for unit in units
+        )
+        assert executor.service_counters["dist_leases_issued"] == 2

@@ -2,9 +2,9 @@
 
 The engine's contract has three legs:
 
-* **executor equivalence** — at a fixed seed, the serial executor and the
-  process-pool executor file byte-identical deduplicated bug reports and
-  aggregate statistics (completion order must not matter);
+* **executor equivalence** — at a fixed seed, the serial executor and a
+  local worker fleet (``jobs > 1``) file byte-identical deduplicated bug
+  reports and aggregate statistics (completion order must not matter);
 * **resume** — a campaign killed mid-flight (simulated by truncating the
   JSONL artifact store, including a torn final line) finishes to the same
   result as an uninterrupted run, recomputing only the missing units;
@@ -12,13 +12,15 @@ The engine's contract has three legs:
   ``(seed, i)``, never on generation order, so any shard can be produced
   independently in any process.
 
-Parallel transports also keep each program's units on one worker, so
-their cache-miss counts equal the serial run's.
+The fleet also keeps each program's units on one worker, so its
+cache-miss counts equal the serial run's.
 """
 
 import gc
 import json
 import os
+
+import pytest
 
 from repro import smt
 from repro.compiler.bugs import BUG_CATALOG
@@ -29,7 +31,6 @@ from repro.core.engine import (
     CampaignSpec,
     DistributedExecutor,
     FindingRecord,
-    ProcessPoolExecutor,
     SerialExecutor,
     UnitOutcome,
     WorkUnit,
@@ -38,6 +39,7 @@ from repro.core.engine import (
     reset_worker_state,
     run_unit,
 )
+from repro.core.engine import stages
 from repro.core.engine.stages import GC_GEN0_THRESHOLD
 from repro.core.engine.units import program_groups
 from repro.core.validation import clear_validation_caches
@@ -201,7 +203,7 @@ class TestExecutorEquivalence:
 
 
 class TestProgramPlacement:
-    """Every transport runs a program's units on one worker.
+    """The fleet runs a program's units on one worker.
 
     A program's platform units share its prefix compilation, snapshot
     reparse and interpretation and symbolic tests through per-process
@@ -220,7 +222,7 @@ class TestProgramPlacement:
             [(2, "p4c"), (2, "bmv2")],
         ]
 
-    def test_parallel_transports_miss_the_caches_as_serial_does(self):
+    def test_fleet_misses_the_caches_as_serial_does(self):
         spec = CampaignSpec(
             programs=12,
             generator=GeneratorConfig(seed=0),
@@ -229,7 +231,6 @@ class TestProgramPlacement:
         misses = {}
         for name, executor in (
             ("serial", SerialExecutor()),
-            ("pool", ProcessPoolExecutor(2)),
             ("fleet", DistributedExecutor(2)),
         ):
             # Forked workers inherit this process's caches: start each
@@ -240,27 +241,34 @@ class TestProgramPlacement:
             reset_worker_state()
             counters = CampaignEngine(spec, executor=executor).run().counters
             misses[name] = [counters[key] for key in self.MISSES]
-        assert misses["pool"] == misses["serial"]
         assert misses["fleet"] == misses["serial"]
-
-
-def _gen0_threshold(_item):
-    """Pool-worker probe: the process it ran in and its gen0 threshold."""
-
-    return os.getpid(), gc.get_threshold()[0]
 
 
 class TestCollectorPolicy:
     """Every process that runs units collects garbage under one policy."""
 
-    def test_import_sets_gen0_threshold_here_and_in_pool_workers(self):
+    def test_import_sets_gen0_threshold_here_and_in_fleet_workers(self, monkeypatch):
         assert gc.get_threshold()[0] == GC_GEN0_THRESHOLD
-        probes = list(
-            ProcessPoolExecutor(2).map_unordered(_gen0_threshold, range(4))
-        )
+
+        def probe(unit):
+            """Report the process the unit ran in and its gen0 threshold."""
+
+            return UnitOutcome(
+                program_index=unit.program_index,
+                platform=unit.platform,
+                status="clean",
+                counters={"pid": os.getpid(), "gen0": gc.get_threshold()[0]},
+            )
+
+        # Fleet workers are forked after the patch, so they run the probe.
+        monkeypatch.setattr(stages, "run_unit", probe)
+        units = build_units(range(4), ("p4c",), GeneratorConfig(seed=0), (), 4)
+        probes = [
+            outcome.counters for outcome in DistributedExecutor(2).run_units(units)
+        ]
         assert len(probes) == 4
-        assert all(pid != os.getpid() for pid, _ in probes)
-        assert {threshold for _, threshold in probes} == {GC_GEN0_THRESHOLD}
+        assert all(probe["pid"] != os.getpid() for probe in probes)
+        assert {probe["gen0"] for probe in probes} == {GC_GEN0_THRESHOLD}
 
     def test_campaign_reports_collections_per_generation(self):
         stats = Campaign(small_config(programs=5, enabled_bugs=(), jobs=1)).run()
@@ -317,13 +325,18 @@ class TestResume:
         assert grown.units_reused == small.units_total
         assert grown.units_total == 2 * small.units_total
 
-    def test_detection_matrix_reuses_store_units(self, tmp_path):
+    @pytest.mark.parametrize("first_jobs", [1, 2])
+    def test_detection_matrix_reuses_store_units(self, tmp_path, first_jobs):
         config = self._config(str(tmp_path))
-        campaign = Campaign(config)
-        bug_ids = ["constant_folding_no_mask"]
-        first = campaign.run_detection_matrix(bug_ids, programs_per_bug=10)
+        bug_ids = ["constant_folding_no_mask", "bmv2_wide_field_truncation"]
+        # The first run writes the store serially or from the fleet; a
+        # serial re-run reuses it either way.
+        first = Campaign(
+            self._config(str(tmp_path), jobs=first_jobs)
+        ).run_detection_matrix(bug_ids, programs_per_bug=10)
         store_size = len(ArtifactStore(config.artifact_path))
-        second = campaign.run_detection_matrix(bug_ids, programs_per_bug=10)
+        assert store_size > 0
+        second = Campaign(config).run_detection_matrix(bug_ids, programs_per_bug=10)
         # No new units were computed the second time around.
         assert len(ArtifactStore(config.artifact_path)) == store_size
         assert [(r.detected, r.technique, r.programs_tried) for r in second] == [

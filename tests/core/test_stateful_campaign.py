@@ -4,7 +4,7 @@ The stateful-execution acceptance campaign: with register generation
 enabled, seeded campaigns must detect all three ``StatefulLowering``
 defects (attributed to that pass), the eBPF flush defect must be reachable
 *only* through multi-packet sequences, reports must stay byte-identical
-across ``jobs`` and the distributed fleet, and sequence metadata must
+across ``jobs`` (serial and the worker fleet), and sequence metadata must
 survive the store wire formats and the triage stage.
 """
 
@@ -168,31 +168,18 @@ class TestStatefulDefectDetection:
 # ----------------------------------------------------------------------
 
 class TestStatefulDeterminism:
-    def test_parallel_matches_serial_byte_identical(self):
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_parallel_matches_serial_byte_identical(self, jobs):
         enabled = STATEFUL_MIDEND_DEFECTS + (EBPF_DEFECT,)
         platforms = ("p4c", "ebpf")
         serial = Campaign(
             stateful_config(enabled_bugs=enabled, platforms=platforms, jobs=1)
         ).run()
         parallel = Campaign(
-            stateful_config(enabled_bugs=enabled, platforms=platforms, jobs=4)
+            stateful_config(enabled_bugs=enabled, platforms=platforms, jobs=jobs)
         ).run()
         assert serial.tracker.reports
         assert reports(parallel) == reports(serial)
-
-    def test_distributed_fleet_matches_serial_byte_identical(self):
-        enabled = STATEFUL_MIDEND_DEFECTS + (EBPF_DEFECT,)
-        platforms = ("p4c", "ebpf")
-        serial = Campaign(
-            stateful_config(enabled_bugs=enabled, platforms=platforms)
-        ).run()
-        fleet = Campaign(
-            stateful_config(
-                enabled_bugs=enabled, platforms=platforms, distributed=2
-            )
-        ).run()
-        assert serial.tracker.reports
-        assert reports(fleet) == reports(serial)
 
 
 # ----------------------------------------------------------------------

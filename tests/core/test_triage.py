@@ -385,7 +385,7 @@ class TestTriageResume:
         from repro.core.generator import GeneratorConfig
 
         generator = GeneratorConfig(seed=3)
-        unit_key = campaign_key(
+        work_key = campaign_key(
             generator, ENABLED, ("p4c", "bmv2", "tofino"), 4, sequence_length=3
         )
         reduce_key = triage_key(
@@ -396,10 +396,10 @@ class TestTriageResume:
             reduce_rounds=8,
             sequence_length=3,
         )
-        units = store.load(unit_key)
+        units = store.load(work_key)
         triaged = store.load_triage(reduce_key)
         assert units and triaged
-        assert store.load_triage(unit_key) == {}
+        assert store.load_triage(work_key) == {}
         assert store.load(reduce_key) == {}
 
 

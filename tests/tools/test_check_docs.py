@@ -105,3 +105,28 @@ def test_the_repository_package_readmes_name_live_symbols():
             if entry[1].startswith("stale symbol")
         ]
         assert stale == [], path
+
+
+def test_fenced_module_map_rows_are_checked():
+    text = (
+        "```\n"
+        " engine/engine.py   CampaignEngine        (round loop)\n"
+        " engine/executor.py SerialExecutor | BanditScheduler\n"
+        " reduce/            KnobArm(ARM_PROFILES) steering\n"
+        "```\n"
+    )
+    assert symbols(text, WORDS | {"SerialExecutor"}) == [
+        (3, "stale symbol: `BanditScheduler`"),
+        (4, "stale symbol: `ARM_PROFILES`"),
+    ]
+
+
+def test_fenced_lines_that_are_not_map_rows_are_ignored():
+    text = (
+        "```\n"
+        "PYTHONPATH=src python -c 'BanditScheduler()'\n"
+        "    |        BanditScheduler\n"
+        "```\n"
+        " engine.py   BanditScheduler (outside a fence: prose)\n"
+    )
+    assert symbols(text) == []

@@ -19,7 +19,9 @@ symbols**: an inline-code span that is ``CamelCase``,
 ``CamelCase.member`` or ``UPPER_SNAKE`` fails when some part of it is a
 word in no ``.py`` file under the code directories (:data:`CODE_DIRS`),
 so deleting or renaming a class, method or constant fails the docs job
-until the READMEs stop naming it.
+until the READMEs stop naming it.  Inside fences the same check reads
+the symbol-shaped words of module-map rows: lines that start with a
+``*.py`` path or a ``dir/``.
 
 Two facts the top-level ``README.md`` states about the code are checked
 against the code itself (:func:`readme_problems`):
@@ -56,6 +58,11 @@ _SYMBOL = re.compile(
     r"|[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)"
 )
 _WORD = re.compile(r"\w+")
+#: A fenced module-map row: it starts with a ``*.py`` path or a ``dir/``.
+_MAP_ROW = re.compile(r"^\s*[\w./-]*(?:\.py|/)(?=\s|$)")
+#: The dotted words of a map row (``ConcreteInterpreter(TargetSemantics)``
+#: holds two).
+_MAP_WORD = re.compile(r"[\w.]+")
 #: Spans that look like symbols but are Python literals.
 _LITERALS = {"None", "True", "False"}
 #: Directories whose ``.py`` files define the symbols READMEs may name.
@@ -133,7 +140,8 @@ def check_file(path: str, words: set):
     """
 
     with open(path, encoding="utf-8") as handle:
-        text = strip_fences(handle.read())
+        raw = handle.read()
+    text = strip_fences(raw)
     directory = os.path.dirname(path)
 
     for line_number, line in enumerate(text.splitlines(), start=1):
@@ -160,7 +168,7 @@ def check_file(path: str, words: set):
                 if not any(os.path.exists(entry) for entry in anchored):
                     yield line_number, f"stale module path: `{candidate}`"
     if os.path.basename(path) == "README.md" and directory != ROOT:
-        yield from symbol_problems(text, words)
+        yield from symbol_problems(raw, words)
 
 
 def code_words(root: str = ROOT) -> set:
@@ -177,16 +185,33 @@ def code_words(root: str = ROOT) -> set:
     return words
 
 
-def symbol_problems(text: str, words: set):
-    """Yield ``(line_number, problem)`` for symbol spans no code file names."""
+def symbol_candidates(text: str):
+    """Yield ``(line_number, name)`` for every name a README shows as code.
 
-    for line_number, line in enumerate(strip_fences(text).splitlines(), start=1):
-        for span in _INLINE_CODE.finditer(line):
-            symbol = span.group(1)
-            if symbol in _LITERALS or not _SYMBOL.fullmatch(symbol):
-                continue
-            if any(part not in words for part in _WORD.findall(symbol)):
-                yield line_number, f"stale symbol: `{symbol}`"
+    Outside fences those are the inline-code spans; inside them, the words
+    of module-map rows (other fenced lines hold program text).
+    """
+
+    in_fence = False
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        if _FENCE.match(line.strip()):
+            in_fence = not in_fence
+        elif not in_fence:
+            for span in _INLINE_CODE.finditer(line):
+                yield line_number, span.group(1)
+        elif _MAP_ROW.match(line):
+            for word in _MAP_WORD.findall(line):
+                yield line_number, word
+
+
+def symbol_problems(text: str, words: set):
+    """Yield ``(line_number, problem)`` for shown symbols no code file names."""
+
+    for line_number, symbol in symbol_candidates(text):
+        if symbol in _LITERALS or not _SYMBOL.fullmatch(symbol):
+            continue
+        if any(part not in words for part in _WORD.findall(symbol)):
+            yield line_number, f"stale symbol: `{symbol}`"
 
 
 def readme_problems(readme: str, makefile: str, defect_count: int):
