@@ -74,7 +74,6 @@ if _SRC not in sys.path:
 
 from repro import smt  # noqa: E402
 from repro.core.campaign import Campaign, CampaignConfig  # noqa: E402
-from repro.core.validation import validation_cache_stats  # noqa: E402
 
 #: The reference workload.  The platform list is pinned to the PR 1
 #: measurement (p4c + the two paper back ends) so the before/after numbers
@@ -182,7 +181,6 @@ def _run_campaign(programs: int, jobs: int, seed: int = SEED) -> tuple:
 def run_reference() -> dict:
     """Run the reference campaign in-process and return measurements."""
 
-    smt.STATS.reset()
     stats, elapsed = _run_campaign(PROGRAMS, jobs=1)
     return {
         "elapsed_s": round(elapsed, 3),
@@ -191,13 +189,10 @@ def run_reference() -> dict:
         "crash_findings": stats.crash_findings,
         "semantic_findings": stats.semantic_findings,
         "oracle_errors": stats.oracle_errors,
-        "solver": smt.STATS.snapshot(),
-        "validation_caches": validation_cache_stats(),
         "intern_table_terms": smt.intern_table_size(),
         "simplify_cache_entries": smt.simplify_cache_size(),
-        #: Per-unit counter deltas merged back from the engine — under
-        #: ``jobs=1`` these mirror the process-wide counters above; under
-        #: parallelism they are the only truthful campaign totals.
+        #: Per-unit counter differences summed by the merge: the campaign's
+        #: solver, cache and replay totals at any job count.
         "merged_worker_counters": stats.counters,
     }
 
@@ -257,7 +252,6 @@ def _reset_process_caches() -> None:
     from repro.core.engine import reset_worker_state
     from repro.core.validation import clear_validation_caches
 
-    smt.STATS.reset()
     smt.clear_term_caches()
     clear_validation_caches()
     reset_worker_state()

@@ -43,7 +43,6 @@ from repro.compiler.compiler import (
     clear_prefix_cache,
     compile_front_midend,
     compile_prefix,
-    prefix_cache_stats,
 )
 
 __all__ = [
@@ -63,6 +62,5 @@ __all__ = [
     "P4Compiler",
     "compile_front_midend",
     "compile_prefix",
-    "prefix_cache_stats",
     "clear_prefix_cache",
 ]

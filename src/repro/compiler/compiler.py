@@ -8,8 +8,7 @@ apply their own target-specific passes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
+from typing import FrozenSet, Iterable, List, Optional, Union
 
 from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND
 from repro.compiler.frontend import (
@@ -21,6 +20,7 @@ from repro.compiler.midend import MIDEND_PASSES
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pass_manager import CompilationResult, PassManager
 from repro.compiler.passes import CompilerPass
+from repro.metrics import MISSING, LruCache
 from repro.p4 import ast
 from repro.p4.parser import parse_program
 
@@ -73,9 +73,7 @@ def compile_front_midend(
 # the prefix, in :mod:`repro.targets`) — so the compilation is memoised
 # process-wide and the resulting snapshots are shared by every consumer.
 
-_PREFIX_MEMO: "OrderedDict[tuple, CompilationResult]" = OrderedDict()
-_PREFIX_MEMO_LIMIT = 32
-_PREFIX_STATS = {"prefix_hits": 0, "prefix_misses": 0}
+_PREFIX_MEMO = LruCache("prefix", 32)
 
 
 def _prefix_relevant_bugs(enabled_bugs: Iterable[str]) -> FrozenSet[str]:
@@ -115,28 +113,14 @@ def compile_prefix(
         frozenset(options.skip_passes),
         options.emit_after_each_pass,
     )
-    cached = _PREFIX_MEMO.get(key)
-    if cached is not None:
-        _PREFIX_MEMO.move_to_end(key)
-        _PREFIX_STATS["prefix_hits"] += 1
-        return cached
-    _PREFIX_STATS["prefix_misses"] += 1
-    result = P4Compiler(options).compile(program.clone())
-    _PREFIX_MEMO[key] = result
-    while len(_PREFIX_MEMO) > _PREFIX_MEMO_LIMIT:
-        _PREFIX_MEMO.popitem(last=False)
+    result = _PREFIX_MEMO.get(key)
+    if result is MISSING:
+        result = P4Compiler(options).compile(program.clone())
+        _PREFIX_MEMO.put(key, result)
     return result
-
-
-def prefix_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters (and an entry gauge) for the prefix memo."""
-
-    return dict(_PREFIX_STATS, prefix_entries=len(_PREFIX_MEMO))
 
 
 def clear_prefix_cache() -> None:
     """Drop the prefix memo (tests and benchmarks start runs cold)."""
 
     _PREFIX_MEMO.clear()
-    _PREFIX_STATS["prefix_hits"] = 0
-    _PREFIX_STATS["prefix_misses"] = 0

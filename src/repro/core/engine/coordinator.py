@@ -54,7 +54,7 @@ import hmac
 import socket
 import threading
 import queue as queue_module
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import protocol
@@ -86,23 +86,23 @@ class Lease:
     count: int = 0
 
 
-@dataclass
-class _ServiceCounters:
-    """Rate/QoS accounting, surfaced into ``CampaignStatistics.counters``."""
-
-    leases_issued: int = 0
-    leases_reclaimed: int = 0
-    leases_completed: int = 0
-    outcomes_streamed: int = 0
-    duplicates_discarded: int = 0
-    torn_lines: int = 0
-    bytes_streamed: int = 0
-    heartbeats: int = 0
-    backpressure_retries: int = 0
-    workers_seen: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {f"dist_{name}": value for name, value in vars(self).items()}
+#: The service's rate/QoS counters, folded into
+#: ``CampaignStatistics.counters`` after each phase.  They count in the
+#: coordinator's process, not in the processes that run units, so each
+#: service keeps its own (``CoordinatorService.counters``) instead of
+#: using :data:`repro.metrics.COUNTERS`.
+SERVICE_COUNTERS = (
+    "dist_leases_issued",
+    "dist_leases_reclaimed",
+    "dist_leases_completed",
+    "dist_outcomes_streamed",
+    "dist_duplicates_discarded",
+    "dist_torn_lines",
+    "dist_bytes_streamed",
+    "dist_heartbeats",
+    "dist_backpressure_retries",
+    "dist_workers_seen",
+)
 
 
 class CoordinatorService:
@@ -164,7 +164,7 @@ class CoordinatorService:
         self._key_to_index = {unit.key: index for index, unit in enumerate(self._units)}
         self._queue: "queue_module.Queue" = queue_module.Queue()
         self._workers_seen: Set[str] = set()
-        self.counters = _ServiceCounters()
+        self.counters = dict.fromkeys(SERVICE_COUNTERS, 0)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -247,7 +247,7 @@ class CoordinatorService:
                 "done": len(self._dedup.accepted),
                 "pending": len(self._pending),
                 "leases": len(self._leases),
-                "counters": self.counters.snapshot(),
+                "counters": dict(self.counters),
             }
 
     # ------------------------------------------------------------------
@@ -281,7 +281,7 @@ class CoordinatorService:
                     # Mid-stream torn line: count it, drop it, stay alive —
                     # the framing re-synchronises at the next newline.
                     with self._lock:
-                        self.counters.torn_lines += 1
+                        self.counters["dist_torn_lines"] += 1
                     continue
                 if authenticated or message.get("op") == protocol.OP_HELLO:
                     response = self._dispatch(message)
@@ -334,7 +334,7 @@ class CoordinatorService:
         worker = str(message.get("worker", ""))
         if worker and worker not in self._workers_seen:
             self._workers_seen.add(worker)
-            self.counters.workers_seen += 1
+            self.counters["dist_workers_seen"] += 1
         return {
             "ok": True,
             "kind": self._kind,
@@ -349,12 +349,12 @@ class CoordinatorService:
             return {"ok": True, "drained": True}
         inflight = sum(1 for lease in self._leases.values() if lease.worker == worker)
         if inflight >= self._max_inflight:
-            self.counters.backpressure_retries += 1
+            self.counters["dist_backpressure_retries"] += 1
             return {"ok": True, "retry_in": DEFAULT_RETRY_S}
         if self._queue.qsize() >= self._max_outstanding:
             # The consumer is not draining outcomes: stop issuing work
             # rather than buffering unboundedly.
-            self.counters.backpressure_retries += 1
+            self.counters["dist_backpressure_retries"] += 1
             return {"ok": True, "retry_in": DEFAULT_RETRY_S}
         if not self._pending:
             # Everything is leased out; this worker should ask again soon
@@ -387,7 +387,7 @@ class CoordinatorService:
             count=len(indexes),
         )
         self._leases[lease_id] = lease
-        self.counters.leases_issued += 1
+        self.counters["dist_leases_issued"] += 1
         self._journal_event(
             {
                 "event": "issued",
@@ -410,7 +410,7 @@ class CoordinatorService:
 
     def _on_heartbeat(self, message: Dict) -> Dict:
         lease = self._leases.get(str(message.get("lease", "")))
-        self.counters.heartbeats += 1
+        self.counters["dist_heartbeats"] += 1
         if lease is None:
             return {"ok": False, "error": "lease-expired"}
         lease.deadline = self._clock() + self._ttl
@@ -428,7 +428,7 @@ class CoordinatorService:
         index = self._key_to_index.get(key)
         if index is None:
             return {"ok": False, "error": f"unknown unit {key!r}"}
-        self.counters.bytes_streamed += received_bytes
+        self.counters["dist_bytes_streamed"] += received_bytes
 
         # Streaming progress is as good as a heartbeat.
         lease = self._leases.get(str(message.get("lease", "")))
@@ -439,9 +439,9 @@ class CoordinatorService:
         if not self._dedup.accept(key, outcome):
             # At-least-once delivery: a reclaimed range was re-run, or a
             # retry re-sent a line.  First write won; drop this one.
-            self.counters.duplicates_discarded += 1
+            self.counters["dist_duplicates_discarded"] += 1
             return {"ok": True, "duplicate": True}
-        self.counters.outcomes_streamed += 1
+        self.counters["dist_outcomes_streamed"] += 1
         # Remove from any other lease that still thinks it owns the index
         # (the original holder may stream late, after a reclaim).
         for other in self._leases.values():
@@ -464,7 +464,7 @@ class CoordinatorService:
         )
         if leftover:
             self._requeue(leftover)
-        self.counters.leases_completed += 1
+        self.counters["dist_leases_completed"] += 1
         self._journal_event(
             {
                 "event": "completed",
@@ -499,7 +499,7 @@ class CoordinatorService:
                 done = self._done_indexes()
             unfinished = sorted(index for index in lease.indexes if index not in done)
             self._requeue(unfinished)
-            self.counters.leases_reclaimed += 1
+            self.counters["dist_leases_reclaimed"] += 1
             self._journal_event(
                 {
                     "event": "reclaimed",

@@ -176,7 +176,7 @@ class DistributedExecutor:
 
         try:
             yield from coordinator.outcomes(on_idle=supervise)
-            self.service_counters = coordinator.counters.snapshot()
+            self.service_counters = dict(coordinator.counters)
         finally:
             # A drained phase has accepted and persisted every outcome; do
             # not wait out a worker asleep in a ``retry_in`` backoff.

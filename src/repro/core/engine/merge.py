@@ -24,9 +24,10 @@ stream in; ``merge()`` keeps the one-shot convenience API on top of the
 same two steps, so ``jobs=1`` and a worker fleet produce byte-identical
 reports.
 
-Per-worker observability counters (solver STATS, validation/testgen cache
-hits) are summed into :attr:`CampaignStatistics.counters` so campaign
-benchmarks stay truthful when the work is sharded across processes.
+Each unit's counter differences (:mod:`repro.metrics`: solver checks,
+cache hits and misses, replays) are summed into
+:attr:`CampaignStatistics.counters` so campaign benchmarks stay truthful
+when the work is sharded across processes.
 """
 
 from __future__ import annotations
@@ -119,10 +120,11 @@ class CampaignStatistics:
     crash_findings: int = 0
     semantic_findings: int = 0
     tracker: BugTracker = field(default_factory=BugTracker)
-    #: Summed worker observability deltas (``solver_*`` STATS, validation
-    #: and testgen cache hits/misses).  Totals reflect the work actually
-    #: performed, so they vary with executor/cache locality — unlike the
-    #: tracker, which is executor-invariant.
+    #: Summed per-unit counter differences (``solver_*`` checks, cache
+    #: hits/misses, replays, collections) plus the fleet's ``dist_*``
+    #: service counters.  Totals reflect the work actually performed, so
+    #: they vary with executor/cache locality — unlike the tracker, which
+    #: is executor-invariant.
     counters: Dict[str, int] = field(default_factory=dict)
     #: How many work units the campaign comprised, and how many were
     #: served from the artifact store instead of being recomputed.

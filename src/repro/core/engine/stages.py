@@ -9,9 +9,11 @@ JSON-serialisable outcome.
 
 Per-process caches:
 
-* ``_PROGRAM_MEMO`` — the generated program for ``(generator config,
-  index)``, with its emitted source and its ``program_features`` cells:
-  every executor runs the per-platform units of one program on one worker
+* ``_PROGRAM_MEMO`` — a :class:`~repro.metrics.LruCache` of the last 64
+  generated programs (``program_hits`` / ``program_misses``), keyed by
+  ``(generator config, index)``, each with its emitted source and its
+  ``program_features`` cells: every executor runs the per-platform units
+  of one program on one worker
   (:func:`~repro.core.engine.units.program_groups`), so the program is
   generated, and its features scanned, once.  Regeneration elsewhere (a
   reclaimed lease) is deterministic (child seeds), so the memo is purely
@@ -30,31 +32,20 @@ from __future__ import annotations
 
 import gc
 import time
-from collections import OrderedDict
 from dataclasses import astuple, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import smt
-from repro.compiler import (
-    CompilerOptions,
-    clear_prefix_cache,
-    compile_prefix,
-    prefix_cache_stats,
-)
+from repro import metrics, smt
+from repro.compiler import CompilerOptions, clear_prefix_cache, compile_prefix
 from repro.compiler.coverage import CoverageMap, program_features, shape_cell
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.core.crash import classify_compilation, crash_from_exception
 from repro.core.generator import RandomProgramGenerator
-from repro.core.testgen import (
-    clear_testgen_cache,
-    program_has_state,
-    testgen_cache_stats,
-)
+from repro.core.testgen import clear_testgen_cache, program_has_state
 from repro.core.validation import (
     TranslationValidator,
     ValidationOutcome,
     term_shape_histogram,
-    validation_cache_stats,
 )
 from repro.p4 import ast, emit_program, parse_program
 from repro.targets import BACKEND_REGISTRY
@@ -84,12 +75,7 @@ from repro.core.reduce import (
     localize_finding,
     reduce_program,
 )
-from repro.core.reduce.oracles import (
-    backend_bug_set,
-    p4c_bug_set,
-    packet_mismatch,
-    replay_stats,
-)
+from repro.core.reduce.oracles import backend_bug_set, p4c_bug_set, packet_mismatch
 
 # ----------------------------------------------------------------------
 # Per-process state
@@ -126,8 +112,7 @@ class GeneratedProgram:
     features: Optional[Dict[str, int]] = None
 
 
-_MEMO_LIMIT = 64
-_PROGRAM_MEMO: "OrderedDict[tuple, GeneratedProgram]" = OrderedDict()
+_PROGRAM_MEMO = metrics.LruCache("program", 64)
 
 _VALIDATOR = TranslationValidator()
 
@@ -149,16 +134,12 @@ def stage_generate(unit: WorkUnit) -> GeneratedProgram:
     """Deterministically (re)generate the unit's program and its source."""
 
     key = (astuple(unit.generator), unit.program_index)
-    cached = _PROGRAM_MEMO.get(key)
-    if cached is not None:
-        _PROGRAM_MEMO.move_to_end(key)
-        return cached
-    generator = RandomProgramGenerator(unit.generator)
-    program = generator.generate_indexed(unit.program_index)
-    generated = GeneratedProgram(program, emit_program(program))
-    _PROGRAM_MEMO[key] = generated
-    while len(_PROGRAM_MEMO) > _MEMO_LIMIT:
-        _PROGRAM_MEMO.popitem(last=False)
+    generated = _PROGRAM_MEMO.get(key)
+    if generated is metrics.MISSING:
+        generator = RandomProgramGenerator(unit.generator)
+        program = generator.generate_indexed(unit.program_index)
+        generated = GeneratedProgram(program, emit_program(program))
+        _PROGRAM_MEMO.put(key, generated)
     return generated
 
 
@@ -353,21 +334,6 @@ def _bisect_backend_defects(
 # The worker entry point
 # ----------------------------------------------------------------------
 
-def _counters_snapshot() -> Dict[str, int]:
-    counters = {f"solver_{key}": value for key, value in smt.STATS.snapshot().items()}
-    counters.update(validation_cache_stats())
-    counters.update(testgen_cache_stats())
-    counters.update(prefix_cache_stats())
-    counters.update(replay_stats())
-    for generation, stats in enumerate(gc.get_stats()):
-        counters[f"gc_gen{generation}_collections"] = stats["collections"]
-    # Only monotone counters survive: per-unit deltas of gauges (cache
-    # entry counts) are meaningless once summed across units.
-    return {
-        key: value for key, value in counters.items() if not key.endswith("_entries")
-    }
-
-
 def _unit_coverage(unit: WorkUnit, generated: GeneratedProgram) -> Dict[str, int]:
     """Coverage cells this unit's program lit up (pure function of the unit).
 
@@ -410,7 +376,7 @@ def run_unit(unit: WorkUnit) -> UnitOutcome:
     and the executor raises).
     """
 
-    before = _counters_snapshot()
+    before = metrics.snapshot()
     start = time.perf_counter()
     generated = stage_generate(unit)
     program, source = generated.program, generated.source
@@ -422,7 +388,7 @@ def run_unit(unit: WorkUnit) -> UnitOutcome:
         raise ValueError(f"unknown platform {unit.platform!r}")
     coverage = _unit_coverage(unit, generated)
     elapsed = time.perf_counter() - start
-    after = _counters_snapshot()
+    after = metrics.snapshot()
     deltas = {key: after[key] - before.get(key, 0) for key in after}
     return UnitOutcome(
         program_index=unit.program_index,

@@ -168,9 +168,10 @@ class UnitOutcome:
     findings: List[FindingRecord] = field(default_factory=list)
     #: Emitted source of the generated program (the bug trigger).
     source: str = ""
-    #: Per-unit deltas of worker-process observability counters (solver
-    #: STATS, validation/testgen cache hits); summed by the merge step so
-    #: the campaign totals stay truthful under parallelism.
+    #: The difference of two :func:`repro.metrics.snapshot` readings around
+    #: the unit, taken in the process that ran it (solver checks, cache
+    #: hits/misses, replays, collections); summed by the merge step so the
+    #: campaign totals stay truthful under parallelism.
     counters: Dict[str, int] = field(default_factory=dict)
     #: Pipeline coverage cells this unit's program lit up (pass-fired bits,
     #: rewrite-rule hits, term shapes, program features).  Unlike
@@ -178,6 +179,8 @@ class UnitOutcome:
     #: never of process state — so store-resumed outcomes replay it and
     #: merged campaign coverage is identical at any job count.
     coverage: Dict[str, int] = field(default_factory=dict)
+    #: Wall seconds of the unit in its worker.  ``perfbench/batch.py``
+    #: reads it for ``unit_p50_ms``, ``unit_p90_ms`` and ``setup_s``.
     elapsed_s: float = 0.0
 
     @property
@@ -281,6 +284,8 @@ class TriageOutcome:
     attempts: int = 0
     localized_pass: str = ""
     pass_pair: Optional[Tuple[str, str]] = None
+    #: Wall seconds of the triage unit; ``perfbench/batch.py`` sums it into
+    #: the triage ``unit_s``.
     elapsed_s: float = 0.0
     #: Per-transformation-class effort (oracle calls / kept edits /
     #: statements removed), from :class:`~repro.core.reduce.reducer.ReductionResult`.

@@ -28,6 +28,7 @@ from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.core.crash import crash_from_exception
 from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH, cached_sequences
 from repro.core.validation import TranslationValidator, ValidationOutcome
+from repro.metrics import COUNTERS, declare
 from repro.p4 import ast, emit_program
 from repro.targets import BACKEND_REGISTRY
 from repro.targets.state import packet_layout
@@ -39,17 +40,10 @@ from repro.core.engine.units import (
 )
 from repro.core.reduce.reducer import Predicate
 
-#: Monotone replay tallies (merged across workers like the cache stats):
-#: how many §6 sequences and individual packets the campaign actually
-#: drove through back-end executables.  ``sequences/sec`` in ``make
-#: bench-stateful`` is derived from these.
-_REPLAY_STATS = {"sequences_replayed": 0, "packets_replayed": 0}
-
-
-def replay_stats() -> dict:
-    """Snapshot of the process-wide sequence-replay counters."""
-
-    return dict(_REPLAY_STATS)
+# How many §6 sequences and individual packets were actually driven
+# through back-end executables.  ``sequences/sec`` in ``make
+# bench-stateful`` is derived from these.
+declare("sequences_replayed", "packets_replayed")
 
 
 def p4c_bug_set(enabled_bugs: Iterable[str]) -> Set[str]:
@@ -101,12 +95,12 @@ def packet_mismatch(
     layout = packet_layout(program, "Headers")
     runner = spec.runner_cls(executable)
     for sequence in sequences:
-        _REPLAY_STATS["sequences_replayed"] += 1
+        COUNTERS["sequences_replayed"] += 1
         reset = getattr(executable, "reset_state", None)
         if reset is not None:
             reset()
         for generated in sequence.packets:
-            _REPLAY_STATS["packets_replayed"] += 1
+            COUNTERS["packets_replayed"] += 1
             packet = generated.input_packet(layout)
             test = spec.test_cls(
                 name=generated.name,

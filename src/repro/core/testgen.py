@@ -23,12 +23,12 @@ the control plane is installed once, before the first packet.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import smt
 from repro.core.interpreter import BlockSemantics, InterpreterError, SymbolicInterpreter, TableInfo
+from repro.metrics import MISSING, LruCache
 from repro.p4 import ast
 from repro.smt.solver import CheckResult, Model, Solver
 from repro.targets.state import PacketState, SwitchState, TableEntry, packet_layout
@@ -373,10 +373,7 @@ class SymbolicTestGenerator:
 #: campaign running with ``sequence_length=3`` still shares entries across
 #: its (mostly stateless) corpus instead of tripling the solver work.
 #: ``None`` records an oracle failure so it is not retried per platform.
-_SEQGEN_CACHE: "OrderedDict[Tuple[str, int, int], Optional[List[TestSequence]]]" = OrderedDict()
-_SEQGEN_CACHE_LIMIT = 256
-_TESTGEN_STATS = {"testgen_hits": 0, "testgen_misses": 0}
-_MISSING = object()
+_SEQGEN_CACHE = LruCache("testgen", 256)
 
 
 def cached_sequences(
@@ -395,33 +392,19 @@ def cached_sequences(
     if length > 1 and not program_has_state(program):
         length = 1
     key = (source, max_tests, length)
-    sequences = _SEQGEN_CACHE.get(key, _MISSING)
-    if sequences is not _MISSING:
-        _SEQGEN_CACHE.move_to_end(key)
-        _TESTGEN_STATS["testgen_hits"] += 1
-        return sequences
-    _TESTGEN_STATS["testgen_misses"] += 1
-    try:
-        sequences = SymbolicTestGenerator(
-            program, max_tests=max_tests, sequence_length=length
-        ).generate_sequences()
-    except InterpreterError:
-        sequences = None
-    _SEQGEN_CACHE[key] = sequences
-    while len(_SEQGEN_CACHE) > _SEQGEN_CACHE_LIMIT:
-        _SEQGEN_CACHE.popitem(last=False)
+    sequences = _SEQGEN_CACHE.get(key)
+    if sequences is MISSING:
+        try:
+            sequences = SymbolicTestGenerator(
+                program, max_tests=max_tests, sequence_length=length
+            ).generate_sequences()
+        except InterpreterError:
+            sequences = None
+        _SEQGEN_CACHE.put(key, sequences)
     return sequences
-
-
-def testgen_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the process-wide test cache."""
-
-    return dict(_TESTGEN_STATS, seqgen_entries=len(_SEQGEN_CACHE))
 
 
 def clear_testgen_cache() -> None:
     """Drop the test cache (memory bound for long-lived services)."""
 
     _SEQGEN_CACHE.clear()
-    _TESTGEN_STATS["testgen_hits"] = 0
-    _TESTGEN_STATS["testgen_misses"] = 0

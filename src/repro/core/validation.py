@@ -22,68 +22,28 @@ distinct snapshot is lexed/parsed/interpreted exactly once per campaign.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, Tuple
 
 from repro import smt
 from repro.compiler.pass_manager import CompilationResult, PassSnapshot
 from repro.core.interpreter import BlockSemantics, InterpreterError, SymbolicInterpreter
+from repro.metrics import MISSING, LruCache
 from repro.p4 import parse_program
 from repro.p4.lexer import LexerError
 from repro.p4.parser import ParserError
 
-_V = TypeVar("_V")
-
-
-class _SourceCache(Generic[_V]):
-    """A small LRU keyed by program source.
-
-    CPython caches ``str.__hash__``, so using the source text itself as the
-    key costs one hash per *string object*, cheaper than digesting.
-    """
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, _V]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, source: str) -> Optional[_V]:
-        entry = self._entries.get(source)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(source)
-        self.hits += 1
-        return entry
-
-    def put(self, source: str, value: _V) -> None:
-        self._entries[source] = value
-        self._entries.move_to_end(source)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:  # pragma: no cover - trivial
-        return len(self._entries)
-
-
-#: source -> reparse verdict (None when the snapshot reparses cleanly,
-#: otherwise the error message).
-_REPARSE_CACHE: _SourceCache[Tuple[Optional[str]]] = _SourceCache()
+#: source -> reparse verdict: ``None`` when the snapshot reparses cleanly,
+#: otherwise the error message.
+_REPARSE_CACHE = LruCache("reparse", 1024)
 
 #: source -> symbolic semantics of every block.  Consumers only read the
 #: cached ``BlockSemantics`` (terms are immutable), so sharing is safe.
-_INTERP_CACHE: _SourceCache[Dict[str, BlockSemantics]] = _SourceCache()
+_INTERP_CACHE = LruCache("interp", 1024)
 
 #: source -> term-shape histogram of the program's symbolic semantics.
-_SHAPE_CACHE: _SourceCache[Dict[str, int]] = _SourceCache()
+_SHAPE_CACHE = LruCache("shape", 1024)
 
 
 def clear_validation_caches() -> None:
@@ -92,26 +52,6 @@ def clear_validation_caches() -> None:
     _REPARSE_CACHE.clear()
     _INTERP_CACHE.clear()
     _SHAPE_CACHE.clear()
-
-
-def validation_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters (and entry-count gauges) for the validation caches.
-
-    The campaign engine snapshots these around every work unit and ships
-    the per-unit deltas of the monotone counters back to the parent, so
-    campaign-level totals stay truthful when validation runs in worker
-    processes (each with its own caches).
-    """
-
-    return {
-        "reparse_hits": _REPARSE_CACHE.hits,
-        "reparse_misses": _REPARSE_CACHE.misses,
-        "interp_hits": _INTERP_CACHE.hits,
-        "interp_misses": _INTERP_CACHE.misses,
-        "reparse_entries": len(_REPARSE_CACHE),
-        "interp_entries": len(_INTERP_CACHE),
-        "shape_entries": len(_SHAPE_CACHE),
-    }
 
 
 def term_shape_histogram(snapshot: PassSnapshot) -> Dict[str, int]:
@@ -127,7 +67,7 @@ def term_shape_histogram(snapshot: PassSnapshot) -> Dict[str, int]:
     """
 
     cached = _SHAPE_CACHE.get(snapshot.source)
-    if cached is None:
+    if cached is MISSING:
         cached = _compute_shape_histogram(snapshot)
         _SHAPE_CACHE.put(snapshot.source, cached)
     return dict(cached)
@@ -288,15 +228,14 @@ class TranslationValidator:
 
     @staticmethod
     def _reparse_error(source: str) -> Optional[str]:
-        cached = _REPARSE_CACHE.get(source)
-        if cached is not None:
-            return cached[0]
-        try:
-            parse_program(source)
-            error: Optional[str] = None
-        except (ParserError, LexerError) as exc:
-            error = str(exc)
-        _REPARSE_CACHE.put(source, (error,))
+        error = _REPARSE_CACHE.get(source)
+        if error is MISSING:
+            try:
+                parse_program(source)
+                error = None
+            except (ParserError, LexerError) as exc:
+                error = str(exc)
+            _REPARSE_CACHE.put(source, error)
         return error
 
     @staticmethod
@@ -331,7 +270,7 @@ class TranslationValidator:
     @staticmethod
     def _interpret(snapshot: PassSnapshot) -> Dict[str, BlockSemantics]:
         semantics = _INTERP_CACHE.get(snapshot.source)
-        if semantics is None:
+        if semantics is MISSING:
             semantics = SymbolicInterpreter(snapshot.program).interpret()
             _INTERP_CACHE.put(snapshot.source, semantics)
         return semantics

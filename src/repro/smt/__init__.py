@@ -54,15 +54,12 @@ from repro.smt.terms import clear_term_caches, intern_table_size
 from repro.smt.simplify import simplify, simplify_cache_size
 from repro.smt.evaluate import evaluate
 from repro.smt.solver import (
-    STATS,
     CheckResult,
     Model,
     Solver,
-    SolverStats,
     all_equivalent,
     clear_equivalence_cache,
     enumerate_models,
-    equivalence_cache_size,
     equivalent,
     find_divergence,
 )
@@ -103,8 +100,6 @@ __all__ = [
     "simplify",
     "evaluate",
     "Solver",
-    "SolverStats",
-    "STATS",
     "CheckResult",
     "Model",
     "equivalent",
@@ -112,7 +107,6 @@ __all__ = [
     "all_equivalent",
     "enumerate_models",
     "clear_equivalence_cache",
-    "equivalence_cache_size",
     "clear_term_caches",
     "intern_table_size",
     "simplify_cache_size",

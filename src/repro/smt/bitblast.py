@@ -9,20 +9,16 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.metrics import COUNTERS, declare
 from repro.smt.cnf import CnfBuilder
 from repro.smt.terms import Term
 
-#: Process-wide encoding-cache counters, aggregated over every blaster in
-#: the process.  A hit means a term's CNF encoding was reused instead of
-#: re-blasted; on a campaign-lifetime shared solver (see
-#: :func:`repro.smt.solver.all_equivalent`) hits accumulate *across
-#: programs* because hash-consing makes identical subterms the same key.
-BLAST_STATS = {"bitblast_hits": 0, "bitblast_misses": 0}
-
-
-def reset_blast_stats() -> None:
-    BLAST_STATS["bitblast_hits"] = 0
-    BLAST_STATS["bitblast_misses"] = 0
+# Encoding-memo counters, summed over every blaster in the process.  A hit
+# means a term's CNF encoding was reused instead of re-blasted; on a
+# long-lived solver (see :func:`repro.smt.solver.all_equivalent`) hits
+# accumulate across queries because hash-consing makes identical subterms
+# the same key.
+declare("solver_bitblast_hits", "solver_bitblast_misses")
 
 
 class BitBlaster:
@@ -49,9 +45,9 @@ class BitBlaster:
 
         cached = self._bool_cache.get(term)
         if cached is not None:
-            BLAST_STATS["bitblast_hits"] += 1
+            COUNTERS["solver_bitblast_hits"] += 1
             return cached
-        BLAST_STATS["bitblast_misses"] += 1
+        COUNTERS["solver_bitblast_misses"] += 1
         literal = self._encode_bool(term)
         self._bool_cache[term] = literal
         return literal
@@ -61,9 +57,9 @@ class BitBlaster:
 
         cached = self._bv_cache.get(term)
         if cached is not None:
-            BLAST_STATS["bitblast_hits"] += 1
+            COUNTERS["solver_bitblast_hits"] += 1
             return cached
-        BLAST_STATS["bitblast_misses"] += 1
+        COUNTERS["solver_bitblast_misses"] += 1
         bits = self._encode_bv(term)
         self._bv_cache[term] = bits
         return bits

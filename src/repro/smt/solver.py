@@ -21,8 +21,8 @@ The module also provides the two operations Gauntlet actually needs:
 * :func:`equivalent` / :func:`find_divergence` -- check whether two formulas
   agree for every assignment, and if not produce a witness assignment.
   Because terms are hash-consed, structurally identical sides are the same
-  object and short-circuit to "equivalent" without any SAT query (see
-  :data:`STATS`).
+  object and short-circuit to "equivalent" without any SAT query (counted
+  as ``solver_syntactic_equivalences`` in :data:`repro.metrics.COUNTERS`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.metrics import COUNTERS, declare
 from repro.smt import terms as t
-from repro.smt.bitblast import BLAST_STATS, BitBlaster, reset_blast_stats
+from repro.smt.bitblast import BitBlaster
 from repro.smt.evaluate import evaluate
 from repro.smt.sat import SatResult, SatSolver
 from repro.smt.simplify import simplify
@@ -42,55 +43,21 @@ from repro.smt.terms import Term
 Value = Union[int, bool]
 
 
-@dataclass
-class SolverStats:
-    """Process-wide counters for the validation hot path.
-
-    ``sat_invocations`` counts actual CDCL ``solve`` calls; the syntactic
-    fast paths in :func:`find_divergence` must keep it at zero for
-    structurally identical terms (asserted by the unit tests).
-    """
-
-    checks: int = 0
-    sat_invocations: int = 0
-    syntactic_equivalences: int = 0
-    constant_verdicts: int = 0
-    #: Batched :func:`all_equivalent` calls that reached the solver.
-    batched_checks: int = 0
-    #: Pairs answered by the process-wide equivalence-verdict memo.
-    equivalence_cache_hits: int = 0
-    #: Queries cut short by a ``max_conflicts`` budget (verdict UNKNOWN).
-    budget_exhausted: int = 0
-
-    def reset(self) -> None:
-        self.checks = 0
-        self.sat_invocations = 0
-        self.syntactic_equivalences = 0
-        self.constant_verdicts = 0
-        self.batched_checks = 0
-        self.equivalence_cache_hits = 0
-        self.budget_exhausted = 0
-        reset_blast_stats()
-
-    def snapshot(self) -> Dict[str, int]:
-        # The bit-blast encoding-cache counters live in the bitblast module
-        # (it cannot import this one) but are reported as solver stats: they
-        # are part of the same hot path and ride the same per-unit deltas.
-        return {
-            "checks": self.checks,
-            "sat_invocations": self.sat_invocations,
-            "syntactic_equivalences": self.syntactic_equivalences,
-            "constant_verdicts": self.constant_verdicts,
-            "batched_checks": self.batched_checks,
-            "equivalence_cache_hits": self.equivalence_cache_hits,
-            "budget_exhausted": self.budget_exhausted,
-            "bitblast_hits": BLAST_STATS["bitblast_hits"],
-            "bitblast_misses": BLAST_STATS["bitblast_misses"],
-        }
-
-
-#: Global instrumentation shared by every :class:`Solver` instance.
-STATS = SolverStats()
+declare(
+    "solver_checks",
+    # Actual CDCL ``solve`` calls: the syntactic fast paths in
+    # :func:`find_divergence` keep this at zero for structurally identical
+    # terms (asserted by the unit tests).
+    "solver_sat_invocations",
+    "solver_syntactic_equivalences",
+    "solver_constant_verdicts",
+    # Batched :func:`all_equivalent` calls that reached the solver.
+    "solver_batched_checks",
+    # Pairs answered by the process-wide equivalence-verdict memo.
+    "solver_equivalence_cache_hits",
+    # Queries cut short by a ``max_conflicts`` budget (verdict UNKNOWN).
+    "solver_budget_exhausted",
+)
 
 
 class CheckResult(Enum):
@@ -238,7 +205,7 @@ class Solver:
         build_model: bool,
         max_conflicts: Optional[int] = None,
     ) -> CheckResult:
-        STATS.checks += 1
+        COUNTERS["solver_checks"] += 1
         self._assert_pending()
         if self._trivially_unsat:
             self._model = None
@@ -254,14 +221,14 @@ class Solver:
                 continue
             if reduced is t.FALSE:
                 self._model = None
-                STATS.constant_verdicts += 1
+                COUNTERS["solver_constant_verdicts"] += 1
                 return CheckResult.UNSAT
             extra_reduced.append(reduced)
 
         if self._sat is None and not extra_reduced:
             # Nothing was ever asserted: trivially satisfiable.
             self._model = Model({}) if build_model else None
-            STATS.constant_verdicts += 1
+            COUNTERS["solver_constant_verdicts"] += 1
             return CheckResult.SAT
 
         self._ensure_engine()
@@ -270,7 +237,7 @@ class Solver:
         for reduced in extra_reduced:
             assumptions.append(self._blaster.bool_literal(reduced))
 
-        STATS.sat_invocations += 1
+        COUNTERS["solver_sat_invocations"] += 1
         if build_model:
             self._sync_clauses()
             result = self._sat.solve(
@@ -290,7 +257,7 @@ class Solver:
         if not result.satisfiable:
             self._model = None
             if not result.complete:
-                STATS.budget_exhausted += 1
+                COUNTERS["solver_budget_exhausted"] += 1
                 return CheckResult.UNKNOWN
             return CheckResult.UNSAT
         if not build_model:
@@ -404,10 +371,6 @@ def clear_equivalence_cache() -> None:
     _EQUIV_CACHE.clear()
 
 
-def equivalence_cache_size() -> int:
-    return len(_EQUIV_CACHE)
-
-
 def all_equivalent(
     pairs: Iterable[Tuple[Term, Term]], solver: Optional[Solver] = None
 ) -> bool:
@@ -451,15 +414,15 @@ def all_equivalent(
         if left.sort != right.sort:
             raise TypeError("cannot compare terms of different sorts")
         if left is right or simplify(left) is simplify(right):
-            STATS.syntactic_equivalences += 1
+            COUNTERS["solver_syntactic_equivalences"] += 1
             continue
         if _EQUIV_CACHE.get((left, right)):
-            STATS.equivalence_cache_hits += 1
+            COUNTERS["solver_equivalence_cache_hits"] += 1
             continue
         survivors.append((left, right))
     if not survivors:
         return True
-    STATS.batched_checks += 1
+    COUNTERS["solver_batched_checks"] += 1
     batch_solver = solver or Solver()
     for left, right in survivors:
         verdict = batch_solver.decide(
@@ -502,18 +465,18 @@ def find_divergence(
     if left.sort != right.sort:
         raise TypeError("cannot compare terms of different sorts")
     if left is right:
-        STATS.syntactic_equivalences += 1
+        COUNTERS["solver_syntactic_equivalences"] += 1
         return None
     # Simplification is memoised process-wide, so this is cheap for terms
     # the validator has seen before; identical normal forms are equivalent.
     if simplify(left) is simplify(right):
-        STATS.syntactic_equivalences += 1
+        COUNTERS["solver_syntactic_equivalences"] += 1
         return None
     extras = list(extra_constraints)
     # The memo only records *unconditional* equivalences, so it may only
     # answer (and only learn) when no extra constraints narrow the query.
     if not extras and _EQUIV_CACHE.get((left, right)):
-        STATS.equivalence_cache_hits += 1
+        COUNTERS["solver_equivalence_cache_hits"] += 1
         return None
     difference = t.Ne(left, right)
     solver = Solver()

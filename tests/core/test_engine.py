@@ -235,7 +235,6 @@ class TestProgramPlacement:
         ):
             # Forked workers inherit this process's caches: start each
             # run cold, as a campaign a user starts does.
-            smt.STATS.reset()
             smt.clear_term_caches()
             clear_validation_caches()
             reset_worker_state()

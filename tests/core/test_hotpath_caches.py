@@ -19,19 +19,19 @@ from repro.compiler import (
     clear_prefix_cache,
     compile_front_midend,
     compile_prefix,
-    prefix_cache_stats,
 )
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine import stages
 from repro.core.engine.stages import reset_worker_state, run_unit
 from repro.core.engine.units import WorkUnit
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
-from repro.core.reduce.oracles import packet_mismatch, replay_stats
+from repro.core.reduce.oracles import packet_mismatch
 from repro.core.validation import (
     TranslationValidator,
     ValidationOutcome,
     clear_validation_caches,
 )
+from repro.metrics import COUNTERS
 from repro.p4 import emit_program, parse_program
 from repro.targets import BACKEND_REGISTRY, state
 
@@ -48,12 +48,12 @@ class TestPrefixMemo:
         program = RandomProgramGenerator(small_generator(3)).generate_indexed(0)
         source = emit_program(program)
         options = CompilerOptions(enabled_bugs=set())
+        before = dict(COUNTERS)
         first = compile_prefix(program, source, options)
         second = compile_prefix(program, source, options)
         assert second is first
-        stats = prefix_cache_stats()
-        assert stats["prefix_misses"] == 1
-        assert stats["prefix_hits"] == 1
+        assert COUNTERS["prefix_misses"] - before["prefix_misses"] == 1
+        assert COUNTERS["prefix_hits"] - before["prefix_hits"] == 1
 
     def test_backend_bugs_do_not_split_the_key(self):
         # Backend-located defects never run in the front/mid end, so a
@@ -193,9 +193,9 @@ class TestPerProgramWorkRunsOnce:
         # Warm the test-generation cache: the counted call only replays.
         assert packet_mismatch(program, source, executable, spec, 4, 3) is None
         typechecks = _counting(monkeypatch, state, "check_program")
-        before = replay_stats()["packets_replayed"]
+        before = COUNTERS["packets_replayed"]
         assert packet_mismatch(program, source, executable, spec, 4, 3) is None
-        assert replay_stats()["packets_replayed"] - before >= 3
+        assert COUNTERS["packets_replayed"] - before >= 3
         assert len(typechecks) == 1
 
     def test_platform_units_of_one_program_share_one_feature_scan(self, monkeypatch):

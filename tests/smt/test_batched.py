@@ -10,8 +10,8 @@ solver-history-dependent, verdicts are not.
 import pytest
 
 from repro import smt
+from repro.metrics import COUNTERS
 from repro.smt import all_equivalent, clear_equivalence_cache, find_divergence
-from repro.smt.solver import STATS
 
 
 X = smt.BitVecSym("x", 8)
@@ -21,8 +21,16 @@ TWO = smt.BitVecVal(2, 8)
 
 
 def fresh_state():
-    STATS.reset()
+    """Clear the equivalence memo; return a reading of the counters."""
+
     clear_equivalence_cache()
+    return dict(COUNTERS)
+
+
+def since(before, name):
+    """How much the solver counter ``name`` grew since the ``before`` reading."""
+
+    return COUNTERS[f"solver_{name}"] - before[f"solver_{name}"]
 
 
 EQUIVALENT_PAIRS = [
@@ -55,17 +63,17 @@ class TestVerdictsMatchSequential:
         assert find_divergence(*bad) is not None
 
     def test_empty_batch_is_equivalent_without_solving(self):
-        fresh_state()
+        before = fresh_state()
         assert all_equivalent([]) is True
-        assert STATS.batched_checks == 0
-        assert STATS.sat_invocations == 0
+        assert since(before, "batched_checks") == 0
+        assert since(before, "sat_invocations") == 0
 
     def test_syntactic_pairs_skip_the_solver(self):
-        fresh_state()
+        before = fresh_state()
         pairs = [(smt.Add(X, ONE), smt.Add(X, ONE)), (smt.Add(X, smt.BitVecVal(0, 8)), X)]
         assert all_equivalent(pairs) is True
-        assert STATS.batched_checks == 0
-        assert STATS.sat_invocations == 0
+        assert since(before, "batched_checks") == 0
+        assert since(before, "sat_invocations") == 0
 
     def test_sort_mismatch_raises_like_find_divergence(self):
         fresh_state()
@@ -78,46 +86,46 @@ class TestVerdictsMatchSequential:
 
 class TestBatchingEconomics:
     def test_semantic_batch_is_one_batch_on_one_solver(self):
-        fresh_state()
+        before = fresh_state()
         semantic = [(smt.Add(X, X), smt.Mul(X, TWO)), (smt.BvXor(X, Y), smt.BvXor(Y, X))]
         assert all_equivalent(semantic) is True
         # One batch; each surviving pair is a focused per-field query on
         # the shared batch solver (never a ganged disjunction).
-        assert STATS.batched_checks == 1
-        assert STATS.sat_invocations == len(semantic)
+        assert since(before, "batched_checks") == 1
+        assert since(before, "sat_invocations") == len(semantic)
 
     def test_pairs_proven_before_a_divergence_stay_memoised(self):
-        fresh_state()
+        before = fresh_state()
         good = (smt.Add(X, X), smt.Mul(X, TWO))
         bad = (smt.Add(X, ONE), smt.Add(X, TWO))
         assert all_equivalent([good, bad]) is False
         # The batch failed, but the pair proven before the divergence fed
         # the memo: re-checking it alone costs zero SAT invocations.
-        invocations = STATS.sat_invocations
+        invocations = COUNTERS["solver_sat_invocations"]
         assert all_equivalent([good]) is True
-        assert STATS.sat_invocations == invocations
-        assert STATS.equivalence_cache_hits >= 1
+        assert COUNTERS["solver_sat_invocations"] == invocations
+        assert since(before, "equivalence_cache_hits") >= 1
 
     def test_proven_pairs_are_memoised_for_the_campaign(self):
-        fresh_state()
+        before = fresh_state()
         semantic = [(smt.Add(X, X), smt.Mul(X, TWO))]
         assert all_equivalent(semantic) is True
-        before = STATS.sat_invocations
+        invocations = COUNTERS["solver_sat_invocations"]
         # Second look at the same pair: served by the equivalence memo.
         assert all_equivalent(semantic) is True
-        assert STATS.sat_invocations == before
-        assert STATS.equivalence_cache_hits >= 1
+        assert COUNTERS["solver_sat_invocations"] == invocations
+        assert since(before, "equivalence_cache_hits") >= 1
         # ... and the sequential oracle reads the same memo.
         assert find_divergence(*semantic[0]) is None
-        assert STATS.sat_invocations == before
+        assert COUNTERS["solver_sat_invocations"] == invocations
 
     def test_sat_batches_are_never_memoised(self):
         fresh_state()
         bad = (smt.Add(X, ONE), smt.Add(X, TWO))
         assert all_equivalent([bad]) is False
-        hits_before = STATS.equivalence_cache_hits
+        hits_before = COUNTERS["solver_equivalence_cache_hits"]
         assert all_equivalent([bad]) is False
-        assert STATS.equivalence_cache_hits == hits_before
+        assert COUNTERS["solver_equivalence_cache_hits"] == hits_before
 
 
 class TestWitnessDeterminism:

@@ -13,14 +13,21 @@ These pin down the contracts the validation hot path relies on:
 import copy
 
 from repro import smt
+from repro.metrics import COUNTERS
 from repro.smt import terms as t
 from repro.smt.sat import SatSolver
 from repro.smt.simplify import simplify
-from repro.smt.solver import STATS, CheckResult, Solver, enumerate_models, find_divergence
+from repro.smt.solver import CheckResult, Solver, enumerate_models, find_divergence
 
 
 X = smt.BitVecSym("x", 8)
 Y = smt.BitVecSym("y", 8)
+
+
+def since(before, name):
+    """How much the solver counter ``name`` grew since the ``before`` reading."""
+
+    return COUNTERS[f"solver_{name}"] - before[f"solver_{name}"]
 
 
 class TestInterning:
@@ -97,32 +104,32 @@ class TestSimplifyMemoisation:
 class TestSyntacticFastPath:
     def test_identical_terms_need_zero_sat_invocations(self):
         term = smt.Add(smt.Mul(X, Y), smt.BitVecVal(7, 8))
-        STATS.reset()
+        before = dict(COUNTERS)
         assert find_divergence(term, term) is None
-        assert STATS.sat_invocations == 0
-        assert STATS.syntactic_equivalences == 1
+        assert since(before, "sat_invocations") == 0
+        assert since(before, "syntactic_equivalences") == 1
 
     def test_structurally_equal_terms_need_zero_sat_invocations(self):
         left = smt.Concat(X, smt.Extract(3, 0, Y))
         right = smt.Concat(
             smt.BitVecSym("x", 8), smt.Extract(3, 0, smt.BitVecSym("y", 8))
         )
-        STATS.reset()
+        before = dict(COUNTERS)
         assert find_divergence(left, right) is None
-        assert STATS.sat_invocations == 0
+        assert since(before, "sat_invocations") == 0
 
     def test_equal_normal_forms_need_zero_sat_invocations(self):
         left = smt.Add(X, smt.BitVecVal(0, 8))
         right = smt.Mul(X, smt.BitVecVal(1, 8))
-        STATS.reset()
+        before = dict(COUNTERS)
         assert find_divergence(left, right) is None
-        assert STATS.sat_invocations == 0
+        assert since(before, "sat_invocations") == 0
 
     def test_genuine_divergence_still_solved(self):
-        STATS.reset()
+        before = dict(COUNTERS)
         witness = find_divergence(X, smt.BvNot(X))
         assert witness is not None
-        assert STATS.sat_invocations >= 1
+        assert since(before, "sat_invocations") >= 1
 
 
 class TestIncrementalSolver:
@@ -133,12 +140,12 @@ class TestIncrementalSolver:
         assert values == [0, 1, 2, 3, 4, 5]
 
     def test_enumerate_models_uses_one_sat_solver(self):
-        STATS.reset()
+        before = dict(COUNTERS)
         constraint = smt.Ult(X, smt.BitVecVal(4, 8))
         models = enumerate_models(constraint, [X], limit=10)
         assert len(models) == 4
         # 4 SAT answers + 1 final UNSAT, all on the same incremental solver.
-        assert STATS.sat_invocations == 5
+        assert since(before, "sat_invocations") == 5
 
     def test_incremental_adds_after_check(self):
         solver = Solver()

@@ -64,7 +64,7 @@ def test_the_repository_readme_is_consistent():
     assert problems(readme, makefile, check_docs.catalog_size()) == []
 
 
-WORDS = {"CampaignEngine", "run", "KnobArm", "apply", "ARM_CATALOG", "coverage"}
+WORDS = {"CampaignEngine", "run", "KnobArm", "apply", "ARM_CATALOG", "coverage", "SAT"}
 
 
 def symbols(text, words=WORDS):
@@ -95,6 +95,19 @@ def test_non_symbol_spans_literals_and_fences_are_ignored():
         "```\nsee `BanditScheduler`\n```\n"
     )
     assert symbols(text) == []
+
+
+def test_single_word_caps_their_members_and_repro_paths_are_checked():
+    text = (
+        "`KINDS` and `KINDS.items()` live; `TALLY` and `TALLY.snapshot()` do not.\n"
+        "`repro.metrics.COUNTERS` replaced `repro.smt.TALLY`.\n"
+    )
+    words = WORDS | {"KINDS", "items", "repro", "metrics", "COUNTERS", "smt", "snapshot"}
+    assert symbols(text, words) == [
+        (1, "stale symbol: `TALLY`"),
+        (1, "stale symbol: `TALLY.snapshot()`"),
+        (2, "stale symbol: `repro.smt.TALLY`"),
+    ]
 
 
 def test_the_repository_package_readmes_name_live_symbols():

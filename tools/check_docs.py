@@ -15,8 +15,9 @@ protection for the READMEs' paper-section → module maps: renaming a
 module must fail the docs job until the maps are updated.
 
 In the package READMEs (``*/README.md``) a third check catches **stale
-symbols**: an inline-code span that is ``CamelCase``,
-``CamelCase.member`` or ``UPPER_SNAKE`` fails when some part of it is a
+symbols**: an inline-code span that is ``CamelCase``, ``ALL_CAPS`` or
+``UPPER_SNAKE`` (each also as ``.member`` or ``()``), or a dotted
+``repro.…`` path, fails when some part of it is a
 word in no ``.py`` file under the code directories (:data:`CODE_DIRS`),
 so deleting or renaming a class, method or constant fails the docs job
 until the READMEs stop naming it.  Inside fences the same check reads
@@ -51,11 +52,12 @@ _FENCE = re.compile(r"^(```|~~~)")
 #: A defect count in prose: ``34 defects`` / ``34 seeded defects``.
 _DEFECT_COUNT = re.compile(r"\b(\d+) (?:seeded )?defects\b")
 _PHONY = re.compile(r"^\.PHONY:(.*)$", re.MULTILINE)
-#: A symbol-shaped inline code span: ``CamelCase`` or ``CamelCase.member``
-#: (a trailing ``()`` allowed), or ``UPPER_SNAKE``.
+#: A symbol-shaped inline code span: ``CamelCase``, ``ALL_CAPS`` (one
+#: word or snake case) or a dotted ``repro.…`` path, each with an optional
+#: ``.member`` and a trailing ``()``.
 _SYMBOL = re.compile(
-    r"(?:[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)*(?:\.\w+)?(?:\(\))?"
-    r"|[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)"
+    r"(?:[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)*|[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+"
+    r"|[A-Z][A-Z0-9]+|repro(?:\.\w+)+)(?:\.\w+)?(?:\(\))?"
 )
 _WORD = re.compile(r"\w+")
 #: A fenced module-map row: it starts with a ``*.py`` path or a ``dir/``.
