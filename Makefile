@@ -7,9 +7,10 @@
 #                       serial at 1, a local worker fleet above)
 #   make bench-reduce   also record per-report reduction ratio + wall time
 #   make bench-hotpath  record the validation hot-path section (programs/sec,
-#                       SAT invocations, cache hit rates, garbage collections)
-#                       and fail on a deterministic regression (SAT calls,
-#                       cache hits, full collections, jobs=1 vs jobs=4 reports)
+#                       SAT invocations and conflicts, cache hit rates, garbage
+#                       collections) and fail on a deterministic regression (SAT
+#                       calls and conflicts, cache hits, full collections,
+#                       jobs=1 vs jobs=4 reports)
 #   make bench-distributed run the coordinator/worker smoke (clean localhost
 #                       fleets of 1 and 2 workers, then 2 with one killed
 #                       mid-lease) and fail if the merged reports are not

@@ -22,8 +22,8 @@ root so every PR leaves a perf data point behind:
   relative to the detection campaign.
 * **hotpath** (``--hotpath`` / ``make bench-hotpath``): the scaling
   workload at ``jobs=1`` with cold caches, recording programs/sec (with
-  ``cpu_count``), SAT invocations, per-cache hit rates and garbage
-  collections per generation, gated on the deterministic ones, plus a
+  ``cpu_count``), SAT invocations and conflicts, per-cache hit rates and
+  garbage collections per generation, gated on the deterministic ones, plus a
   seeded jobs=1 vs jobs=4 byte-identical-reports check.
 * **stateful** (``--stateful`` / ``make bench-stateful``): a seeded
   register-heavy campaign replayed as 3-packet sequences — sequences/sec,
@@ -134,6 +134,10 @@ HOTPATH_BASELINE = {
         "reparse/interp cache hits"
     ),
 }
+#: CDCL conflicts the hot-path campaign may hit (``solver_sat_conflicts``):
+#: its total when the SAT kernel was last rewritten for speed, which kept
+#: every decision.  A count above it means the search itself changed.
+HOTPATH_MAX_SAT_CONFLICTS = 5276
 #: Size of the seeded campaign used for the jobs=1 vs jobs=4 byte-identical
 #: report check (shared-prefix validation must not perturb determinism).
 HOTPATH_DETERMINISM_PROGRAMS = 25
@@ -342,8 +346,8 @@ def run_hotpath(programs: int) -> dict:
     """Measure the validation hot path: throughput, solver load, cache yield.
 
     One cold-start ``jobs=1`` campaign gives the deterministic counters the
-    CI gate diffs (SAT invocations, per-cache hit rates, full garbage
-    collections); a smaller seeded campaign then runs at ``jobs=1`` and
+    CI gate diffs (SAT invocations and conflicts, per-cache hit rates, full
+    garbage collections); a smaller seeded campaign then runs at ``jobs=1`` and
     ``jobs=4`` and the two report lists must serialize byte-identically —
     shared-prefix validation and batched solving must never leak
     scheduling into the findings.
@@ -355,6 +359,7 @@ def run_hotpath(programs: int) -> dict:
     programs_per_sec = programs / elapsed if elapsed else float("inf")
     caches = _cache_report(counters)
     sat_invocations = counters.get("solver_sat_invocations", 0)
+    sat_conflicts = counters.get("solver_sat_conflicts", 0)
     gc_collections = {
         f"gen{generation}": counters.get(f"gc_gen{generation}_collections", 0)
         for generation in range(3)
@@ -377,6 +382,7 @@ def run_hotpath(programs: int) -> dict:
 
     meets_target = (
         sat_invocations < HOTPATH_BASELINE["sat_invocations"]
+        and sat_conflicts <= HOTPATH_MAX_SAT_CONFLICTS
         and caches["reparse"]["hits"] > 0
         and caches["interp"]["hits"] > 0
         and caches["bitblast"]["hits"] > 0
@@ -393,6 +399,8 @@ def run_hotpath(programs: int) -> dict:
         "elapsed_s": round(elapsed, 3),
         "programs_per_sec": round(programs_per_sec, 2),
         "sat_invocations": sat_invocations,
+        "sat_conflicts": sat_conflicts,
+        "max_sat_conflicts": HOTPATH_MAX_SAT_CONFLICTS,
         "batched_checks": counters.get("solver_batched_checks", 0),
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
         "caches": caches,
@@ -1125,6 +1133,8 @@ def main(argv=None) -> int:
             f"{hotpath['cpu_count']} CPU(s), "
             f"{hotpath['sat_invocations']} SAT invocations "
             f"(must stay below {hotpath['before']['sat_invocations']}), "
+            f"{hotpath['sat_conflicts']} SAT conflicts "
+            f"(must stay at or below {hotpath['max_sat_conflicts']}), "
             f"byte-identical jobs 1 vs 4: "
             f"{hotpath['reports_byte_identical_jobs1_vs_jobs4']}"
         )

@@ -20,7 +20,7 @@ class Cnf:
     num_vars: int = 0
     clauses: List[List[int]] = field(default_factory=list)
 
-    def add_clause(self, literals: Sequence[int]) -> None:
+    def add_clause(self, literals: Iterable[int]) -> None:
         clause = list(literals)
         if not clause:
             # An empty clause makes the formula trivially unsatisfiable; keep
@@ -63,8 +63,9 @@ class CnfBuilder:
 
     def new_var(self) -> int:
         var = self._next_var
-        self._next_var += 1
-        self.cnf.num_vars = max(self.cnf.num_vars, var)
+        self._next_var = var + 1
+        if var > self.cnf.num_vars:
+            self.cnf.num_vars = var
         return var
 
     def new_vars(self, count: int) -> List[int]:
@@ -76,7 +77,7 @@ class CnfBuilder:
     # -- clauses --------------------------------------------------------------
 
     def add_clause(self, literals: Iterable[int]) -> None:
-        self.cnf.add_clause(list(literals))
+        self.cnf.add_clause(literals)
 
     def add_anchored_clause(
         self, anchors: Sequence[int], literals: Iterable[int]
@@ -89,14 +90,15 @@ class CnfBuilder:
         """
 
         index = len(self.cnf.clauses)
-        self.cnf.add_clause(list(literals))
+        self.cnf.add_clause(literals)
         for var in anchors:
             self.var_defs.setdefault(var, []).append(index)
 
-    def _define(self, var: int, start: int) -> None:
-        self.var_defs[var] = list(range(start, len(self.cnf.clauses)))
-
     # -- gate encodings --------------------------------------------------------
+    #
+    # Every literal a gate emits was issued by :meth:`new_var`, so the gates
+    # append straight to the clause list: :meth:`Cnf.add_clause`'s copy,
+    # zero check and ``num_vars`` update would do nothing here.
 
     def encode_and(self, inputs: Sequence[int]) -> int:
         """Return a literal equivalent to the conjunction of ``inputs``."""
@@ -106,11 +108,12 @@ class CnfBuilder:
         if len(inputs) == 1:
             return inputs[0]
         out = self.new_var()
-        start = len(self.cnf.clauses)
+        clauses = self.cnf.clauses
+        start = len(clauses)
         for literal in inputs:
-            self.add_clause([-out, literal])
-        self.add_clause([out] + [-literal for literal in inputs])
-        self._define(out, start)
+            clauses.append([-out, literal])
+        clauses.append([out] + [-literal for literal in inputs])
+        self.var_defs[out] = list(range(start, len(clauses)))
         return out
 
     def encode_or(self, inputs: Sequence[int]) -> int:
@@ -121,23 +124,25 @@ class CnfBuilder:
         if len(inputs) == 1:
             return inputs[0]
         out = self.new_var()
-        start = len(self.cnf.clauses)
+        clauses = self.cnf.clauses
+        start = len(clauses)
         for literal in inputs:
-            self.add_clause([out, -literal])
-        self.add_clause([-out] + list(inputs))
-        self._define(out, start)
+            clauses.append([out, -literal])
+        clauses.append([-out, *inputs])
+        self.var_defs[out] = list(range(start, len(clauses)))
         return out
 
     def encode_xor(self, left: int, right: int) -> int:
         """Return a literal equivalent to ``left xor right``."""
 
         out = self.new_var()
-        start = len(self.cnf.clauses)
-        self.add_clause([-out, left, right])
-        self.add_clause([-out, -left, -right])
-        self.add_clause([out, -left, right])
-        self.add_clause([out, left, -right])
-        self._define(out, start)
+        clauses = self.cnf.clauses
+        start = len(clauses)
+        clauses.append([-out, left, right])
+        clauses.append([-out, -left, -right])
+        clauses.append([out, -left, right])
+        clauses.append([out, left, -right])
+        self.var_defs[out] = [start, start + 1, start + 2, start + 3]
         return out
 
     def encode_iff(self, left: int, right: int) -> int:
@@ -149,12 +154,13 @@ class CnfBuilder:
         """Return a literal equivalent to ``cond ? then : orelse``."""
 
         out = self.new_var()
-        start = len(self.cnf.clauses)
-        self.add_clause([-out, -cond, then])
-        self.add_clause([-out, cond, orelse])
-        self.add_clause([out, -cond, -then])
-        self.add_clause([out, cond, -orelse])
-        self._define(out, start)
+        clauses = self.cnf.clauses
+        start = len(clauses)
+        clauses.append([-out, -cond, then])
+        clauses.append([-out, cond, orelse])
+        clauses.append([out, -cond, -then])
+        clauses.append([out, cond, -orelse])
+        self.var_defs[out] = [start, start + 1, start + 2, start + 3]
         return out
 
     def encode_full_adder(self, a: int, b: int, carry_in: int) -> tuple[int, int]:
@@ -189,24 +195,21 @@ class CnfBuilder:
         clauses = self.cnf.clauses
         var_defs = self.var_defs
         seen_clauses: Set[int] = set(self.root_clauses)
-        seen_vars: Set[int] = set()
-        stack: List[int] = []
-
-        def visit(var: int) -> None:
-            if var not in seen_vars:
-                seen_vars.add(var)
-                stack.append(var)
-
-        for var in seed_vars:
-            visit(var)
+        seen_vars: Set[int] = set(seed_vars)
+        stack: List[int] = list(seen_vars)
         for index in self.root_clauses:
             for literal in clauses[index]:
-                visit(abs(literal))
+                var = literal if literal > 0 else -literal
+                if var not in seen_vars:
+                    seen_vars.add(var)
+                    stack.append(var)
         while stack:
-            var = stack.pop()
-            for index in var_defs.get(var, ()):
+            for index in var_defs.get(stack.pop(), ()):
                 if index not in seen_clauses:
                     seen_clauses.add(index)
                     for literal in clauses[index]:
-                        visit(abs(literal))
+                        var = literal if literal > 0 else -literal
+                        if var not in seen_vars:
+                            seen_vars.add(var)
+                            stack.append(var)
         return sorted(seen_clauses), seen_vars

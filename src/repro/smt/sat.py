@@ -17,6 +17,11 @@ database, watch lists, variable activities and saved phases all carry over.
 This is what makes blocking-clause model enumeration and repeated
 equivalence queries cheap (see :mod:`repro.smt.solver`).
 
+The search order is part of the contract: test-generation models and the
+recorded campaign verdicts depend on which conflict is found first, so a
+change here must keep every ``solve`` result, conflict count included
+(``tests/smt/test_sat.py::TestSearchPinned``).
+
 It is deliberately free of dependencies so it can serve as the decision
 procedure underneath the bit-blaster in :mod:`repro.smt.bitblast`.
 """
@@ -24,8 +29,13 @@ procedure underneath the bit-blaster in :mod:`repro.smt.bitblast`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
+
+#: A clause is a list of non-zero literals.  The solver owns its clause
+#: lists: propagation reorders them in place (slots 0 and 1 are watched).
+Clause = List[int]
 
 
 @dataclass
@@ -35,24 +45,17 @@ class SatResult:
     ``complete`` distinguishes a definitive answer from a search the
     ``max_conflicts`` budget cut short: an incomplete result with
     ``satisfiable=False`` means *unknown*, not UNSAT, and must not be
-    treated as a proof of unsatisfiability.
+    treated as a proof of unsatisfiability.  ``conflicts`` counts the
+    conflicts the call hit.
     """
 
     satisfiable: bool
     assignment: Dict[int, bool]
     complete: bool = True
+    conflicts: int = 0
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.satisfiable
-
-
-class _Clause:
-    __slots__ = ("literals", "learned", "activity")
-
-    def __init__(self, literals: List[int], learned: bool = False) -> None:
-        self.literals = literals
-        self.learned = learned
-        self.activity = 0.0
 
 
 def _default_phase(var: int) -> bool:
@@ -81,291 +84,334 @@ def _luby(index: int) -> int:
 
 
 class SatSolver:
-    """CDCL solver over clauses of non-zero integer literals."""
+    """CDCL solver over clauses of non-zero integer literals.
+
+    Per-literal state is kept in lists indexed by the literal itself, a
+    negative literal indexing from the end: ``values[lit]`` is the
+    literal's truth value (``None`` while its variable is unassigned) and
+    ``watches[lit]`` holds the clauses watching ``-lit``, visited when
+    ``lit`` becomes true.  Both lists have ``2 * num_vars + 1`` slots.
+    """
 
     def __init__(self, num_vars: int = 0, clauses: Sequence[Sequence[int]] = ()) -> None:
         self.num_vars = num_vars
-        self.assignment: List[Optional[bool]] = [None] * (num_vars + 1)
+        self.values: List[Optional[bool]] = [None] * (2 * num_vars + 1)
+        self.watches: List[List[Clause]] = [[] for _ in range(2 * num_vars + 1)]
         self.level: List[int] = [0] * (num_vars + 1)
-        self.reason: List[Optional[_Clause]] = [None] * (num_vars + 1)
+        #: The clause that implied each assigned variable (``None`` for
+        #: decisions and level-0 units); stale once the variable is unassigned.
+        self.reason: List[Optional[Clause]] = [None] * (num_vars + 1)
         self.activity: List[float] = [0.0] * (num_vars + 1)
         self.phase: List[bool] = [_default_phase(var) for var in range(num_vars + 1)]
+        #: Per-variable marks for conflict analysis, all ``False`` between conflicts.
+        self._seen: List[bool] = [False] * (num_vars + 1)
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
-        self.clauses: List[_Clause] = []
-        self.learned: List[_Clause] = []
-        self.watches: Dict[int, List[_Clause]] = {}
+        self.learned: List[Clause] = []
         self.propagate_head = 0
         self.var_inc = 1.0
         self.var_decay = 0.95
-        self.clause_inc = 1.0
         self.empty_clause = False
-        #: Count of completed ``solve`` invocations (perf instrumentation).
-        self.solve_count = 0
-        #: conflicts hit by the most recent :meth:`solve` (diagnostics).
-        self.last_conflicts = 0
         #: VSIDS order: a lazy max-heap of ``(-activity, var)`` entries.
-        #: Entries go stale when activities change or variables get
-        #: assigned; :meth:`_decide` discards/refreshes them on pop.
+        #: Every unassigned variable has an entry at least as high as its
+        #: activity, so the first fresh entry popped for an unassigned
+        #: variable is the highest-activity one (lowest index on ties).
+        #: Entries go stale when activities are rescaled or variables get
+        #: assigned; :meth:`_decide` discards/refreshes them on pop, and a
+        #: backtrack to level 0 rebuilds the heap without them.
         self._order: List[Tuple[float, int]] = [
             (0.0, var) for var in range(1, num_vars + 1)
         ]
-
-        for clause in clauses:
-            self._add_clause(list(clause), learned=False)
+        self.add_clauses(clauses)
 
     # -- incremental interface ---------------------------------------------
 
     def ensure_num_vars(self, num_vars: int) -> None:
         """Grow the variable space to ``num_vars`` (no-op when smaller)."""
 
-        if num_vars <= self.num_vars:
+        old = self.num_vars
+        if num_vars <= old:
             return
-        extra = num_vars - self.num_vars
-        self.assignment.extend([None] * extra)
-        self.level.extend([0] * extra)
-        self.reason.extend([None] * extra)
-        self.activity.extend([0.0] * extra)
-        self.phase.extend(
-            _default_phase(var) for var in range(self.num_vars + 1, num_vars + 1)
-        )
-        for var in range(self.num_vars + 1, num_vars + 1):
-            heappush(self._order, (0.0, var))
+        extra = num_vars - old
+        # The new literals' slots go between the positive and the negative
+        # ones, so every negative literal keeps its offset from the end.
+        self.values[old + 1 : old + 1] = [None] * (2 * extra)
+        self.watches[old + 1 : old + 1] = [[] for _ in repeat(None, 2 * extra)]
+        self.level.extend(repeat(0, extra))
+        self.reason.extend(repeat(None, extra))
+        self.activity.extend(repeat(0.0, extra))
+        self._seen.extend(repeat(False, extra))
+        added = range(old + 1, num_vars + 1)
+        self.phase.extend([_default_phase(var) for var in added])
+        # A new entry ranks below every queued one (activity 0, higher
+        # index), so appending keeps the heap ordered.
+        self._order.extend(zip(repeat(0.0), added))
         self.num_vars = num_vars
 
     def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
-        """Add input clauses after construction (incremental solving).
+        """Add input clauses (incremental solving).
 
         The variable space grows automatically to cover every literal
-        (mirroring :class:`~repro.smt.cnf.CnfBuilder`).  The solver
-        backtracks to decision level 0 and rewinds unit propagation so
-        clauses that are unit or conflicting under the level-0 assignment
-        are discovered on the next :meth:`solve`.
+        (mirroring :class:`~repro.smt.cnf.CnfBuilder`).  Duplicate literals
+        are removed, tautologies dropped and an empty clause makes the
+        instance UNSAT.  The solver backtracks to decision level 0 and
+        rewinds unit propagation so clauses that are unit or conflicting
+        under the level-0 assignment are discovered on the next
+        :meth:`solve`.
         """
 
-        clauses = [list(clause) for clause in clauses]
-        highest = max((abs(lit) for clause in clauses for lit in clause), default=0)
-        self.ensure_num_vars(highest)
+        if not isinstance(clauses, list):
+            clauses = list(clauses)
+        literals = list(chain.from_iterable(clauses))
+        if literals:
+            self.ensure_num_vars(max(max(literals), -min(literals)))
         self._backtrack(0)
         self.propagate_head = 0
+        values = self.values
+        watches = self.watches
         for clause in clauses:
-            self._add_clause(clause, learned=False)
+            # Fast paths for the binary and ternary clauses of gate
+            # encodings: copy (propagation reorders the solver's lists),
+            # skipping tautologies; duplicates take the general path.
+            size = len(clause)
+            if size == 2:
+                a, b = clause
+                if a == -b:
+                    continue
+                if a != b:
+                    clause = [a, b]
+                    watches[-a].append(clause)
+                    watches[-b].append(clause)
+                    continue
+            elif size == 3:
+                a, b, c = clause
+                if a == -b or a == -c or b == -c:
+                    continue
+                if a != b and a != c and b != c:
+                    clause = [a, b, c]
+                    watches[-a].append(clause)
+                    watches[-b].append(clause)
+                    continue
+            elif not size:
+                self.empty_clause = True
+                continue
+            seen = set()
+            out = []
+            for literal in clause:
+                if -literal in seen:
+                    break  # tautology, always satisfied
+                if literal not in seen:
+                    seen.add(literal)
+                    out.append(literal)
+            else:
+                if len(out) > 1:
+                    watches[-out[0]].append(out)
+                    watches[-out[1]].append(out)
+                    continue
+                # Unit input clause: assign at level 0.
+                literal = out[0]
+                value = values[literal]
+                if value is False:
+                    self.empty_clause = True
+                elif value is None:
+                    values[literal] = True
+                    values[-literal] = False
+                    var = literal if literal > 0 else -literal
+                    self.level[var] = 0
+                    self.reason[var] = None
+                    self.trail.append(literal)
 
     def add_clause(self, literals: Sequence[int]) -> None:
         """Add a single input clause (see :meth:`add_clauses`)."""
 
         self.add_clauses([literals])
 
-    # -- construction -----------------------------------------------------
-
-    def _add_clause(self, literals: List[int], learned: bool) -> Optional[_Clause]:
-        if not literals:
-            self.empty_clause = True
-            return None
-        # Deduplicate and drop tautologies in input clauses.
-        if not learned:
-            seen = set()
-            out = []
-            for literal in literals:
-                if -literal in seen:
-                    return None  # tautology, always satisfied
-                if literal not in seen:
-                    seen.add(literal)
-                    out.append(literal)
-            literals = out
-        clause = _Clause(literals, learned)
-        if len(literals) == 1:
-            # Unit input clause: enqueue at level 0.
-            literal = literals[0]
-            value = self._value(literal)
-            if value is False:
-                self.empty_clause = True
-            elif value is None:
-                self._enqueue(literal, None)
-            return clause
-        target = self.learned if learned else self.clauses
-        target.append(clause)
-        self._watch(clause.literals[0], clause)
-        self._watch(clause.literals[1], clause)
-        return clause
-
-    def _watch(self, literal: int, clause: _Clause) -> None:
-        self.watches.setdefault(-literal, []).append(clause)
-
-    # -- assignment helpers -------------------------------------------------
-
-    def _value(self, literal: int) -> Optional[bool]:
-        assigned = self.assignment[abs(literal)]
-        if assigned is None:
-            return None
-        return assigned if literal > 0 else not assigned
-
-    def _enqueue(self, literal: int, reason: Optional[_Clause]) -> None:
-        var = abs(literal)
-        self.assignment[var] = literal > 0
-        self.level[var] = self.decision_level()
-        self.reason[var] = reason
-        self.trail.append(literal)
-
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
-
     # -- propagation -----------------------------------------------------------
 
-    def _propagate(self) -> Optional[_Clause]:
-        # The innermost loop of the solver: locals and inlined truth checks
-        # (instead of ``_value``) buy a significant constant factor.
+    def _propagate(self) -> Optional[Clause]:
+        """Unit-propagate the trail; return a conflicting clause or ``None``."""
+
         trail = self.trail
         watches = self.watches
-        assignment = self.assignment
-        while self.propagate_head < len(trail):
-            literal = trail[self.propagate_head]
-            self.propagate_head += 1
-            watch_list = watches.get(literal)
+        values = self.values
+        level = self.level
+        reason = self.reason
+        decision_level = len(self.trail_lim)
+        head = self.propagate_head
+        while head < len(trail):
+            literal = trail[head]
+            head += 1
+            watch_list = watches[literal]
             if not watch_list:
                 continue
+            false_literal = -literal
             index = 0
-            while index < len(watch_list):
+            end = len(watch_list)
+            while index < end:
                 clause = watch_list[index]
-                literals = clause.literals
                 # Ensure the falsified literal is in slot 1.
-                if literals[0] == -literal:
-                    literals[0], literals[1] = literals[1], literals[0]
-                first = literals[0]
-                first_value = assignment[first if first > 0 else -first]
-                if first_value is not None and first_value == (first > 0):
+                first = clause[0]
+                if first == false_literal:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_literal
+                first_value = values[first]
+                if first_value is True:
                     index += 1
                     continue
                 # Look for a new literal to watch.
-                moved = False
-                for other_index in range(2, len(literals)):
-                    candidate = literals[other_index]
-                    value = assignment[candidate if candidate > 0 else -candidate]
-                    if value is None or value == (candidate > 0):
-                        literals[1], literals[other_index] = candidate, literals[1]
-                        watch_list[index] = watch_list[-1]
+                for other_index in range(2, len(clause)):
+                    candidate = clause[other_index]
+                    if values[candidate] is not False:
+                        clause[1] = candidate
+                        clause[other_index] = false_literal
+                        end -= 1
+                        watch_list[index] = watch_list[end]
                         watch_list.pop()
-                        watches.setdefault(-candidate, []).append(clause)
-                        moved = True
+                        watches[-candidate].append(clause)
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                if first_value is not None:  # first is false: conflict
-                    return clause
-                self._enqueue(first, clause)
-                index += 1
+                else:
+                    # Clause is unit or conflicting.
+                    if first_value is False:
+                        self.propagate_head = head
+                        return clause
+                    values[first] = True
+                    values[-first] = False
+                    var = first if first > 0 else -first
+                    level[var] = decision_level
+                    reason[var] = clause
+                    trail.append(first)
+                    index += 1
+        self.propagate_head = head
         return None
 
     # -- conflict analysis ---------------------------------------------------------
 
-    def _bump_var(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for index in range(1, self.num_vars + 1):
-                self.activity[index] *= 1e-100
-            self.var_inc *= 1e-100
-        if self.assignment[var] is None:
-            # Assigned variables are re-queued on unassignment instead.
-            heappush(self._order, (-self.activity[var], var))
+    def _analyze(self, conflict: Clause) -> Tuple[Clause, int]:
+        """The first-UIP learned clause (asserting literal in slot 0) and
+        the level to backjump to; ``seen`` is all ``False`` again after."""
 
-    def _analyze(self, conflict: _Clause) -> tuple[List[int], int]:
-        learned: List[int] = [0]  # slot 0 reserved for the asserting literal
-        seen = [False] * (self.num_vars + 1)
+        level = self.level
+        reason = self.reason
+        activity = self.activity
+        trail = self.trail
+        seen = self._seen
+        decision_level = len(self.trail_lim)
+        learned: Clause = [0]  # slot 0 reserved for the asserting literal
         counter = 0
         literal = 0
-        trail_index = len(self.trail) - 1
-        clause: Optional[_Clause] = conflict
+        trail_index = len(trail) - 1
+        clause = conflict
 
         while True:
-            assert clause is not None
-            for reason_literal in clause.literals:
+            for reason_literal in clause:
                 # Skip the literal this clause propagated (the resolvent pivot);
-                # for the initial conflict clause nothing is skipped.
-                if literal != 0 and reason_literal == -literal:
+                # for the initial conflict clause (``literal == 0``) nothing
+                # is skipped.
+                if reason_literal == -literal:
                     continue
-                var = abs(reason_literal)
-                if not seen[var] and self.level[var] > 0:
+                var = reason_literal if reason_literal > 0 else -reason_literal
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump_var(var)
-                    if self.level[var] >= self.decision_level():
+                    # Bump: every variable of a conflict or reason clause is
+                    # assigned, so it re-enters the order when unassigned.
+                    activity[var] += self.var_inc
+                    if activity[var] > 1e100:
+                        for index in range(1, self.num_vars + 1):
+                            activity[index] *= 1e-100
+                        self.var_inc *= 1e-100
+                    if level[var] >= decision_level:
                         counter += 1
                     else:
                         learned.append(reason_literal)
             # Pick the next literal from the trail to resolve on.
-            while not seen[abs(self.trail[trail_index])]:
+            while not seen[abs(trail[trail_index])]:
                 trail_index -= 1
-            literal = -self.trail[trail_index]
+            literal = -trail[trail_index]
             var = abs(literal)
             seen[var] = False
             counter -= 1
             trail_index -= 1
             if counter == 0:
                 break
-            clause = self.reason[var]
+            clause = reason[var]
 
         learned[0] = literal
         if len(learned) == 1:
-            backjump = 0
-        else:
-            # Backjump to the second highest decision level in the clause and
-            # move the literal from that level to slot 1 so the two-watched
-            # literal invariant holds for the learned clause (slot 0 is the
-            # asserting literal, slot 1 the most recently falsified one).
-            max_index = max(
-                range(1, len(learned)), key=lambda idx: self.level[abs(learned[idx])]
-            )
-            learned[1], learned[max_index] = learned[max_index], learned[1]
-            backjump = self.level[abs(learned[1])]
+            return learned, 0
+        # Backjump to the second highest decision level in the clause and
+        # move the (first) literal from that level to slot 1 so the
+        # two-watched literal invariant holds for the learned clause (slot 0
+        # is the asserting literal, slot 1 the most recently falsified one).
+        max_index = 1
+        backjump = -1
+        for index in range(1, len(learned)):
+            var = abs(learned[index])
+            seen[var] = False
+            if level[var] > backjump:
+                max_index = index
+                backjump = level[var]
+        learned[1], learned[max_index] = learned[max_index], learned[1]
         return learned, backjump
 
     def _backtrack(self, target_level: int) -> None:
-        while self.decision_level() > target_level:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                literal = self.trail.pop()
-                var = abs(literal)
-                self.phase[var] = self.assignment[var]  # save phase
-                self.assignment[var] = None
-                self.reason[var] = None
-                heappush(self._order, (-self.activity[var], var))
+        """Unassign every level above ``target_level``, saving phases."""
+
+        trail_lim = self.trail_lim
+        if len(trail_lim) > target_level:
+            trail = self.trail
+            limit = trail_lim[target_level]
+            unassigned = trail[limit:]
+            del trail[limit:]
+            del trail_lim[target_level:]
+            values = self.values
+            phase = self.phase
+            for literal in unassigned:
+                values[literal] = None
+                values[-literal] = None
+                if literal > 0:
+                    phase[literal] = True
+                else:
+                    phase[-literal] = False
+            activity = self.activity
+            order = self._order
+            if target_level:
+                for literal in unassigned:
+                    var = abs(literal)
+                    heappush(order, (-activity[var], var))
+            else:
+                # Back at level 0: one entry per unassigned variable, which
+                # drops every stale one.  In place: ``solve`` holds the list.
+                order[:] = [
+                    (-activity[var], var)
+                    for var in range(1, self.num_vars + 1)
+                    if values[var] is None
+                ]
+                heapify(order)
         self.propagate_head = min(self.propagate_head, len(self.trail))
 
-    # -- branching -----------------------------------------------------------------
-
-    def _decide(self) -> Optional[int]:
-        order = self._order
-        activity = self.activity
-        assignment = self.assignment
-        while order:
-            negated, var = heappop(order)
-            if assignment[var] is not None:
-                continue  # stale: assigned since queued (re-queued on unassign)
-            if -negated != activity[var]:
-                # Stale priority (activity bumped or rescaled): refresh.
-                heappush(order, (-activity[var], var))
-                continue
-            return var if self.phase[var] else -var
-        return None
+    # -- learned clauses -----------------------------------------------------------
 
     def _reduce_learned(self) -> None:
-        if len(self.learned) < 2000:
+        """Drop the older half of the learned clauses, unless locked.
+
+        Every learned clause has the same activity, so the older half is
+        the lowest-activity half; a clause that is the reason for a current
+        assignment is locked and stays.
+        """
+
+        learned = self.learned
+        if len(learned) < 2000:
             return
-        self.learned.sort(key=lambda clause: clause.activity)
-        removed = set(id(clause) for clause in self.learned[: len(self.learned) // 2])
-        # Only drop clauses that are not currently a reason for an assignment.
-        locked = set(id(reason) for reason in self.reason if reason is not None)
-        survivors = [
-            clause
-            for clause in self.learned
-            if id(clause) not in removed or id(clause) in locked
-        ]
-        dropped = removed - locked
+        reason = self.reason
+        locked = {id(reason[abs(literal)]) for literal in self.trail}
+        dropped = {id(clause) for clause in learned[: len(learned) // 2]} - locked
         if not dropped:
             return
-        self.learned = survivors
-        for watch_list in self.watches.values():
-            watch_list[:] = [clause for clause in watch_list if id(clause) not in dropped]
+        self.learned = [clause for clause in learned if id(clause) not in dropped]
+        for watch_list in self.watches:
+            if watch_list:
+                watch_list[:] = [clause for clause in watch_list if id(clause) not in dropped]
 
     # -- main loop -------------------------------------------------------------
 
@@ -379,8 +425,6 @@ class SatSolver:
         so a backjump below an assumption level simply re-applies it.
         """
 
-        self.solve_count += 1
-        self.last_conflicts = 0
         assumptions = list(assumptions)
         self.ensure_num_vars(max((abs(lit) for lit in assumptions), default=0))
         if self.empty_clause:
@@ -390,8 +434,7 @@ class SatSolver:
         # full assignment or stale assumptions on the trail).
         self._backtrack(0)
 
-        conflict_budget = max_conflicts
-        conflicts_total = 0
+        conflicts = 0
         restart_index = 1
         restart_limit = 32 * _luby(restart_index)
         conflicts_since_restart = 0
@@ -401,28 +444,44 @@ class SatSolver:
             self.empty_clause = True  # conflict at level 0 is permanent
             return SatResult(False, {})
 
+        trail = self.trail
+        trail_lim = self.trail_lim
+        values = self.values
+        level = self.level
+        reason = self.reason
+        watches = self.watches
+        activity = self.activity
+        phase = self.phase
+        order = self._order
+        propagate = self._propagate
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
-                conflicts_total += 1
-                self.last_conflicts = conflicts_total
+                conflicts += 1
                 conflicts_since_restart += 1
-                if self.decision_level() == 0:
+                if not trail_lim:
                     self.empty_clause = True  # permanently UNSAT
-                    return SatResult(False, {})
+                    return SatResult(False, {}, conflicts=conflicts)
                 learned, backjump_level = self._analyze(conflict)
                 self._backtrack(backjump_level)
-                clause = _Clause(learned, learned=True)
-                clause.activity = self.clause_inc
+                literal = learned[0]
                 if len(learned) > 1:
-                    self.learned.append(clause)
-                    self._watch(learned[0], clause)
-                    self._watch(learned[1], clause)
-                self._enqueue(learned[0], clause if len(learned) > 1 else None)
+                    self.learned.append(learned)
+                    watches[-literal].append(learned)
+                    watches[-learned[1]].append(learned)
+                    reason_clause: Optional[Clause] = learned
+                else:
+                    reason_clause = None
+                values[literal] = True
+                values[-literal] = False
+                var = literal if literal > 0 else -literal
+                level[var] = backjump_level
+                reason[var] = reason_clause
+                trail.append(literal)
                 self.var_inc /= self.var_decay
-                if conflict_budget is not None and conflicts_total >= conflict_budget:
+                if max_conflicts is not None and conflicts >= max_conflicts:
                     # Budget exhausted: the answer is unknown, not UNSAT.
-                    return SatResult(False, {}, complete=False)
+                    return SatResult(False, {}, complete=False, conflicts=conflicts)
                 if conflicts_since_restart >= restart_limit:
                     conflicts_since_restart = 0
                     restart_index += 1
@@ -433,31 +492,44 @@ class SatSolver:
 
             # Assumption ``i`` owns decision level ``i + 1``; after any
             # backjump the not-yet-established assumptions are re-applied.
-            if self.decision_level() < len(assumptions):
-                literal = assumptions[self.decision_level()]
-                value = self._value(literal)
+            decision_level = len(trail_lim)
+            if decision_level < len(assumptions):
+                literal = assumptions[decision_level]
+                value = values[literal]
                 if value is True:
                     # Already implied: open a dummy level so the indexing
                     # between assumptions and levels stays aligned.
-                    self.trail_lim.append(len(self.trail))
+                    trail_lim.append(len(trail))
                     continue
                 if value is False:
                     # UNSAT under these assumptions (not permanently).
-                    return SatResult(False, {})
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(literal, None)
-                continue
-
-            decision = self._decide()
-            if decision is None:
-                model = {
-                    var: bool(self.assignment[var])
-                    for var in range(1, self.num_vars + 1)
-                    if self.assignment[var] is not None
-                }
-                return SatResult(True, model)
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(decision, None)
+                    return SatResult(False, {}, conflicts=conflicts)
+                var = literal if literal > 0 else -literal
+            else:
+                # Branch on the unassigned variable of highest activity.
+                while order:
+                    negated, var = heappop(order)
+                    if values[var] is not None:
+                        continue  # stale: assigned since queued
+                    if -negated != activity[var]:
+                        # Stale priority (activity rescaled): refresh.
+                        heappush(order, (-activity[var], var))
+                        continue
+                    break
+                else:
+                    model = {
+                        var: value
+                        for var, value in enumerate(values[1 : self.num_vars + 1], 1)
+                        if value is not None
+                    }
+                    return SatResult(True, model, conflicts=conflicts)
+                literal = var if phase[var] else -var
+            trail_lim.append(len(trail))
+            values[literal] = True
+            values[-literal] = False
+            level[var] = decision_level + 1
+            reason[var] = None
+            trail.append(literal)
 
 
 def solve_cnf(num_vars: int, clauses: Sequence[Sequence[int]]) -> SatResult:

@@ -49,6 +49,8 @@ declare(
     # :func:`find_divergence` keep this at zero for structurally identical
     # terms (asserted by the unit tests).
     "solver_sat_invocations",
+    # Conflicts those calls hit: the search work behind the invocations.
+    "solver_sat_conflicts",
     "solver_syntactic_equivalences",
     "solver_constant_verdicts",
     # Batched :func:`all_equivalent` calls that reached the solver.
@@ -254,6 +256,7 @@ class Solver:
             # formula (symbol bits outside the cone would be unassigned),
             # which is why this path never builds one.
             result = self._cone_solve(assumptions, max_conflicts)
+        COUNTERS["solver_sat_conflicts"] += result.conflicts
         if not result.satisfiable:
             self._model = None
             if not result.complete:
@@ -302,21 +305,17 @@ class Solver:
         assert self._blaster is not None
         builder = self._blaster.builder
         indices, cone_vars = builder.cone(abs(lit) for lit in assumptions)
-        order = sorted(cone_vars)
-        remap = {var: new for new, var in enumerate(order, start=1)}
+        # Signed literal -> renumbered literal, both polarities.
+        remap: Dict[int, int] = {}
+        for new, var in enumerate(sorted(cone_vars), start=1):
+            remap[var] = new
+            remap[-var] = -new
         clauses = builder.cnf.clauses
-
-        def translate(literal: int) -> int:
-            mapped = remap[abs(literal)]
-            return mapped if literal > 0 else -mapped
-
-        sub = SatSolver()
-        sub.ensure_num_vars(len(order))
-        sub.add_clauses(
-            [[translate(lit) for lit in clauses[i]] for i in indices]
+        sub = SatSolver(
+            len(cone_vars), [[remap[lit] for lit in clauses[i]] for i in indices]
         )
         return sub.solve(
-            assumptions=[translate(lit) for lit in assumptions],
+            assumptions=[remap[lit] for lit in assumptions],
             max_conflicts=max_conflicts,
         )
 

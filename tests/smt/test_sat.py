@@ -1,5 +1,6 @@
 """Unit tests for the CDCL SAT solver."""
 
+import hashlib
 import random
 
 import pytest
@@ -55,6 +56,14 @@ class TestBasicCases:
         result = solve_cnf(2, [[1, -1], [2]])
         assert result.satisfiable
         assert result.assignment[2] is True
+
+    def test_short_clauses_drop_duplicates_and_tautologies(self):
+        # [2, 2] and [1, 1, 1] are units, [3, 1, -3] is a tautology and
+        # [-2, -3, -2] is the binary clause (-2 or -3).
+        clauses = [[2, 2], [1, 1, 1], [3, 1, -3], [-2, -3, -2]]
+        result = solve_cnf(3, clauses)
+        assert result.assignment == {1: True, 2: True, 3: False}
+        assert not solve_cnf(3, clauses + [[3, 3, 3]]).satisfiable
 
 
 class TestPigeonhole:
@@ -119,3 +128,87 @@ class TestSolverReuse:
         result = solver.solve()
         assert result.satisfiable
         assert result.assignment[2] is True
+
+    def test_constructor_grows_variables_to_cover_clauses(self):
+        clauses = [[1, 2]]
+        result = SatSolver(0, clauses).solve()
+        assert result.satisfiable
+        assert check_model(clauses, result.assignment)
+
+    def test_solve_cnf_grows_variables_to_cover_clauses(self):
+        result = solve_cnf(1, [[1, 2], [-2]])
+        assert result.satisfiable
+        assert result.assignment == {1: True, 2: False}
+
+
+def _random_3sat(rng, num_vars, count, noisy):
+    clauses = []
+    for _ in range(count):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        clause = [var if rng.random() < 0.5 else -var for var in variables]
+        if noisy:
+            roll = rng.random()
+            if roll < 0.1:
+                clause.append(clause[0])  # duplicate literal
+            elif roll < 0.15:
+                clause.append(-clause[1])  # tautology
+        clauses.append(clause)
+    return clauses
+
+
+class TestSearchPinned:
+    """The search order is part of the solver's contract.
+
+    Test-generation models feed the packet-test oracle and the campaign
+    benchmark pins every unit's verdict, and both follow from which
+    conflict the solver finds first.  This digest over every ``solve``
+    result of a seeded workload (verdict, ``complete``, model, conflict
+    count) was recorded on the kernel before its rewrite for speed; a
+    change to it is a change of search, not an optimisation.
+    """
+
+    DIGEST = "70175f03e2b38d6e4660a131fc823cfdf64841a67b13e2fd760ba1d7742f3091"
+
+    @staticmethod
+    def _workload():
+        results = []
+        rng = random.Random(2020)
+        # Incremental random 3-SAT: clauses (with duplicate literals and
+        # tautologies) and new variables arrive between solves, each solve
+        # under its own assumptions.
+        for _ in range(8):
+            solver = SatSolver()
+            for step in range(6):
+                num_vars = 60 + 6 * step
+                solver.add_clauses(_random_3sat(rng, num_vars, 64, noisy=True))
+                assumptions = [
+                    var if rng.random() < 0.5 else -var
+                    for var in rng.sample(range(1, num_vars + 1), step)
+                ]
+                results.append(solver.solve(assumptions))
+        # An assumption false at level 0 fails the call, not the instance;
+        # an assumption on an unknown variable grows the variable space.
+        solver = SatSolver(3, [[1], [-1, 2], [2, 3]])
+        results += [solver.solve([-2]), solver.solve([4]), solver.solve()]
+        # A hard instance: a 64-conflict budget ends in UNKNOWN, then the
+        # full search runs Luby restarts and learned-clause reduction.
+        hard = SatSolver(150, _random_3sat(random.Random(0), 150, 640, noisy=False))
+        results += [hard.solve(max_conflicts=64), hard.solve()]
+        return results
+
+    def test_every_solve_result_matches_the_recorded_digest(self):
+        results = self._workload()
+        verdicts = [
+            "SAT" if r.satisfiable else "UNSAT" if r.complete else "UNKNOWN"
+            for r in results
+        ]
+        assert verdicts[-5:] == ["UNSAT", "SAT", "SAT", "UNKNOWN", "UNSAT"]
+        assert [r.conflicts for r in results[-2:]] == [64, 3721]
+        digest = hashlib.sha256()
+        for r in results:
+            digest.update(
+                repr(
+                    (r.satisfiable, r.complete, sorted(r.assignment.items()), r.conflicts)
+                ).encode()
+            )
+        assert digest.hexdigest() == self.DIGEST
