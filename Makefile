@@ -7,10 +7,12 @@
 #                       serial at 1, a local worker fleet above)
 #   make bench-reduce   also record per-report reduction ratio + wall time
 #   make bench-hotpath  record the validation hot-path section (programs/sec,
-#                       SAT invocations and conflicts, cache hit rates, garbage
+#                       SAT invocations and conflicts, case-split equivalences,
+#                       budget-exhausted queries, cache hit rates, garbage
 #                       collections) and fail on a deterministic regression (SAT
-#                       calls and conflicts, cache hits, full collections,
-#                       jobs=1 vs jobs=4 reports)
+#                       calls, more than 10 conflicts, any budget-exhausted
+#                       query, cache hits, full collections, jobs=1 vs jobs=4
+#                       reports)
 #   make bench-distributed run the coordinator/worker smoke (clean localhost
 #                       fleets of 1 and 2 workers, then 2 with one killed
 #                       mid-lease) and fail if the merged reports are not

@@ -578,13 +578,3 @@ def bugs_by_platform(platform: str) -> List[SeededBug]:
     """All catalog entries attributed to a platform (p4c/bmv2/tofino/ebpf)."""
 
     return [bug for bug in BUG_CATALOG.values() if bug.platform == platform]
-
-
-def frontend_midend_bug_ids() -> List[str]:
-    """Identifiers of every front-end and mid-end bug (the P4C bugs)."""
-
-    return [
-        bug.bug_id
-        for bug in BUG_CATALOG.values()
-        if bug.location in (LOCATION_FRONTEND, LOCATION_MIDEND)
-    ]

@@ -88,12 +88,6 @@ class CoverageMap:
 
     # -- queries -------------------------------------------------------------
 
-    def passes_fired(self) -> Dict[str, int]:
-        return self._by_prefix(PASS_PREFIX)
-
-    def rules_fired(self) -> Dict[str, int]:
-        return self._by_prefix(RULE_PREFIX)
-
     def features(self) -> Dict[str, int]:
         return self._by_prefix(FEATURE_PREFIX)
 

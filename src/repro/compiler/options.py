@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Set
+from typing import Set
 
 
 @dataclass
@@ -25,13 +25,3 @@ class CompilerOptions:
 
     def bug_enabled(self, bug_id: str) -> bool:
         return bug_id in self.enabled_bugs
-
-    def with_bugs(self, bug_ids: Iterable[str]) -> "CompilerOptions":
-        """Return a copy of the options with additional bugs enabled."""
-
-        return CompilerOptions(
-            enabled_bugs=set(self.enabled_bugs) | set(bug_ids),
-            skip_passes=set(self.skip_passes),
-            emit_after_each_pass=self.emit_after_each_pass,
-            target=self.target,
-        )

@@ -81,24 +81,3 @@ class Transformer:
                 return transformed
             return value
         return value
-
-
-class Visitor:
-    """Read-only traversal with ``visit_<ClassName>`` hooks."""
-
-    def visit(self, node: ast.Node) -> None:
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            method(node)
-        self.generic_visit(node)
-
-    def generic_visit(self, node: ast.Node) -> None:
-        for value in vars(node).values():
-            self._visit_value(value)
-
-    def _visit_value(self, value: Any) -> None:
-        if isinstance(value, ast.Node):
-            self.visit(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                self._visit_value(item)

@@ -45,6 +45,7 @@ from repro.core.testgen import clear_testgen_cache, program_has_state
 from repro.core.validation import (
     TranslationValidator,
     ValidationOutcome,
+    ValidationReport,
     term_shape_histogram,
 )
 from repro.p4 import ast, emit_program, parse_program
@@ -170,31 +171,39 @@ def _p4c_stage(
     report = _VALIDATOR.validate_compilation(result)
     if report.outcome == ValidationOutcome.ORACLE_ERROR:
         return STATUS_ORACLE_ERROR, []
+    finding = _validation_finding(report, "p4c")
+    if finding is not None:
+        return STATUS_FINDING, [finding]
+    return STATUS_CLEAN, []
+
+
+def _validation_finding(
+    report: ValidationReport, platform: str
+) -> Optional[FindingRecord]:
+    """The finding a validation report files: an invalid transformation or
+    the first semantic divergence, or ``None`` for any other outcome."""
+
     if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_INVALID,
-                platform="p4c",
-                pass_name=report.invalid_pass or "ToP4",
-                description=report.detail,
-            )
-        ]
+        return FindingRecord(
+            kind=FINDING_INVALID,
+            platform=platform,
+            pass_name=report.invalid_pass or "ToP4",
+            description=report.detail,
+        )
     if report.outcome == ValidationOutcome.SEMANTIC_BUG:
         divergence = report.divergences[0]
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_SEMANTIC,
-                platform="p4c",
-                pass_name=divergence.pass_name,
-                description=(
-                    f"pass {divergence.pass_name} changed {divergence.output_path} "
-                    f"in block {divergence.block}"
-                ),
-                witness=dict(divergence.witness),
-                before_pass=divergence.before_pass,
-            )
-        ]
-    return STATUS_CLEAN, []
+        return FindingRecord(
+            kind=FINDING_SEMANTIC,
+            platform=platform,
+            pass_name=divergence.pass_name,
+            description=(
+                f"pass {divergence.pass_name} changed {divergence.output_path} "
+                f"in block {divergence.block}"
+            ),
+            witness=dict(divergence.witness),
+            before_pass=divergence.before_pass,
+        )
+    return None
 
 
 def packet_test(
@@ -250,31 +259,9 @@ def _backend_stage(
         ]
     except CompilerError:
         return STATUS_REJECTED, []
-    report = _VALIDATOR.validate_compilation(result)
-    if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_INVALID,
-                platform=platform,
-                pass_name=report.invalid_pass or "ToP4",
-                description=report.detail,
-            )
-        ]
-    if report.outcome == ValidationOutcome.SEMANTIC_BUG:
-        divergence = report.divergences[0]
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_SEMANTIC,
-                platform=platform,
-                pass_name=divergence.pass_name,
-                description=(
-                    f"pass {divergence.pass_name} changed {divergence.output_path} "
-                    f"in block {divergence.block}"
-                ),
-                witness=dict(divergence.witness),
-                before_pass=divergence.before_pass,
-            )
-        ]
+    finding = _validation_finding(_VALIDATOR.validate_compilation(result), platform)
+    if finding is not None:
+        return STATUS_FINDING, [finding]
     mismatch = packet_test(unit, program, source, executable, spec)
     if mismatch is not None:
         return STATUS_FINDING, [

@@ -98,19 +98,6 @@ class BlockSemantics:
     #: State-aware equivalence compares these alongside ``outputs``.
     state_outputs: Dict[str, Term] = field(default_factory=dict)
 
-    def output_tuple(self) -> Tuple[Tuple[str, Term], ...]:
-        return tuple(sorted(self.outputs.items()))
-
-    def free_symbols(self) -> List[Term]:
-        symbols: Dict[str, Term] = {}
-        for term in self.outputs.values():
-            for symbol in term.symbols():
-                symbols[symbol.name] = symbol
-        for term in self.state_outputs.values():
-            for symbol in term.symbols():
-                symbols[symbol.name] = symbol
-        return list(symbols.values())
-
 
 class _Environment:
     """A mutable mapping from paths/locals to terms, copyable for branches."""

@@ -217,13 +217,6 @@ class TranslationValidator:
             return ValidationReport(ValidationOutcome.SEMANTIC_BUG, divergences=divergences)
         return ValidationReport(ValidationOutcome.EQUIVALENT)
 
-    def validate_pair(self, before: PassSnapshot, after: PassSnapshot) -> List[PassDivergence]:
-        """Check a single pair of snapshots."""
-
-        return self._compare(
-            before, after, self._interpret(before), self._interpret(after)
-        )
-
     # -- internals ----------------------------------------------------------------
 
     @staticmethod

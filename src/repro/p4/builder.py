@@ -120,12 +120,6 @@ def call_stmt(target: Union[str, ast.Expression], *args: ast.Expression) -> ast.
     return ast.MethodCallStatement(call(target, *args))
 
 
-def apply_table(table_name: str) -> ast.MethodCallStatement:
-    """``table.apply();``."""
-
-    return call_stmt(ast.Member(path(table_name), "apply"))
-
-
 def set_valid(header_expr: ast.Expression) -> ast.MethodCallStatement:
     """``hdr.setValid();``."""
 

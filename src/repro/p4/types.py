@@ -23,27 +23,6 @@ from typing import Dict, Optional, Tuple
 class P4Type:
     """Base class for all types."""
 
-    def is_bit(self) -> bool:
-        return isinstance(self, BitType)
-
-    def is_bool(self) -> bool:
-        return isinstance(self, BoolType)
-
-    def is_void(self) -> bool:
-        return isinstance(self, VoidType)
-
-    def is_header(self) -> bool:
-        return isinstance(self, HeaderType)
-
-    def is_struct(self) -> bool:
-        return isinstance(self, StructType)
-
-    def is_stack(self) -> bool:
-        return isinstance(self, HeaderStackType)
-
-    def is_composite(self) -> bool:
-        return self.is_header() or self.is_struct()
-
 
 @dataclass(frozen=True)
 class BitType(P4Type):
@@ -103,12 +82,6 @@ class HeaderType(P4Type):
 
     def field_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.fields)
-
-    @property
-    def total_width(self) -> int:
-        """Width of the header on the wire, in bits."""
-
-        return sum(field_ty.width for _, field_ty in self.fields)
 
 
 @dataclass(frozen=True)

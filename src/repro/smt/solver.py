@@ -23,6 +23,9 @@ The module also provides the two operations Gauntlet actually needs:
   Because terms are hash-consed, structurally identical sides are the same
   object and short-circuit to "equivalent" without any SAT query (counted
   as ``solver_syntactic_equivalences`` in :data:`repro.metrics.COUNTERS`).
+  Most of the remaining pairs are proven by a case split on the branch
+  conditions both sides share, also without SAT
+  (``solver_split_equivalences``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
 from repro.smt.evaluate import evaluate
 from repro.smt.sat import SatResult, SatSolver
-from repro.smt.simplify import simplify
+from repro.smt.simplify import _assume, simplify
 from repro.smt.terms import Term
 
 Value = Union[int, bool]
@@ -55,8 +58,14 @@ declare(
     "solver_constant_verdicts",
     # Batched :func:`all_equivalent` calls that reached the solver.
     "solver_batched_checks",
-    # Pairs answered by the process-wide equivalence-verdict memo.
+    # Pairs answered by the process-wide equivalence-verdict memo with a
+    # proof.
     "solver_equivalence_cache_hits",
+    # Pairs answered by the memo's record of an exhausted budget: an
+    # abstention repeated, not a proof.
+    "solver_hard_memo_hits",
+    # Pairs proven equivalent by the case split, without the SAT solver.
+    "solver_split_equivalences",
     # Queries cut short by a ``max_conflicts`` budget (verdict UNKNOWN).
     "solver_budget_exhausted",
 )
@@ -332,9 +341,12 @@ class Solver:
 # ---------------------------------------------------------------------------
 
 #: Conflict budget for equivalence queries (:func:`all_equivalent` and
-#: :func:`find_divergence`).  Every legitimate query in the seeded
-#: campaigns settles in well under a hundred conflicts; a rare snapshot
-#: pair produces a genuinely hard instance (tens of thousands of
+#: :func:`find_divergence`).  Over the 1920 programs of the clean
+#: perfbench pool, 464 validation queries got past the syntactic paths and
+#: the memo.  Sent to SAT they took 64761 conflicts, and 39 of them ran out
+#: of this budget; the case split (:func:`_split_equivalent`) settles all
+#: but one, which SAT then decides in 10 conflicts.  A rare snapshot pair
+#: still produces a genuinely hard instance (tens of thousands of
 #: conflicts, minutes of wall clock) out of which no witness ever comes.
 #: Exhausting the budget yields UNKNOWN, which the equivalence layer
 #: treats as "no divergence found": the oracle trades a theoretical
@@ -370,6 +382,106 @@ def clear_equivalence_cache() -> None:
     _EQUIV_CACHE.clear()
 
 
+#: Cofactor pairs one case split (:func:`_split_equivalent`) may visit
+#: before it hands the pair to the SAT solver.  No proof over either
+#: perfbench pool needed more than 34.  Like the conflict budget it is a
+#: count, so every scheduler makes the same attempts.
+SPLIT_COFACTOR_BUDGET = 64
+
+
+def _branch_atoms(term: Term) -> Dict[Term, int]:
+    """How often ``term`` branches on each Boolean atom.
+
+    An atom is a leaf of an ``ite`` condition below its ``and``, ``or``
+    and ``not`` connectives, counted once per occurrence in each distinct
+    ``ite`` node.  The dict is in first-occurrence order of a preorder
+    walk, which is what breaks ties between atoms.
+    """
+
+    counts: Dict[Term, int] = {}
+    seen = set()
+
+    def walk(node: Term) -> None:
+        if not node.children or id(node) in seen:
+            return
+        seen.add(id(node))
+        if node.op == "ite":
+            conditions = [node.children[0]]
+            while conditions:
+                cond = conditions.pop()
+                if cond.op in ("and", "or", "not"):
+                    conditions.extend(reversed(cond.children))
+                else:
+                    counts[cond] = counts.get(cond, 0) + 1
+        for child in node.children:
+            walk(child)
+
+    walk(term)
+    return counts
+
+
+def _split_equivalent(left: Term, right: Term) -> bool:
+    """Prove ``left`` and ``right`` equivalent by case splits, without SAT.
+
+    Both sides are simplified; while they differ, the atom both branch on
+    most often is fixed to true and then to false (simplify's own
+    substitution), each side is re-simplified, and both cofactor pairs
+    must be proven the same way.  A branch is proven when its sides are
+    the same interned term.  This is Shannon expansion, so it only ever
+    proves pairs that are equivalent; ``False`` means "not proven" (no
+    shared atom left, or :data:`SPLIT_COFACTOR_BUDGET` spent), and the
+    pair goes to the SAT solver.
+    """
+
+    budget = SPLIT_COFACTOR_BUDGET
+
+    def prove(left: Term, right: Term) -> bool:
+        nonlocal budget
+        if left is right:
+            return True
+        right_atoms = _branch_atoms(right)
+        atom, best = None, 0
+        for candidate, count in _branch_atoms(left).items():
+            other = right_atoms.get(candidate)
+            if other and count + other > best:
+                atom, best = candidate, count + other
+        if atom is None:
+            return False
+        for value in (t.TRUE, t.FALSE):
+            budget -= 1
+            if budget < 0:
+                return False
+            facts = {atom: value}
+            if not prove(simplify(_assume(left, facts)), simplify(_assume(right, facts))):
+                return False
+        return True
+
+    return prove(simplify(left), simplify(right))
+
+
+def _settled_without_sat(left: Term, right: Term) -> bool:
+    """Answer an unconstrained pair from the memo or a case split.
+
+    ``True`` means no SAT query is needed: the pair is proven equivalent
+    (memo or split, and a split proof feeds the memo), or the memo records
+    that its query already exhausted the budget, an abstention that is
+    counted apart from the proofs.
+    """
+
+    memo = _EQUIV_CACHE.get((left, right))
+    if memo is True:
+        COUNTERS["solver_equivalence_cache_hits"] += 1
+        return True
+    if memo is _HARD:
+        COUNTERS["solver_hard_memo_hits"] += 1
+        return True
+    if _split_equivalent(left, right):
+        COUNTERS["solver_split_equivalences"] += 1
+        _remember_equivalent(left, right)
+        return True
+    return False
+
+
 def all_equivalent(
     pairs: Iterable[Tuple[Term, Term]], solver: Optional[Solver] = None
 ) -> bool:
@@ -378,8 +490,9 @@ def all_equivalent(
     This is the batched common case of translation validation: almost all
     output fields of a clean snapshot pair are equivalent, and this
     entry point proves them together on **one** incremental solver.  Each
-    pair first runs the syntactic fast paths and the campaign-lifetime
-    equivalence memo; each survivor is then `decide()`d as its own
+    pair first runs the syntactic fast paths, the campaign-lifetime
+    equivalence memo and the case split (:func:`_split_equivalent`); each
+    survivor is then `decide()`d as its own
     assumption-literal query (``Ne(l, r)``) on the batch solver, and each
     ``UNSAT`` verdict feeds the memo immediately — so pairs proven before
     a later divergence stay proven.
@@ -415,8 +528,7 @@ def all_equivalent(
         if left is right or simplify(left) is simplify(right):
             COUNTERS["solver_syntactic_equivalences"] += 1
             continue
-        if _EQUIV_CACHE.get((left, right)):
-            COUNTERS["solver_equivalence_cache_hits"] += 1
+        if _settled_without_sat(left, right):
             continue
         survivors.append((left, right))
     if not survivors:
@@ -472,10 +584,10 @@ def find_divergence(
         COUNTERS["solver_syntactic_equivalences"] += 1
         return None
     extras = list(extra_constraints)
-    # The memo only records *unconditional* equivalences, so it may only
-    # answer (and only learn) when no extra constraints narrow the query.
-    if not extras and _EQUIV_CACHE.get((left, right)):
-        COUNTERS["solver_equivalence_cache_hits"] += 1
+    # The memo and the case split only settle *unconditional* equivalences,
+    # so they may only answer (and only learn) when no extra constraints
+    # narrow the query.
+    if not extras and _settled_without_sat(left, right):
         return None
     difference = t.Ne(left, right)
     solver = Solver()

@@ -119,6 +119,22 @@ class TestBatchingEconomics:
         assert find_divergence(*semantic[0]) is None
         assert COUNTERS["solver_sat_invocations"] == invocations
 
+    def test_hard_memo_hits_are_abstentions_not_proofs(self):
+        before = fresh_state()
+        # Multiplier commutativity: no branch to split on, and more than
+        # the conflict budget for this CDCL, so the query ends UNKNOWN.
+        hard = (smt.Mul(X, Y), smt.Mul(Y, X))
+        assert all_equivalent([hard]) is True
+        assert since(before, "budget_exhausted") == 1
+        again = dict(COUNTERS)
+        # Both entry points answer later looks from the hard memo without
+        # re-paying the search, and neither counts that as a proof.
+        assert all_equivalent([hard]) is True
+        assert find_divergence(*hard) is None
+        assert since(again, "sat_invocations") == 0
+        assert since(again, "equivalence_cache_hits") == 0
+        assert since(again, "hard_memo_hits") == 2
+
     def test_sat_batches_are_never_memoised(self):
         fresh_state()
         bad = (smt.Add(X, ONE), smt.Add(X, TWO))
