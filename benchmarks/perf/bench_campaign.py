@@ -142,6 +142,13 @@ HOTPATH_BASELINE = {
 #: or queries that the split settles reach the solver again.  The same
 #: campaign must also end with no budget-exhausted query.
 HOTPATH_MAX_SAT_CONFLICTS = 10
+#: Programs the pass manager may emit on the hot-path campaign
+#: (``compiler_snapshot_emits``): one per distinct snapshot, the input and
+#: each pass that changed the program, since passes became copy-on-write
+#: and an unchanged pass result is no longer re-emitted.  It was 3200
+#: before, 16 per program.  A count above it means some pass returns a
+#: new object for a program it did not change.
+HOTPATH_MAX_SNAPSHOT_EMITS = 1188
 #: Size of the seeded campaign used for the jobs=1 vs jobs=4 byte-identical
 #: report check (shared-prefix validation must not perturb determinism).
 HOTPATH_DETERMINISM_PROGRAMS = 25
@@ -351,9 +358,9 @@ def run_hotpath(programs: int) -> dict:
 
     One cold-start ``jobs=1`` campaign gives the deterministic counters the
     CI gate diffs (SAT invocations and conflicts, budget-exhausted queries,
-    per-cache hit rates, full garbage collections); a smaller seeded
-    campaign then runs at ``jobs=1`` and
-    ``jobs=4`` and the two report lists must serialize byte-identically —
+    snapshot emits, per-cache hit rates, full garbage collections); a
+    smaller seeded campaign then runs at ``jobs=1`` and ``jobs=4`` and the
+    two report lists must serialize byte-identically —
     shared-prefix validation and batched solving must never leak
     scheduling into the findings.
     """
@@ -366,6 +373,7 @@ def run_hotpath(programs: int) -> dict:
     sat_invocations = counters.get("solver_sat_invocations", 0)
     sat_conflicts = counters.get("solver_sat_conflicts", 0)
     budget_exhausted = counters.get("solver_budget_exhausted", 0)
+    snapshot_emits = counters.get("compiler_snapshot_emits", 0)
     gc_collections = {
         f"gen{generation}": counters.get(f"gc_gen{generation}_collections", 0)
         for generation in range(3)
@@ -390,6 +398,7 @@ def run_hotpath(programs: int) -> dict:
         sat_invocations < HOTPATH_BASELINE["sat_invocations"]
         and sat_conflicts <= HOTPATH_MAX_SAT_CONFLICTS
         and budget_exhausted == 0
+        and snapshot_emits <= HOTPATH_MAX_SNAPSHOT_EMITS
         and caches["reparse"]["hits"] > 0
         and caches["interp"]["hits"] > 0
         and caches["bitblast"]["hits"] > 0
@@ -412,6 +421,8 @@ def run_hotpath(programs: int) -> dict:
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
         "split_equivalences": counters.get("solver_split_equivalences", 0),
         "budget_exhausted": budget_exhausted,
+        "snapshot_emits": snapshot_emits,
+        "max_snapshot_emits": HOTPATH_MAX_SNAPSHOT_EMITS,
         "caches": caches,
         "gc_collections": gc_collections,
         "max_full_collections": HOTPATH_MAX_FULL_COLLECTIONS,
@@ -1028,7 +1039,8 @@ def main(argv=None) -> int:
     parser.add_argument("--hotpath", action="store_true",
                         help="record the validation hot-path section: jobs=1 "
                              "throughput (not gated), SAT invocations, "
-                             "per-cache hit rates, full garbage collections "
+                             "snapshot emits, per-cache hit rates, full "
+                             "garbage collections "
                              "and the jobs=1 vs jobs=4 determinism check")
     parser.add_argument("--distributed", action="store_true",
                         help="record the coordinator/worker smoke: units/sec "
@@ -1146,6 +1158,8 @@ def main(argv=None) -> int:
             f"(must stay at or below {hotpath['max_sat_conflicts']}), "
             f"{hotpath['split_equivalences']} split equivalences, "
             f"{hotpath['budget_exhausted']} budget exhausted (must be 0), "
+            f"{hotpath['snapshot_emits']} snapshot emits "
+            f"(must stay at or below {hotpath['max_snapshot_emits']}), "
             f"byte-identical jobs 1 vs 4: "
             f"{hotpath['reports_byte_identical_jobs1_vs_jobs4']}"
         )

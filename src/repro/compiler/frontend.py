@@ -8,11 +8,12 @@ seeded defects from :mod:`repro.compiler.bugs` live here.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.compiler.passes import CompilerPass, PassContext
-from repro.compiler.visitor import Transformer
+from repro.compiler.visitor import Transformer, map_controls, replace_items
 from repro.p4 import ast
 from repro.p4.typecheck import TypeCheckError, check_program
 from repro.p4.types import BitType, VoidType
@@ -161,14 +162,9 @@ class SimplifyDefUse(CompilerPass):
     def run(self, program: ast.Program, context: PassContext) -> ast.Program:
         buggy = context.bug_enabled("def_use_return_clears_scope")
         poisoned_functions = self._functions_with_inout_return(program) if buggy else set()
-
-        new_decls: List[ast.Declaration] = []
-        for decl in program.declarations:
-            if isinstance(decl, ast.ControlDeclaration):
-                new_decls.append(self._simplify_control(decl, poisoned_functions))
-            else:
-                new_decls.append(decl)
-        return ast.Program(new_decls)
+        return map_controls(
+            program, lambda control: self._simplify_control(control, poisoned_functions)
+        )
 
     @staticmethod
     def _functions_with_inout_return(program: ast.Program) -> Set[str]:
@@ -185,7 +181,6 @@ class SimplifyDefUse(CompilerPass):
     def _simplify_control(
         self, control: ast.ControlDeclaration, poisoned_functions: Set[str]
     ) -> ast.ControlDeclaration:
-        control = control.clone()
         reads = collect_reads(control)
 
         # Correct behaviour: drop assignments to never-read local variables.
@@ -241,14 +236,8 @@ class SimplifyDefUse(CompilerPass):
                     return None
                 return decl
 
-        transformer = _DropDeclarations()
-        control = transformer.transform(control)
-        control.locals = [
-            local
-            for local in control.locals
-            if not (isinstance(local, ast.VariableDeclaration) and local.name in doomed)
-        ]
-        return control
+        # Doomed control locals go too: they are statements in a list field.
+        return _DropDeclarations().transform(control)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +270,7 @@ class InlineFunctions(CompilerPass):
             if isinstance(decl, ast.FunctionDeclaration):
                 continue  # functions disappear after inlining
             if isinstance(decl, (ast.ControlDeclaration, ast.ParserDeclaration)):
-                new_decls.append(inliner.transform(decl.clone()))
+                new_decls.append(inliner.transform(decl))
             else:
                 new_decls.append(decl)
         return ast.Program(new_decls)
@@ -301,6 +290,8 @@ class _FunctionInliner(Transformer):
         prelude: List[ast.Statement] = []
         rhs = self._expand_expression(stmt.rhs, prelude, top_level=True)
         lhs = self._expand_expression(stmt.lhs, prelude, top_level=False)
+        if lhs is stmt.lhs and rhs is stmt.rhs:
+            return stmt
         new_stmt = ast.AssignmentStatement(lhs, rhs)
         if prelude:
             return prelude + [new_stmt]
@@ -311,6 +302,8 @@ class _FunctionInliner(Transformer):
             return stmt
         prelude: List[ast.Statement] = []
         initializer = self._expand_expression(stmt.initializer, prelude, top_level=True)
+        if initializer is stmt.initializer:
+            return stmt
         new_stmt = ast.VariableDeclaration(stmt.name, stmt.var_type, initializer)
         if prelude:
             return prelude + [new_stmt]
@@ -321,6 +314,12 @@ class _FunctionInliner(Transformer):
         cond = self._expand_expression(stmt.cond, prelude, top_level=False)
         then_branch = self.transform(stmt.then_branch)
         else_branch = self.transform(stmt.else_branch) if stmt.else_branch else None
+        if (
+            cond is stmt.cond
+            and then_branch is stmt.then_branch
+            and else_branch is stmt.else_branch
+        ):
+            return stmt
         new_stmt = ast.IfStatement(cond, then_branch, else_branch)
         if prelude:
             return prelude + [new_stmt]
@@ -334,6 +333,8 @@ class _FunctionInliner(Transformer):
         # Arguments of other calls (e.g. extern-like emit) may contain calls.
         prelude: List[ast.Statement] = []
         new_args = [self._expand_expression(arg, prelude, top_level=False) for arg in call.args]
+        if all(new is arg for new, arg in zip(new_args, call.args)):
+            return stmt
         new_stmt = ast.MethodCallStatement(
             ast.MethodCallExpression(call.target, new_args)
         )
@@ -463,13 +464,7 @@ class RemoveActionParameters(CompilerPass):
     location = "front_end"
 
     def run(self, program: ast.Program, context: PassContext) -> ast.Program:
-        new_decls: List[ast.Declaration] = []
-        for decl in program.declarations:
-            if isinstance(decl, ast.ControlDeclaration):
-                new_decls.append(self._rewrite_control(decl.clone(), context))
-            else:
-                new_decls.append(decl)
-        return ast.Program(new_decls)
+        return map_controls(program, lambda control: self._rewrite_control(control, context))
 
     def _rewrite_control(
         self, control: ast.ControlDeclaration, context: PassContext
@@ -483,34 +478,43 @@ class RemoveActionParameters(CompilerPass):
             return control
 
         expander = _ActionCallExpander(actions, context)
-        control.apply = expander.transform(control.apply)
-        # Also expand direct action calls made from other action bodies.
+        apply = expander.transform(control.apply)
+        # Also expand direct action calls made from other action bodies, in
+        # declaration order: a later body inlines an earlier action's
+        # expanded body, so the expander's table follows each rewrite.
+        locals_: List[ast.Declaration] = []
         for local in control.locals:
             if isinstance(local, ast.ActionDeclaration):
-                local.body = expander.transform(local.body)
+                body = expander.transform(local.body)
+                if body is not local.body:
+                    local = dataclasses.replace(local, body=body)
+                    actions[local.name] = local
+            locals_.append(local)
         # Actions that were only invoked directly are now fully expanded and
         # can be dropped; actions referenced by a table must stay.
         referenced: Set[str] = set()
-        for local in control.locals:
+        for local in locals_:
             if isinstance(local, ast.TableDeclaration):
                 referenced.update(ref.name for ref in local.actions)
                 if local.default_action is not None:
                     referenced.add(local.default_action.name)
-        for node in ast.walk(control.apply):
+        for node in ast.walk(apply):
             if isinstance(node, ast.MethodCallExpression) and isinstance(
                 node.target, ast.PathExpression
             ):
                 referenced.add(node.target.name)
-        control.locals = [
+        locals_ = [
             local
-            for local in control.locals
+            for local in locals_
             if not (
                 isinstance(local, ast.ActionDeclaration)
                 and local.params
                 and local.name not in referenced
             )
         ]
-        return control
+        if apply is not control.apply:
+            control = dataclasses.replace(control, apply=apply)
+        return replace_items(control, "locals", locals_)
 
 
 class _ActionCallExpander(Transformer):

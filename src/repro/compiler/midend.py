@@ -7,11 +7,12 @@ propagation, dead-code elimination and control-flow simplification.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compiler.errors import CompilerCrash
 from repro.compiler.passes import CompilerPass, PassContext, null_recorder
-from repro.compiler.visitor import Transformer
+from repro.compiler.visitor import Transformer, map_controls, replace_items
 from repro.p4 import ast
 from repro.p4 import registers as register_lowering
 from repro.p4 import stacks as stack_lowering
@@ -600,7 +601,7 @@ class ConstantFolding(CompilerPass):
             context.bug_enabled("constant_folding_no_mask"),
             record=context.rule_recorder(self.name),
         )
-        return folder.transform_program(program.clone())
+        return folder.transform_program(program)
 
 
 class _ConstantFolder(Transformer):
@@ -723,7 +724,7 @@ class StrengthReduction(CompilerPass):
             name_widths=_collect_name_widths(program),
             record=context.rule_recorder(self.name),
         )
-        return reducer.transform_program(program.clone())
+        return reducer.transform_program(program)
 
 
 def _collect_name_widths(program: ast.Program) -> Dict[str, Optional[int]]:
@@ -912,12 +913,19 @@ class Predication(CompilerPass):
     location = "mid_end"
 
     def run(self, program: ast.Program, context: PassContext) -> ast.Program:
-        program = program.clone()
-        for control in program.controls():
-            for local in control.locals:
-                if isinstance(local, ast.ActionDeclaration):
-                    local.body = self._predicate_block(local.body, context)
-        return program
+        return map_controls(program, lambda control: self._predicate_control(control, context))
+
+    def _predicate_control(
+        self, control: ast.ControlDeclaration, context: PassContext
+    ) -> ast.ControlDeclaration:
+        locals_: List[ast.Declaration] = []
+        for local in control.locals:
+            if isinstance(local, ast.ActionDeclaration):
+                body = self._predicate_block(local.body, context)
+                if body is not local.body:
+                    local = dataclasses.replace(local, body=body)
+            locals_.append(local)
+        return replace_items(control, "locals", locals_)
 
     def _predicate_block(
         self, block: ast.BlockStatement, context: PassContext
@@ -928,7 +936,7 @@ class Predication(CompilerPass):
                 statements.extend(self._predicate_if(statement, context))
             else:
                 statements.append(statement)
-        return ast.BlockStatement(statements)
+        return replace_items(block, "statements", statements)
 
     def _only_assignments(self, statement: ast.IfStatement) -> bool:
         for node in ast.walk(statement):
@@ -1042,14 +1050,16 @@ class LocalCopyPropagation(CompilerPass):
     location = "mid_end"
 
     def run(self, program: ast.Program, context: PassContext) -> ast.Program:
-        program = program.clone()
         propagate_across_validity = context.bug_enabled("copy_prop_across_invalid")
         record = context.rule_recorder(self.name)
-        for control in program.controls():
-            control.apply = _propagate_block(
-                control.apply, propagate_across_validity, record
-            )
-        return program
+
+        def propagate(control: ast.ControlDeclaration) -> ast.ControlDeclaration:
+            apply = _propagate_block(control.apply, propagate_across_validity, record)
+            if apply is control.apply:
+                return control
+            return dataclasses.replace(control, apply=apply)
+
+        return map_controls(program, propagate)
 
 
 def _propagate_block(
@@ -1088,7 +1098,7 @@ def _propagate_block(
                 # Never rewrite the callee of isValid()/apply() etc.
                 return node
 
-        return _Subst().transform(expr.clone())
+        return _Subst().transform(expr)
 
     def kill_root(root: Optional[str]) -> None:
         if root is None:
@@ -1117,7 +1127,8 @@ def _propagate_block(
     for statement in block.statements:
         if isinstance(statement, ast.AssignmentStatement):
             rhs = substitute_facts(statement.rhs)
-            statement = ast.AssignmentStatement(statement.lhs, rhs)
+            if rhs is not statement.rhs:
+                statement = ast.AssignmentStatement(statement.lhs, rhs)
             statements.append(statement)
             kill_root(ast.lvalue_root(statement.lhs))
             if isinstance(rhs, ast.Constant) and may_learn(statement.lhs):
@@ -1129,7 +1140,10 @@ def _propagate_block(
                 if statement.initializer is not None
                 else None
             )
-            statement = ast.VariableDeclaration(statement.name, statement.var_type, initializer)
+            if initializer is not statement.initializer:
+                statement = ast.VariableDeclaration(
+                    statement.name, statement.var_type, initializer
+                )
             statements.append(statement)
             if isinstance(initializer, ast.Constant):
                 record("learn_fact")
@@ -1160,7 +1174,7 @@ def _propagate_block(
             statements.append(statement)
             facts.clear()
             known_valid.clear()
-    return ast.BlockStatement(statements)
+    return replace_items(block, "statements", statements)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,7 +1198,7 @@ class DeadCodeElimination(CompilerPass):
             drop_validity_calls=context.bug_enabled("dead_code_removes_validity_call"),
             record=context.rule_recorder(self.name),
         )
-        return eliminator.transform_program(program.clone())
+        return eliminator.transform_program(program)
 
 
 class _DeadCodeEliminator(Transformer):
@@ -1212,7 +1226,7 @@ class _DeadCodeEliminator(Transformer):
                 if position + 1 < len(block.statements):
                     self.record("dead_tail")
                 break
-        return ast.BlockStatement(statements)
+        return replace_items(block, "statements", statements)
 
     @classmethod
     def _terminates(cls, statement: ast.Statement) -> bool:
@@ -1255,7 +1269,7 @@ class _DeadCodeEliminator(Transformer):
             return None
         if else_branch is not None and not else_branch.statements:
             else_branch = None
-        return ast.IfStatement(cond, then_branch, else_branch)
+        return _rebuilt_if(statement, cond, then_branch, else_branch)
 
     @staticmethod
     def _strip_validity_calls(block: ast.BlockStatement) -> ast.BlockStatement:
@@ -1268,7 +1282,24 @@ class _DeadCodeEliminator(Transformer):
                 and statement.call.target.member in ("setValid", "setInvalid")
             )
         ]
-        return ast.BlockStatement(statements)
+        return replace_items(block, "statements", statements)
+
+
+def _rebuilt_if(
+    statement: ast.IfStatement,
+    cond: ast.Expression,
+    then_branch: ast.BlockStatement,
+    else_branch: Optional[ast.BlockStatement],
+) -> ast.IfStatement:
+    """``statement`` itself when every part is the same object, else a new if."""
+
+    if (
+        cond is statement.cond
+        and then_branch is statement.then_branch
+        and else_branch is statement.else_branch
+    ):
+        return statement
+    return ast.IfStatement(cond, then_branch, else_branch)
 
 
 # ---------------------------------------------------------------------------
@@ -1291,7 +1322,7 @@ class SimplifyControlFlow(CompilerPass):
             drop_else_with_empty_then=context.bug_enabled("simplify_control_flow_empty_if"),
             record=context.rule_recorder(self.name),
         )
-        return simplifier.transform_program(program.clone())
+        return simplifier.transform_program(program)
 
 
 class _ControlFlowSimplifier(Transformer):
@@ -1316,7 +1347,7 @@ class _ControlFlowSimplifier(Transformer):
                 statements.extend(transformed)
             else:
                 statements.append(transformed)
-        return ast.BlockStatement(statements)
+        return replace_items(block, "statements", statements)
 
     def visit_EmptyStatement(self, statement: ast.EmptyStatement):
         self.record("drop_empty_statement")
@@ -1342,7 +1373,7 @@ class _ControlFlowSimplifier(Transformer):
             )
         if else_branch is not None and not else_branch.statements:
             else_branch = None
-        return ast.IfStatement(statement.cond, then_branch, else_branch)
+        return _rebuilt_if(statement, statement.cond, then_branch, else_branch)
 
     def _transform_branch(self, block: ast.BlockStatement) -> ast.BlockStatement:
         transformed = self.transform(block)

@@ -6,6 +6,11 @@ validator can compare consecutive snapshots and pinpoint the defective pass.
 Snapshots whose emitted source is identical to their predecessor are marked
 unchanged and skipped by the validator, exactly as Gauntlet skips emitted
 programs with an identical hash (§5.2).
+
+Passes are copy-on-write (see :mod:`repro.compiler.visitor`): a pass that
+changed nothing returns its input object.  The manager reads an identical
+object as unchanged and reuses the previous source instead of emitting it
+again; any other result is emitted and compared as above.
 """
 
 from __future__ import annotations
@@ -18,8 +23,11 @@ from repro.compiler.coverage import CoverageMap
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.compiler.options import CompilerOptions
 from repro.compiler.passes import CompilerPass, PassContext
+from repro.metrics import COUNTERS, declare
 from repro.p4 import ast
 from repro.p4.emitter import emit_program
+
+declare("compiler_snapshot_emits")
 
 
 @dataclass
@@ -88,6 +96,7 @@ class PassManager:
         context = PassContext(options=self.options)
         result.coverage = context.coverage
         source = emit_program(program)
+        COUNTERS["compiler_snapshot_emits"] += 1
         result.snapshots.append(
             PassSnapshot("input", "input", program, source, changed=True)
         )
@@ -118,7 +127,11 @@ class PassManager:
                     signature=f"unhandled-{type(exc).__name__}",
                 )
                 return result
-            new_source = emit_program(transformed)
+            if transformed is current:
+                new_source = previous_source
+            else:
+                new_source = emit_program(transformed)
+                COUNTERS["compiler_snapshot_emits"] += 1
             changed = new_source != previous_source
             if changed:
                 context.coverage.record_pass(compiler_pass.name)

@@ -55,9 +55,20 @@ def null_recorder(rule: str, count: int = 1) -> None:
 class CompilerPass:
     """Base class for compiler passes.
 
-    A pass takes a program and returns a (possibly identical) program.  It
-    must not mutate its input: the pass manager keeps the previous snapshot
-    for translation validation.
+    A pass takes a program and returns a program, copy-on-write:
+
+    * it never writes to a node it received, because the pass manager keeps
+      every earlier snapshot for translation validation;
+    * it copies (``dataclasses.replace``) only the nodes it rewrites and
+      their ancestors, and shares every other node with its input;
+    * it returns its input object itself when it changed nothing, which
+      the pass manager reads as "unchanged" and does not re-emit.
+
+    :class:`~repro.compiler.visitor.Transformer` and
+    :func:`~repro.compiler.visitor.replace_items` keep the contract for
+    most passes.  The two lowering passes, HeaderStackFlattening and
+    StatefulLowering, instead clone a program that has stacks or state
+    and lower that copy in place.
     """
 
     #: Human-readable pass name (matches the names used in bug reports).

@@ -3,15 +3,56 @@
 :class:`Transformer` rebuilds an AST bottom-up.  Subclasses override
 ``visit_<NodeClass>`` methods; the default behaviour reconstructs the node
 with transformed children, so passes only need code for the node types they
-care about.  Transformers never mutate the input tree, which lets the pass
-manager keep the "before" program for translation validation.
+care about.
+
+Every pass is copy-on-write, and transformers are how most of them get
+there.  A pass never writes to a node it received.  It copies only the
+nodes it rewrites and their ancestors, and shares every other node with
+its input; :meth:`Transformer.generic_visit` returns a node itself when
+no child changed.  A pass that changed nothing returns its input object,
+which the pass manager reads as "unchanged" and does not re-emit.  The
+snapshots of one compilation therefore share every unchanged subtree, and
+each of them stays valid for translation validation because nothing
+writes to a node once a pass has returned it.  A ``visit_`` method that
+rebuilds a container keeps the contract with :func:`replace_items`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+import dataclasses
+from typing import Any, Callable, List
 
 from repro.p4 import ast
+
+
+def replace_items(node: ast.Node, name: str, items: List[Any]) -> ast.Node:
+    """``node`` with its list field ``name`` set to ``items``, copy-on-write.
+
+    Returns ``node`` itself when ``items`` holds exactly the objects the
+    field already holds, in order; otherwise a shallow copy carrying the
+    new list.
+    """
+
+    old = getattr(node, name)
+    if len(items) == len(old) and all(new is item for new, item in zip(items, old)):
+        return node
+    return dataclasses.replace(node, **{name: items})
+
+
+def map_controls(
+    program: ast.Program,
+    rewrite: Callable[[ast.ControlDeclaration], ast.ControlDeclaration],
+) -> ast.Program:
+    """``program`` with ``rewrite`` applied to every control, copy-on-write."""
+
+    return replace_items(
+        program,
+        "declarations",
+        [
+            rewrite(decl) if isinstance(decl, ast.ControlDeclaration) else decl
+            for decl in program.declarations
+        ],
+    )
 
 
 class Transformer:

@@ -1,8 +1,9 @@
 """Abstract syntax tree for the P4-16 subset.
 
-Nodes are small mutable dataclasses.  Compiler passes never mutate a shared
-tree in place: they rebuild nodes through :class:`repro.compiler.visitor.Transformer`,
-so two snapshots of a program (before/after a pass) can be compared safely.
+Nodes are small mutable dataclasses.  Compiler passes never write to a node
+they received: they are copy-on-write (:class:`repro.compiler.passes.CompilerPass`),
+so the snapshots of one compilation share every subtree a pass left unchanged
+and each snapshot still reads as it did when it was emitted.
 
 The node set covers:
 
@@ -71,13 +72,20 @@ class Node:
     """Base class for every AST node."""
 
     def clone(self) -> "Node":
-        """Deep structural copy of the node (snapshots programs between passes).
+        """Deep structural copy of the node.
 
-        Hand-rolled instead of ``copy.deepcopy``: passes snapshot every
-        program they touch, and the generic deepcopy machinery (memo dict,
-        reduce protocol) dominated campaign profiles.  The clone walks the
-        dataclass fields directly and shares immutable leaves, which is
-        roughly an order of magnitude cheaper.
+        Passes do not clone what they rewrite: they are copy-on-write (see
+        :class:`repro.compiler.passes.CompilerPass`) and share unchanged
+        nodes between snapshots.  They clone what they place a second time
+        (an inlined body, a predicated assignment's target), and the stack
+        and stateful lowerings clone a program before lowering it in place.
+        The shared-prefix compile clones its input, because the reducer
+        edits its working tree between compilations.
+
+        Hand-rolled instead of ``copy.deepcopy``: the generic deepcopy
+        machinery (memo dict, reduce protocol) dominated campaign profiles.
+        The clone walks the dataclass fields directly and shares immutable
+        leaves, which is roughly an order of magnitude cheaper.
         """
 
         cls = type(self)

@@ -386,7 +386,11 @@ def _rewrite(node: Term) -> Term:
         # meet syntactically instead of going to the SAT solver.
         then_p = _propagate_guard(then, cond, True)
         orelse_p = _propagate_guard(orelse, cond, False)
-        if then_p is not then or orelse_p is not orelse:
+        # Compare by equality, not identity: a term interned before
+        # ``clear_term_caches()`` equals its fresh twin without being it,
+        # and the memo may answer with either, so an identity test would
+        # rebuild the same ``ite`` forever.
+        if then_p != then or orelse_p != orelse:
             return _rewrite(Term("ite", node.sort, (cond, then_p, orelse_p)))
         # Common-guard hoisting: when both arms branch on the same inner
         # condition and agree on one arm, the inner guard moves out --

@@ -358,6 +358,8 @@ EQUIVALENCE_CONFLICT_BUDGET = 512
 
 #: Memo value for pairs whose query exhausted the conflict budget.
 _HARD = "hard"
+#: Memo value for pairs the case split failed to prove.
+_SPLIT_FAILED = "split-failed"
 
 #: Process-wide equivalence-verdict memo: ``(left, right) -> True`` for
 #: pairs proven *unconditionally* equivalent (no extra constraints), or
@@ -366,7 +368,10 @@ _HARD = "hard"
 #: is a semantic fact about the interned term pair, so the memo is safe
 #: campaign-lifetime; divergence verdicts are not stored because their
 #: value is the witness, which must be re-derived on a fresh solver to
-#: stay scheduler-independent.
+#: stay scheduler-independent.  :data:`_SPLIT_FAILED` marks a pair whose
+#: case split (a pure function of the pair) already failed, so the next
+#: query of it goes straight to SAT; a later UNSAT or UNKNOWN verdict
+#: overwrites the marker.
 _EQUIV_CACHE: Dict[Tuple[Term, Term], object] = {}
 _EQUIV_CACHE_LIMIT = 200_000
 
@@ -465,7 +470,8 @@ def _settled_without_sat(left: Term, right: Term) -> bool:
     ``True`` means no SAT query is needed: the pair is proven equivalent
     (memo or split, and a split proof feeds the memo), or the memo records
     that its query already exhausted the budget, an abstention that is
-    counted apart from the proofs.
+    counted apart from the proofs.  ``False`` sends the pair to SAT; a
+    failed split is remembered, so the pair's next query skips it.
     """
 
     memo = _EQUIV_CACHE.get((left, right))
@@ -475,10 +481,13 @@ def _settled_without_sat(left: Term, right: Term) -> bool:
     if memo is _HARD:
         COUNTERS["solver_hard_memo_hits"] += 1
         return True
+    if memo is _SPLIT_FAILED:
+        return False
     if _split_equivalent(left, right):
         COUNTERS["solver_split_equivalences"] += 1
         _remember_equivalent(left, right)
         return True
+    _remember_equivalent(left, right, value=_SPLIT_FAILED)
     return False
 
 

@@ -14,6 +14,7 @@ from repro import smt
 from repro.metrics import COUNTERS
 from repro.smt import all_equivalent, clear_equivalence_cache, find_divergence
 from repro.smt.evaluate import evaluate
+from repro.smt import solver
 from repro.smt.solver import _split_equivalent
 
 from test_simplify_properties import WIDTH, assignments, bool_terms, bv_terms
@@ -150,6 +151,38 @@ class TestWhatTheSplitCannotProve:
         assert not _split_equivalent(left, right)
         witness = find_divergence(left, right)
         assert witness is not None and witness["p"] is True
+
+    def test_a_failed_split_is_not_retried(self, monkeypatch):
+        # The batch fails to split the pair and SAT finds the divergence;
+        # the walk that follows asks SAT for the witness without splitting
+        # the pair again.
+        clear_equivalence_cache()
+        calls = []
+
+        def counting_split(left, right):
+            calls.append((left, right))
+            return _split_equivalent(left, right)
+
+        monkeypatch.setattr(solver, "_split_equivalent", counting_split)
+        x, p = bv8("x"), smt.BoolSym("p")
+        left = smt.Ite(p, smt.Add(x, c8(1)), x)
+        right = smt.Ite(p, smt.Add(x, c8(2)), x)
+        assert all_equivalent([(left, right)]) is False
+        witness = find_divergence(left, right)
+        assert witness is not None and witness["p"] is True
+        assert len(calls) == 1
+
+    def test_a_sat_verdict_replaces_the_failed_split(self):
+        clear_equivalence_cache()
+        x = bv8("x")
+        pair = (smt.Add(x, x), smt.Mul(x, c8(2)))
+        before = dict(COUNTERS)
+        assert all_equivalent([pair]) is True
+        assert grew(before, "sat_invocations") == 1
+        before = dict(COUNTERS)
+        assert find_divergence(*pair) is None
+        assert grew(before, "equivalence_cache_hits") == 1
+        assert grew(before, "sat_invocations") == 0
 
 
 BINARY = [smt.Add, smt.Sub, smt.Mul, smt.BvAnd, smt.BvOr, smt.BvXor, smt.Shl, smt.LShr]

@@ -1,6 +1,9 @@
 """Unit tests for the term simplifier."""
 
+import random
+
 from repro import smt
+from repro.smt.evaluate import evaluate
 from repro.smt.simplify import simplify
 
 
@@ -113,3 +116,52 @@ class TestBooleanSimplification:
         # (1 + 2) * 3 == 9 should fold completely even when nested under eq.
         nine = smt.Mul(smt.Add(ONE, smt.BitVecVal(2, 8)), smt.BitVecVal(3, 8))
         assert simplify(smt.Eq(nine, smt.BitVecVal(9, 8))) == smt.BoolVal(True)
+
+
+class TestTermsFromBeforeAClear:
+    """Terms interned before ``clear_term_caches()`` equal their fresh twins
+    without being them; simplifying a mix of both must still terminate."""
+
+    OPS = (smt.Add, smt.Sub, smt.BvAnd, smt.BvOr, smt.BvXor)
+
+    def test_mixed_generations_simplify_to_a_fixpoint(self):
+        stale_bv = [smt.BitVecSym(name, 8) for name in ("x", "y", "z")]
+        stale_bool = [smt.BoolSym(name) for name in ("p", "q")]
+        smt.clear_term_caches()
+        rng = random.Random(7)
+
+        def bv_leaf():
+            roll = rng.random()
+            if roll < 0.35:
+                return rng.choice(stale_bv)
+            if roll < 0.7:
+                return smt.BitVecSym(rng.choice(("x", "y", "z")), 8)
+            return smt.BitVecVal(rng.randrange(256), 8)
+
+        def bool_leaf():
+            if rng.random() < 0.5:
+                return rng.choice(stale_bool)
+            return smt.BoolSym(rng.choice(("p", "q")))
+
+        def bool_term(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return bool_leaf()
+            roll = rng.random()
+            if roll < 0.4:
+                return smt.Eq(bv_term(depth - 1), bv_term(depth - 1))
+            if roll < 0.6:
+                return smt.Not(bool_term(depth - 1))
+            return smt.And(bool_term(depth - 1), bool_term(depth - 1))
+
+        def bv_term(depth):
+            if depth == 0 or rng.random() < 0.2:
+                return bv_leaf()
+            if rng.random() < 0.5:
+                return smt.Ite(bool_term(depth - 1), bv_term(depth - 1), bv_term(depth - 1))
+            return rng.choice(self.OPS)(bv_term(depth - 1), bv_term(depth - 1))
+
+        for _ in range(300):
+            term = bv_term(4)
+            env = {name: rng.randrange(256) for name in ("x", "y", "z")}
+            env.update({name: rng.random() < 0.5 for name in ("p", "q")})
+            assert evaluate(simplify(term), env) == evaluate(term, env)
