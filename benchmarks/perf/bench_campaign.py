@@ -143,12 +143,23 @@ HOTPATH_BASELINE = {
 #: campaign must also end with no budget-exhausted query.
 HOTPATH_MAX_SAT_CONFLICTS = 10
 #: Programs the pass manager may emit on the hot-path campaign
-#: (``compiler_snapshot_emits``): one per distinct snapshot, the input and
-#: each pass that changed the program, since passes became copy-on-write
-#: and an unchanged pass result is no longer re-emitted.  It was 3200
-#: before, 16 per program.  A count above it means some pass returns a
-#: new object for a program it did not change.
-HOTPATH_MAX_SNAPSHOT_EMITS = 1188
+#: (``compiler_snapshot_emits``): one per pass that changed the program,
+#: since passes became copy-on-write (an unchanged pass result is not
+#: re-emitted) and the pass manager takes the input's source from
+#: ``compile_prefix`` instead of emitting it again.  It was 3200 with
+#: every pass result emitted, 16 per program, and 1188 with the input
+#: emitted too.  A count above it means some pass returns a new object
+#: for a program it did not change.
+HOTPATH_MAX_SNAPSHOT_EMITS = 988
+#: Type checks the hot-path campaign may run (``typecheck_runs``, every
+#: ``check_program`` call): the front end's two checking passes per
+#: compilation, plus one per distinct source outside the compiler under
+#: test, since those checks are memoised by source
+#: (``repro.p4.typecheck.checked_types``).  It was 2588, 12.9 per
+#: program, when the interpreters, the back-end executables and the packet
+#: layout each checked the program again.  A count above it means a
+#: consumer checks a source it could take from the memo.
+HOTPATH_MAX_TYPECHECKS = 1588
 #: Size of the seeded campaign used for the jobs=1 vs jobs=4 byte-identical
 #: report check (shared-prefix validation must not perturb determinism).
 HOTPATH_DETERMINISM_PROGRAMS = 25
@@ -334,7 +345,9 @@ def _cache_report(counters: dict) -> dict:
     """Hit/miss/rate triples for every campaign-lifetime cache."""
 
     pairs = {
+        "lexer": ("lexer_hits", "lexer_misses"),
         "reparse": ("reparse_hits", "reparse_misses"),
+        "typecheck": ("typecheck_hits", "typecheck_misses"),
         "interp": ("interp_hits", "interp_misses"),
         "testgen": ("testgen_hits", "testgen_misses"),
         "prefix": ("prefix_hits", "prefix_misses"),
@@ -358,9 +371,9 @@ def run_hotpath(programs: int) -> dict:
 
     One cold-start ``jobs=1`` campaign gives the deterministic counters the
     CI gate diffs (SAT invocations and conflicts, budget-exhausted queries,
-    snapshot emits, per-cache hit rates, full garbage collections); a
-    smaller seeded campaign then runs at ``jobs=1`` and ``jobs=4`` and the
-    two report lists must serialize byte-identically —
+    snapshot emits, type checks, per-cache hit rates, full garbage
+    collections); a smaller seeded campaign then runs at ``jobs=1`` and
+    ``jobs=4`` and the two report lists must serialize byte-identically —
     shared-prefix validation and batched solving must never leak
     scheduling into the findings.
     """
@@ -374,6 +387,7 @@ def run_hotpath(programs: int) -> dict:
     sat_conflicts = counters.get("solver_sat_conflicts", 0)
     budget_exhausted = counters.get("solver_budget_exhausted", 0)
     snapshot_emits = counters.get("compiler_snapshot_emits", 0)
+    typecheck_runs = counters.get("typecheck_runs", 0)
     gc_collections = {
         f"gen{generation}": counters.get(f"gc_gen{generation}_collections", 0)
         for generation in range(3)
@@ -399,6 +413,8 @@ def run_hotpath(programs: int) -> dict:
         and sat_conflicts <= HOTPATH_MAX_SAT_CONFLICTS
         and budget_exhausted == 0
         and snapshot_emits <= HOTPATH_MAX_SNAPSHOT_EMITS
+        and typecheck_runs <= HOTPATH_MAX_TYPECHECKS
+        and caches["lexer"]["hits"] > 0
         and caches["reparse"]["hits"] > 0
         and caches["interp"]["hits"] > 0
         and caches["bitblast"]["hits"] > 0
@@ -423,6 +439,8 @@ def run_hotpath(programs: int) -> dict:
         "budget_exhausted": budget_exhausted,
         "snapshot_emits": snapshot_emits,
         "max_snapshot_emits": HOTPATH_MAX_SNAPSHOT_EMITS,
+        "typecheck_runs": typecheck_runs,
+        "max_typecheck_runs": HOTPATH_MAX_TYPECHECKS,
         "caches": caches,
         "gc_collections": gc_collections,
         "max_full_collections": HOTPATH_MAX_FULL_COLLECTIONS,
@@ -1160,6 +1178,8 @@ def main(argv=None) -> int:
             f"{hotpath['budget_exhausted']} budget exhausted (must be 0), "
             f"{hotpath['snapshot_emits']} snapshot emits "
             f"(must stay at or below {hotpath['max_snapshot_emits']}), "
+            f"{hotpath['typecheck_runs']} type checks "
+            f"(must stay at or below {hotpath['max_typecheck_runs']}), "
             f"byte-identical jobs 1 vs 4: "
             f"{hotpath['reports_byte_identical_jobs1_vs_jobs4']}"
         )

@@ -43,13 +43,19 @@ class P4Compiler:
 
     # -- compilation ------------------------------------------------------------
 
-    def compile(self, program: Union[str, ast.Program]) -> CompilationResult:
-        """Compile a program (AST or source text) and return all snapshots."""
+    def compile(
+        self, program: Union[str, ast.Program], source: Optional[str] = None
+    ) -> CompilationResult:
+        """Compile a program (AST or source text) and return all snapshots.
+
+        ``source``, when given, must be the emitted source of the AST
+        ``program``; the pass manager then does not emit the input again.
+        """
 
         if isinstance(program, str):
             program = parse_program(program)
         manager = PassManager(self.passes(), self.options)
-        return manager.run(program)
+        return manager.run(program, source)
 
 
 def compile_front_midend(
@@ -115,7 +121,7 @@ def compile_prefix(
     )
     result = _PREFIX_MEMO.get(key)
     if result is MISSING:
-        result = P4Compiler(options).compile(program.clone())
+        result = P4Compiler(options).compile(program.clone(), source)
         _PREFIX_MEMO.put(key, result)
     return result
 

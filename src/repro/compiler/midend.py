@@ -118,6 +118,7 @@ class HeaderStackFlattening(CompilerPass):
         stack_fields = _collect_stack_fields(program)
         if not stack_fields:
             return program
+        original = program
         program = program.clone()
         structs = {decl.name: decl for decl in program.structs()}
         flattener = _StackFlattener(
@@ -135,6 +136,9 @@ class HeaderStackFlattening(CompilerPass):
                 declarations.append(flattener.lower_parser(decl))
             else:
                 declarations.append(decl)
+        if not flattener.lowered:
+            # Only constant-indexed elements: the clone is the input's twin.
+            return original
         return ast.Program(declarations)
 
 
@@ -176,9 +180,17 @@ class _StackFlattener:
         self.structs = structs
         self.off_by_one = off_by_one
         self.drop_validity = drop_validity
-        self.record = record
+        self._record = record
+        #: Stack operations lowered so far.
+        self.lowered = 0
         #: (struct, field) -> counter field name, for counters already added.
         self._counters: Dict[Tuple[str, str], str] = {}
+
+    def record(self, rule: str) -> None:
+        """Count one lowered stack operation and light its rule cell."""
+
+        self.lowered += 1
+        self._record(rule)
 
     # -- struct bookkeeping -------------------------------------------------
 
@@ -430,6 +442,7 @@ class StatefulLowering(CompilerPass):
         )
         if not has_state:
             return program
+        original = program
         program = program.clone()
         lowerer = _StatefulLowerer(
             context,
@@ -439,7 +452,8 @@ class StatefulLowering(CompilerPass):
         )
         for control in program.controls():
             lowerer.lower_control(control)
-        return program
+        # Registers only, no defect: the clone is the input's twin.
+        return program if lowerer.lowered else original
 
 
 class _StatefulLowerer:
@@ -456,9 +470,17 @@ class _StatefulLowerer:
         self.lost_update = lost_update
         self.reorder = reorder
         self.narrow_spill = narrow_spill
-        self.record = context.rule_recorder("StatefulLowering")
+        self._record = context.rule_recorder("StatefulLowering")
+        #: Rewrites made so far.
+        self.lowered = 0
         #: bank name -> cell width *after* lowering, for the current control.
         self.widths: Dict[str, int] = {}
+
+    def record(self, rule: str) -> None:
+        """Count one rewrite and light its rule cell."""
+
+        self.lowered += 1
+        self._record(rule)
 
     def lower_control(self, control: ast.ControlDeclaration) -> None:
         self.widths = {}

@@ -10,7 +10,9 @@ programs with an identical hash (§5.2).
 Passes are copy-on-write (see :mod:`repro.compiler.visitor`): a pass that
 changed nothing returns its input object.  The manager reads an identical
 object as unchanged and reuses the previous source instead of emitting it
-again; any other result is emitted and compared as above.
+again; any other result is emitted and compared as above.  A caller that
+already holds the input's emitted source passes it in, and the input is
+not emitted either.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ class CompilationResult:
             raise ValueError("compilation produced no snapshots")
         return self.snapshots[-1].program
 
+    @property
+    def final_source(self) -> str:
+        """The emitted source of :attr:`final_program`."""
+
+        if not self.snapshots:
+            raise ValueError("compilation produced no snapshots")
+        return self.snapshots[-1].source
+
     def changed_snapshots(self) -> List[PassSnapshot]:
         """Snapshots that actually modified the program (plus the input)."""
 
@@ -91,12 +101,16 @@ class PassManager:
         self.passes = [p for p in passes if p.name not in options.skip_passes]
         self.options = options
 
-    def run(self, program: ast.Program) -> CompilationResult:
+    def run(self, program: ast.Program, source: Optional[str] = None) -> CompilationResult:
+        """Run every pass over ``program``, whose emitted source is
+        ``source`` (emitted here when not given)."""
+
         result = CompilationResult(options=self.options)
         context = PassContext(options=self.options)
         result.coverage = context.coverage
-        source = emit_program(program)
-        COUNTERS["compiler_snapshot_emits"] += 1
+        if source is None:
+            source = emit_program(program)
+            COUNTERS["compiler_snapshot_emits"] += 1
         result.snapshots.append(
             PassSnapshot("input", "input", program, source, changed=True)
         )

@@ -67,8 +67,9 @@ class CompilerPass:
     :class:`~repro.compiler.visitor.Transformer` and
     :func:`~repro.compiler.visitor.replace_items` keep the contract for
     most passes.  The two lowering passes, HeaderStackFlattening and
-    StatefulLowering, instead clone a program that has stacks or state
-    and lower that copy in place.
+    StatefulLowering, instead clone a program that has stacks or state,
+    lower that copy in place, and return their input when they lowered
+    nothing.
     """
 
     #: Human-readable pass name (matches the names used in bug reports).

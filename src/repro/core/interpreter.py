@@ -37,7 +37,7 @@ from repro.p4 import ast
 from repro.p4 import stacks as stack_lowering
 from repro.p4.registers import COUNTER_WIDTH, STATE_INDEX_WIDTH
 from repro.p4.stacks import NEXT_INDEX_WIDTH
-from repro.p4.typecheck import TypeCheckError, check_program
+from repro.p4.typecheck import TypeCheckError, checked_types
 from repro.p4.types import (
     BitType,
     BoolType,
@@ -148,10 +148,13 @@ class SymbolicInterpreter:
 
     MAX_PARSER_UNROLL = 16
 
-    def __init__(self, program: ast.Program) -> None:
+    def __init__(self, program: ast.Program, source: Optional[str] = None) -> None:
+        """``source``, the emitted source of ``program`` when the caller has
+        it, lets the type check come from the source-keyed memo."""
+
         self.program = program
         try:
-            self.checker = check_program(program)
+            self.types = checked_types(program, source)
         except TypeCheckError as exc:
             raise InterpreterError(f"cannot interpret an ill-typed program: {exc}") from exc
         self.functions = {function.name: function for function in program.functions()}
@@ -247,7 +250,7 @@ class SymbolicInterpreter:
     # -- helpers shared with _BlockState ----------------------------------------
 
     def resolve_type(self, type_ref: P4Type) -> P4Type:
-        return self.checker.types.resolve(type_ref)
+        return self.types.resolve(type_ref)
 
 
 class _BlockState:

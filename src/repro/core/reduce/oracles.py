@@ -91,8 +91,9 @@ def packet_mismatch(
     if sequences is None:
         return None
     # Every packet of every sequence has the program's ``Headers`` layout:
-    # resolve (and typecheck) it once, not once per packet.
-    layout = packet_layout(program, "Headers")
+    # resolve it once, not once per packet (its type check is memoised by
+    # source, so test generation has usually paid for it already).
+    layout = packet_layout(program, "Headers", source=source)
     runner = spec.runner_cls(executable)
     for sequence in sequences:
         COUNTERS["sequences_replayed"] += 1

@@ -112,7 +112,11 @@ class SymbolicTestGenerator:
         undefined_value: int = 0,
         require_valid_headers: bool = True,
         sequence_length: int = 1,
+        source: Optional[str] = None,
     ) -> None:
+        """``source`` is the emitted source of ``program``, if the caller
+        has it (the type check is then memoised by it)."""
+
         self.program = program
         self.max_tests = max_tests
         self.prefer_nonzero = prefer_nonzero
@@ -125,7 +129,7 @@ class SymbolicTestGenerator:
         #: between them.  Packet 0 starts from the zero power-on state, which
         #: for stateless programs is exactly the single-packet pipeline view.
         self.packets: List[BlockSemantics] = SymbolicInterpreter(
-            program
+            program, source
         ).interpret_sequence(max(1, sequence_length))
         self.semantics: BlockSemantics = self.packets[0]
 
@@ -396,7 +400,7 @@ def cached_sequences(
     if sequences is MISSING:
         try:
             sequences = SymbolicTestGenerator(
-                program, max_tests=max_tests, sequence_length=length
+                program, max_tests=max_tests, sequence_length=length, source=source
             ).generate_sequences()
         except InterpreterError:
             sequences = None

@@ -7,17 +7,19 @@ A satisfiable inequality query yields both the defective pass and a witness
 assignment (input packet + table configuration) that triggers the
 miscompilation -- exactly the workflow of figure 2.
 
-The validator also re-parses every emitted snapshot, which catches the
-"invalid transformation" bugs of §7.2 where a pass emits syntactically
-broken P4.
+The validator also re-parses and type checks every emitted snapshot, which
+catches the "invalid transformation" bugs of §7.2 where a pass emits broken
+P4: the first snapshot in pass order that does not reparse or does not
+typecheck names the invalid pass.
 
-Both the reparse check and the symbolic interpretation are memoised by
-snapshot *source* in bounded process-wide caches: the pass manager already
-treats the emitted source as a snapshot's identity (snapshots with an
-unchanged source are skipped, §5.2), and campaigns revisit the same sources
-constantly -- the per-defect detection matrix regenerates the same programs
-for every defect, and most passes leave most programs untouched -- so each
-distinct snapshot is lexed/parsed/interpreted exactly once per campaign.
+The reparse check, the type check (:func:`repro.p4.typecheck.checked_types`)
+and the symbolic interpretation are memoised by snapshot *source* in
+bounded process-wide caches: the pass manager already treats the emitted
+source as a snapshot's identity (snapshots with an unchanged source are
+skipped, §5.2), and campaigns revisit the same sources constantly -- the
+per-defect detection matrix regenerates the same programs for every
+defect, and most passes leave most programs untouched -- so each distinct
+snapshot is parsed, typechecked and interpreted once per campaign.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from repro.compiler.pass_manager import CompilationResult, PassSnapshot
 from repro.core.interpreter import BlockSemantics, InterpreterError, SymbolicInterpreter
 from repro.metrics import MISSING, LruCache
 from repro.p4 import parse_program
-from repro.p4.lexer import LexerError
+from repro.p4.lexer import LexerError, clear_lexer_cache
 from repro.p4.parser import ParserError
+from repro.p4.typecheck import TypeCheckError, checked_types, clear_typecheck_cache
 
-#: source -> reparse verdict: ``None`` when the snapshot reparses cleanly,
-#: otherwise the error message.
+#: source -> reparse verdict: ``None`` when the snapshot reparses and
+#: typechecks cleanly, otherwise the invalid-transformation detail.
 _REPARSE_CACHE = LruCache("reparse", 1024)
 
 #: source -> symbolic semantics of every block.  Consumers only read the
@@ -47,8 +50,11 @@ _SHAPE_CACHE = LruCache("shape", 1024)
 
 
 def clear_validation_caches() -> None:
-    """Drop the reparse and interpretation caches (memory bound for services)."""
+    """Drop every snapshot cache: the lexer's line memo, reparse, typecheck,
+    interpretation and shape (memory bound for services)."""
 
+    clear_lexer_cache()
+    clear_typecheck_cache()
     _REPARSE_CACHE.clear()
     _INTERP_CACHE.clear()
     _SHAPE_CACHE.clear()
@@ -163,16 +169,16 @@ class TranslationValidator:
             )
 
         snapshots = result.changed_snapshots()
-        # Reparse every emitted program first: a snapshot that no longer
-        # parses is an invalid transformation, and later passes cannot be
-        # validated meaningfully.
+        # Reparse and typecheck every emitted program first: a snapshot that
+        # no longer parses or typechecks is an invalid transformation, and
+        # later passes cannot be validated meaningfully.
         for snapshot in snapshots[1:]:
             error = self._reparse_error(snapshot.source)
             if error is not None:
                 return ValidationReport(
                     ValidationOutcome.INVALID_TRANSFORMATION,
                     invalid_pass=snapshot.pass_name,
-                    detail=f"emitted program does not reparse: {error}",
+                    detail=error,
                 )
 
         divergences: List[PassDivergence] = []
@@ -224,10 +230,12 @@ class TranslationValidator:
         error = _REPARSE_CACHE.get(source)
         if error is MISSING:
             try:
-                parse_program(source)
+                checked_types(parse_program(source), source)
                 error = None
             except (ParserError, LexerError) as exc:
-                error = str(exc)
+                error = f"emitted program does not reparse: {exc}"
+            except TypeCheckError as exc:
+                error = f"emitted program does not typecheck: {exc}"
             _REPARSE_CACHE.put(source, error)
         return error
 
@@ -264,7 +272,7 @@ class TranslationValidator:
     def _interpret(snapshot: PassSnapshot) -> Dict[str, BlockSemantics]:
         semantics = _INTERP_CACHE.get(snapshot.source)
         if semantics is MISSING:
-            semantics = SymbolicInterpreter(snapshot.program).interpret()
+            semantics = SymbolicInterpreter(snapshot.program, snapshot.source).interpret()
             _INTERP_CACHE.put(snapshot.source, semantics)
         return semantics
 

@@ -10,9 +10,9 @@ ships the difference around one unit as ``UnitOutcome.counters``, and the
 merge sums those into ``CampaignStatistics.counters``.
 
 :class:`LruCache` is the bounded memo behind every process-wide cache that
-evicts (compiler prefix, snapshot reparse/interp/shape, test generation,
-generated programs); it counts its lookups as ``<name>_hits`` and
-``<name>_misses``.
+evicts (compiler prefix, lexer lines, snapshot reparse/typecheck/interp/
+shape, test generation, generated programs); it counts its lookups as
+``<name>_hits`` and ``<name>_misses``.
 """
 
 from __future__ import annotations

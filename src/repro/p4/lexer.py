@@ -1,19 +1,33 @@
 """Tokenizer for the P4-16 subset.
 
-The lexer is a single compiled master-pattern scan: one alternation
-covers whitespace, comments, numbers (including P4's width-annotated
-literals like ``8w255`` and ``4w0xF``), words and punctuation, so the
-hot path is one ``finditer`` step per token instead of a per-character
-loop.
-Line/column positions are tracked from the newline counts of skipped
-whitespace and comments.
+The reference scan (:meth:`Lexer.scan`) is a single compiled master-pattern
+scan: one alternation covers whitespace, comments, numbers (including P4's
+width-annotated literals like ``8w255`` and ``4w0xF``), words and
+punctuation, so the hot path is one ``finditer`` step per token instead of
+a per-character loop.  Line/column positions are tracked from the newline
+counts of skipped whitespace and comments.
+
+:meth:`Lexer.tokenize` memoises that scan per source line.  No token spans
+a line break, so a line's tokens -- kind, text, value, width and column --
+are a function of the line's text; the lexer looks each line up in one
+bounded process-wide memo (counted as ``lexer_hits`` / ``lexer_misses``)
+and stamps the tokens with their line number.  The snapshots of one
+compilation share most of their lines, so a reparse lexes only the lines
+a pass rewrote.  It falls back to the full scan in two cases, so tokens
+and every error message stay byte-identical to it:
+
+* the source contains ``/*``: a block comment may span lines;
+* a line fails to lex: the full scan raises the error at its position.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
+
+from repro.metrics import MISSING, LruCache
 
 
 class LexerError(Exception):
@@ -103,6 +117,21 @@ _KEYWORD = TokenKind.KEYWORD
 _SYMBOL = TokenKind.SYMBOL
 
 
+#: line text -> ``kind, text, value, width, column`` of each token on it,
+#: flattened into one tuple (see :func:`_line_tokens`).
+_LINE_TOKENS = LruCache("lexer", 4096)
+
+#: Builds a token without the named tuple's argument handling, which would
+#: cost the memoised path a third of its time.
+_new_tuple = tuple.__new__
+
+
+def clear_lexer_cache() -> None:
+    """Drop the line memo (the counters keep growing)."""
+
+    _LINE_TOKENS.clear()
+
+
 class Lexer:
     """Scan P4 source text into a token list."""
 
@@ -110,6 +139,34 @@ class Lexer:
         self.source = source
 
     def tokenize(self) -> List[Token]:
+        """The tokens of the source, assembled from the line memo."""
+
+        source = self.source
+        if "/*" in source:
+            return self.scan()
+        tokens: List[Token] = []
+        append = tokens.append
+        lookup = _LINE_TOKENS.get
+        lines = source.split("\n")
+        for line, text in enumerate(lines, 1):
+            entry = lookup(text)
+            if entry is MISSING:
+                try:
+                    entry = _line_tokens(text)
+                except LexerError:
+                    return self.scan()
+                _LINE_TOKENS.put(text, entry)
+            fields = iter(entry)
+            for kind, token_text, value, width, column in zip(
+                fields, fields, fields, fields, fields
+            ):
+                append(_new_tuple(Token, (kind, token_text, value, width, line, column)))
+        append(Token(TokenKind.END, "", None, None, len(lines), len(lines[-1]) + 1))
+        return tokens
+
+    def scan(self) -> List[Token]:
+        """The full scan of the whole source: the reference the memo must match."""
+
         source = self.source
         tokens: List[Token] = []
         append = tokens.append
@@ -178,6 +235,20 @@ class Lexer:
                 raise LexerError(f"bad numeric literal {text!r}", line, column) from exc
             return Token(_NUMBER, text, value, None, line, column)
         return Token(_NUMBER, text, int(text), None, line, column)
+
+
+def _line_tokens(text: str) -> Tuple[object, ...]:
+    """The memo entry of one line (no line break, no ``/*``): its tokens
+    from the full scan, without the END token and the line number.
+
+    One flat tuple with interned texts, not a tuple per token: it holds a
+    line in less than half the memory and is as fast to unpack.
+    """
+
+    entry: List[object] = []
+    for kind, token_text, value, width, _, column in Lexer(text).scan()[:-1]:
+        entry += (kind, sys.intern(token_text), value, width, column)
+    return tuple(entry)
 
 
 def tokenize(source: str) -> List[Token]:

@@ -9,6 +9,23 @@ only declared names.  A program that fails these checks is rejected with a
 The checker is also the component the compiler's ``TypeChecking`` pass wraps,
 which is where several of the crash bugs described in the paper live
 (e.g. figure 5b/5c).
+
+Two entry points, each run counted as ``typecheck_runs``:
+
+* :func:`check_program` always checks.  The compiler under test calls it
+  (the front end's ``TypeChecking`` and ``TypeCheckingPost`` passes, the
+  eBPF back end's stack-usage check), and so do the reducer's candidate
+  gate (the candidate has no emitted source there; emitting it once more
+  would cost more than the check) and :func:`repro.core.levels.classify`.
+* :func:`checked_types` memoises the verdict and the resolved
+  :class:`~repro.p4.types.TypeEnvironment` by the program's emitted
+  source, because a program's types are a function of its source.  Every
+  check outside the compiler under test that knows the source goes
+  through it: the symbolic interpreter (validation and test generation),
+  the back ends' concrete interpreters and
+  :func:`repro.targets.state.packet_layout`.  It keeps no
+  :class:`TypeChecker`, which holds its AST, and consumers only read the
+  environment.
 """
 
 from __future__ import annotations
@@ -16,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.metrics import COUNTERS, MISSING, LruCache, declare
 from repro.p4 import ast
 from repro.p4.types import (
     BitType,
@@ -679,9 +697,46 @@ class TypeChecker:
         raise TypeCheckError(f"{context}: {source} cannot be assigned to {target}")
 
 
+declare("typecheck_runs")
+
+
 def check_program(program: ast.Program) -> TypeChecker:
     """Type check ``program`` and return the populated checker."""
 
+    COUNTERS["typecheck_runs"] += 1
     checker = TypeChecker(program)
     checker.check()
     return checker
+
+
+#: source -> the resolved types of the program emitted as it, or the
+#: message of the :class:`TypeCheckError` it raised.
+_TYPES_CACHE = LruCache("typecheck", 1024)
+
+
+def checked_types(program: ast.Program, source: Optional[str] = None) -> TypeEnvironment:
+    """The resolved types of ``program``; raises :class:`TypeCheckError`.
+
+    ``source``, when given, must be the emitted source of ``program``: the
+    verdict is then memoised by it, so each distinct source is checked
+    once per process.  Without it the program is checked every time.
+    """
+
+    if source is None:
+        return check_program(program).types
+    types = _TYPES_CACHE.get(source)
+    if types is MISSING:
+        try:
+            types = check_program(program).types
+        except TypeCheckError as exc:
+            types = str(exc)
+        _TYPES_CACHE.put(source, types)
+    if isinstance(types, str):
+        raise TypeCheckError(types)
+    return types
+
+
+def clear_typecheck_cache() -> None:
+    """Drop the memoised verdicts (the counters keep growing)."""
+
+    _TYPES_CACHE.clear()

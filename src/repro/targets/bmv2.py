@@ -35,7 +35,8 @@ class Bmv2Executable:
     #: The front/mid-end snapshots (the open part of the toolchain).
     compilation: CompilationResult
     #: Lazily-built interpreter shared by every packet: construction
-    #: typechecks the program, and per-packet state lives in the packet.
+    #: typechecks the program (memoised by the compilation's final source),
+    #: and per-packet state lives in the packet.
     _interpreter: Optional[ConcreteInterpreter] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -50,7 +51,9 @@ class Bmv2Executable:
         """Run one packet through the switch and return the output packet."""
 
         if self._interpreter is None:
-            self._interpreter = ConcreteInterpreter(self.program, self.semantics)
+            self._interpreter = ConcreteInterpreter(
+                self.program, self.semantics, source=self.compilation.final_source
+            )
         return self._interpreter.run(
             packet, entries, switch_state=self.switch_state()
         )

@@ -87,6 +87,8 @@ class EbpfExecutable:
 
     _program: ast.Program
     _semantics: TargetSemantics
+    #: The emitted source of ``_program``: its type check is memoised by it.
+    _source: Optional[str] = None
     #: Lazily-built interpreter shared by every packet.
     _interpreter: Optional[ConcreteInterpreter] = dataclass_field(
         default=None, init=False, repr=False, compare=False
@@ -102,7 +104,9 @@ class EbpfExecutable:
         """Run one packet through the XDP hook and return the output."""
 
         if self._interpreter is None:
-            self._interpreter = ConcreteInterpreter(self._program, self._semantics)
+            self._interpreter = ConcreteInterpreter(
+                self._program, self._semantics, source=self._source
+            )
         return self._interpreter.run(
             packet, entries, switch_state=self.switch_state()
         )
@@ -156,7 +160,7 @@ class EbpfTarget:
                 "ebpf_register_write_drops_high_byte"
             ),
         )
-        return EbpfExecutable(lowered, semantics)
+        return EbpfExecutable(lowered, semantics, result.final_source)
 
     # -- verifier-flavored lowering checks (not observable from outside) ------
 

@@ -29,7 +29,7 @@ from repro.p4 import ast
 from repro.p4 import stacks as stack_lowering
 from repro.p4.registers import COUNTER_WIDTH
 from repro.p4.stacks import NEXT_INDEX_WIDTH
-from repro.p4.typecheck import check_program
+from repro.p4.typecheck import checked_types
 from repro.p4.types import (
     BitType,
     BoolType,
@@ -119,10 +119,13 @@ class ConcreteInterpreter:
         program: ast.Program,
         semantics: Optional[TargetSemantics] = None,
         ingress_name: Optional[str] = None,
+        source: Optional[str] = None,
     ) -> None:
         self.program = program
         self.semantics = semantics or TargetSemantics()
-        self.checker = check_program(program)
+        #: Resolved types, memoised by ``source`` (the emitted source of
+        #: ``program``) when the caller has it.
+        self.types = checked_types(program, source)
         self.controls = {control.name: control for control in program.controls()}
         self.parsers = {parser.name: parser for parser in program.parsers()}
         self.functions = {function.name: function for function in program.functions()}
@@ -134,12 +137,12 @@ class ConcreteInterpreter:
         self.stacks: Dict[str, Tuple[HeaderType, int]] = {}
         for declaration in list(program.controls()) + list(program.parsers()):
             for parameter in declaration.params:
-                param_type = self.checker.types.resolve(parameter.param_type)
+                param_type = self.types.resolve(parameter.param_type)
                 if not isinstance(param_type, StructType):
                     continue
                 for field_name, field_type in param_type.fields:
                     if isinstance(field_type, HeaderStackType):
-                        element = self.checker.types.resolve(field_type.element)
+                        element = self.types.resolve(field_type.element)
                         self.stacks[field_name] = (element, field_type.size)
         if ingress_name is None:
             if not self.controls:
@@ -285,7 +288,7 @@ class _Frame:
     # -- declarations ------------------------------------------------------------
 
     def declare(self, declaration: ast.VariableDeclaration) -> None:
-        var_type = self.interpreter.checker.types.resolve(declaration.var_type)
+        var_type = self.interpreter.types.resolve(declaration.var_type)
         self.local_types[declaration.name] = var_type
         if declaration.initializer is not None:
             self.locals[declaration.name] = self._coerce(
@@ -585,7 +588,7 @@ class _Frame:
 
         if call_args:
             for param, arg in zip(action.params, call_args):
-                param_type = self.interpreter.checker.types.resolve(param.param_type)
+                param_type = self.interpreter.types.resolve(param.param_type)
                 if param.is_readable:
                     self.locals[param.name] = self._coerce(self.evaluate(arg), param_type)
                 else:
@@ -595,12 +598,12 @@ class _Frame:
                     copy_out.append((arg, param.name))
         elif entry_args is not None:
             for param, raw in zip(dataplane, entry_args):
-                param_type = self.interpreter.checker.types.resolve(param.param_type)
+                param_type = self.interpreter.types.resolve(param.param_type)
                 self.locals[param.name] = self._coerce(Value(raw, None), param_type)
                 self.local_types[param.name] = param_type
         elif directional or dataplane:
             for param in action.params:
-                param_type = self.interpreter.checker.types.resolve(param.param_type)
+                param_type = self.interpreter.types.resolve(param.param_type)
                 self.locals[param.name] = self._default_value(param_type)
                 self.local_types[param.name] = param_type
 
@@ -627,7 +630,7 @@ class _Frame:
         saved_types = dict(self.local_types)
         copy_out: List[Tuple[ast.Expression, str]] = []
         for param, arg in zip(function.params, call_args):
-            param_type = self.interpreter.checker.types.resolve(param.param_type)
+            param_type = self.interpreter.types.resolve(param.param_type)
             if param.is_readable:
                 self.locals[param.name] = self._coerce(self.evaluate(arg), param_type)
             else:
@@ -716,7 +719,7 @@ class _Frame:
                 return self.evaluate(expr.then)
             return self.evaluate(expr.orelse)
         if isinstance(expr, ast.Cast):
-            target = self.interpreter.checker.types.resolve(expr.target)
+            target = self.interpreter.types.resolve(expr.target)
             value = self.evaluate(expr.expr)
             if isinstance(target, BitType):
                 if (

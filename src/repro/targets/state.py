@@ -24,7 +24,7 @@ from repro.p4.types import (
     StructType,
     TypeEnvironment,
 )
-from repro.p4.typecheck import check_program
+from repro.p4.typecheck import checked_types
 
 
 def _mask(width: int) -> int:
@@ -211,17 +211,21 @@ class TableEntry:
 
 
 def packet_layout(
-    program: ast.Program, struct_param_type: str, valid: bool = True
+    program: ast.Program,
+    struct_param_type: str,
+    valid: bool = True,
+    source: Optional[str] = None,
 ) -> PacketState:
     """The zero-valued :class:`PacketState` of a program's ``Headers`` struct.
 
-    Resolving the layout typechecks the program, so callers that build many
-    packets of one program resolve it once and fill a copy per packet
+    Resolving the layout typechecks the program (memoised by ``source``, its
+    emitted source, when given), so callers that build many packets of one
+    program resolve it once and fill a copy per packet
     (:meth:`repro.core.testgen.GeneratedTest.input_packet`).
     """
 
-    checker = check_program(program)
-    struct_type = checker.types.lookup(struct_param_type)
+    types = checked_types(program, source)
+    struct_type = types.lookup(struct_param_type)
     if not isinstance(struct_type, StructType):
         raise KeyError(f"{struct_param_type!r} is not a declared struct")
     state = PacketState()
@@ -239,13 +243,13 @@ def packet_layout(
         state.headers[key] = instance
 
     for field_name, field_type in struct_type.fields:
-        resolved = checker.types.resolve(field_type)
+        resolved = types.resolve(field_type)
         if isinstance(resolved, HeaderType):
             add_header(field_name, HeaderInstance(resolved, valid=valid))
         elif isinstance(resolved, HeaderStackType):
             # One instance per element, addressed as ``<field>[<i>]`` --
             # the same dotted-path convention the symbolic semantics use.
-            element_type = checker.types.resolve(resolved.element)
+            element_type = types.resolve(resolved.element)
             for index in range(resolved.size):
                 add_header(
                     f"{field_name}[{index}]", HeaderInstance(element_type, valid=valid)

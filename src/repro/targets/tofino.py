@@ -38,6 +38,8 @@ class TofinoExecutable:
 
     _program: ast.Program
     _semantics: TargetSemantics
+    #: The emitted source of ``_program``: its type check is memoised by it.
+    _source: Optional[str] = None
     #: Lazily-built interpreter shared by every packet.
     _interpreter: Optional[ConcreteInterpreter] = field(
         default=None, init=False, repr=False, compare=False
@@ -52,7 +54,9 @@ class TofinoExecutable:
         """Run one packet through the simulator."""
 
         if self._interpreter is None:
-            self._interpreter = ConcreteInterpreter(self._program, self._semantics)
+            self._interpreter = ConcreteInterpreter(
+                self._program, self._semantics, source=self._source
+            )
         return self._interpreter.run(
             packet, entries, switch_state=self.switch_state()
         )
@@ -102,7 +106,7 @@ class TofinoTarget:
                 "tofino_ternary_condition_flip"
             ),
         )
-        return TofinoExecutable(lowered, semantics)
+        return TofinoExecutable(lowered, semantics, result.final_source)
 
     # -- proprietary lowering (not observable from outside) -----------------------
 

@@ -4,6 +4,9 @@ A front/mid-end pass never writes to a node it received: it copies only the
 nodes it rewrites (and their ancestors), shares every other node with its
 input, and returns its input object itself when it changed nothing.  The
 pass manager reads "same object" as "unchanged" and does not re-emit it.
+Every changed snapshot's source reparses to the snapshot's program, which is
+what lets the source-keyed memos (prefix, type check, interpretation, test
+generation) stand in for the program.
 
 The corpus mixes generated programs from the default, stack-heavy and
 register-heavy generator configs (indices picked so that every front/mid-end
@@ -22,8 +25,9 @@ from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND
 from repro.compiler.passes import PassContext
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
 from repro.metrics import COUNTERS
-from repro.p4 import ast, emit_program, parse_program
-from repro.p4.types import HeaderStackType
+from repro.p4 import emit_program, parse_program
+from repro.p4.lexer import LexerError
+from repro.p4.parser import ParserError
 
 
 #: (generator config, program indices) of the generated part of the corpus.
@@ -120,24 +124,6 @@ def test_no_pass_writes_to_a_node_it_received(compilations):
             assert emit_program(snapshot.program) == snapshot.source, snapshot.pass_name
 
 
-def lowers_a_copy(pass_name: str, program: ast.Program) -> bool:
-    """Whether a lowering pass clones ``program``: it has stacks or state."""
-
-    if pass_name == "HeaderStackFlattening":
-        return any(
-            isinstance(field_type, HeaderStackType)
-            for struct in program.structs()
-            for _, field_type in struct.fields
-        )
-    if pass_name == "StatefulLowering":
-        return any(
-            isinstance(local, (ast.RegisterDeclaration, ast.CounterDeclaration))
-            for control in program.controls()
-            for local in control.locals
-        )
-    return False
-
-
 @pytest.mark.parametrize("index", range(len(corpus())))
 def test_a_pass_that_changes_nothing_returns_its_input(index):
     current = corpus()[index]
@@ -147,17 +133,47 @@ def test_a_pass_that_changes_nothing_returns_its_input(index):
     for compiler_pass in compiler.passes():
         transformed = compiler_pass.run(current, context)
         if emit_program(transformed) == emit_program(current):
-            if not lowers_a_copy(compiler_pass.name, current):
-                assert transformed is current, compiler_pass.name
-                unchanged += 1
+            assert transformed is current, compiler_pass.name
+            unchanged += 1
         current = transformed
     assert unchanged > 0
 
 
-def test_emitter_runs_once_per_distinct_snapshot(monkeypatch):
-    """One emit for the input and one per pass that changed the program.
-    The only extra emits are for a lowering pass that cloned a program with
-    stacks or state and then had nothing to lower."""
+#: Programs a lowering pass clones but finds nothing to lower in.
+NOTHING_TO_LOWER = {
+    # A stack addressed by constant indices only.
+    "HeaderStackFlattening": """
+header Hdr_t { bit<8> a; }
+struct Headers { Hdr_t h; Hdr_t hs[3]; }
+control ingress(inout Headers hdr) {
+    apply { hdr.hs[1].a = hdr.h.a; }
+}
+""",
+    # A plain register write, no counter.
+    "StatefulLowering": """
+header Hdr_t { bit<8> a; }
+struct Headers { Hdr_t h; }
+control ingress(inout Headers hdr) {
+    register<bit<8>>(2) r8;
+    apply { r8.write(32w0, hdr.h.a); }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("pass_name", sorted(NOTHING_TO_LOWER))
+def test_a_lowering_pass_with_nothing_to_lower_returns_its_input(pass_name):
+    program = parse_program(NOTHING_TO_LOWER[pass_name])
+    compiler = P4Compiler()
+    (lowering,) = [p for p in compiler.passes() if p.name == pass_name]
+    assert lowering.run(program, PassContext(options=compiler.options)) is program
+
+
+@pytest.mark.parametrize("source_given", (False, True))
+def test_emitter_runs_once_per_distinct_snapshot(monkeypatch, source_given):
+    """One emit per pass that changed the program, plus one for the input
+    unless the caller passes its source in; no pass returns a copy of a
+    program it did not change, the lowering passes included."""
 
     calls = []
 
@@ -167,17 +183,38 @@ def test_emitter_runs_once_per_distinct_snapshot(monkeypatch):
 
     monkeypatch.setattr(pass_manager, "emit_program", counting_emit)
     for program in corpus():
+        source = emit_program(program) if source_given else None
         calls.clear()
         before = COUNTERS["compiler_snapshot_emits"]
-        result = P4Compiler().compile(program)
+        result = P4Compiler().compile(program, source)
         assert result.succeeded
         snapshots = result.snapshots
-        lowered_copies = [
+        copies = [
             after.pass_name
             for before_pass, after in zip(snapshots, snapshots[1:])
             if after.program is not before_pass.program and not after.changed
         ]
-        assert set(lowered_copies) <= {"HeaderStackFlattening", "StatefulLowering"}
-        assert len(calls) == len(result.changed_snapshots()) + len(lowered_copies)
+        assert copies == []
+        assert snapshots[0].source == emit_program(program)
+        assert len(calls) == len(result.changed_snapshots()) - source_given
         assert len(calls) < len(snapshots)
         assert COUNTERS["compiler_snapshot_emits"] - before == len(calls)
+
+
+def test_every_changed_snapshot_reparses_to_its_program(compilations):
+    """Under no defect and every front/mid-end defect, a changed snapshot
+    whose source parses at all parses back to the snapshot's program: the
+    emitter never maps two different programs to one source.  The snapshots
+    that do not parse are seeded invalid transformations."""
+
+    checked = unparseable = 0
+    for _, _, result in compilations:
+        for snapshot in result.changed_snapshots():
+            try:
+                reparsed = parse_program(snapshot.source)
+            except (LexerError, ParserError):
+                unparseable += 1
+                continue
+            assert reparsed == snapshot.program, snapshot.pass_name
+            checked += 1
+    assert (checked, unparseable) == (1031, 14)

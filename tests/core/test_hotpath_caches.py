@@ -10,7 +10,8 @@ Three properties the campaign engine must keep:
 * batched equivalence checking is a pure accelerator — forcing the
   sequential fallback yields an identical validation report, and
 * per-program work runs once per program, not once per packet or per
-  platform unit (the packet layout's typecheck, the feature scan).
+  platform unit (the packet layout's typecheck, the feature scan), and
+  each distinct source is typechecked once outside the compiler.
 """
 
 from repro import smt
@@ -32,7 +33,7 @@ from repro.core.validation import (
     clear_validation_caches,
 )
 from repro.metrics import COUNTERS
-from repro.p4 import emit_program, parse_program
+from repro.p4 import emit_program, parse_program, typecheck
 from repro.targets import BACKEND_REGISTRY, state
 
 
@@ -184,7 +185,10 @@ def _counting(monkeypatch, module, name):
 
 
 class TestPerProgramWorkRunsOnce:
-    def test_packet_replay_typechecks_the_layout_once_per_call(self, monkeypatch):
+    def test_packet_replay_typechecks_at_most_once_per_call(self, monkeypatch):
+        """The layout's types are looked up once per replay, never once per
+        packet, and the lookup is memoised by source: at most one check."""
+
         reset_worker_state()
         program = parse_program(STATEFUL_SOURCE)
         source = emit_program(program)
@@ -193,11 +197,28 @@ class TestPerProgramWorkRunsOnce:
         executable = spec.target_cls(options).link(compile_prefix(program, source, options))
         # Warm the test-generation cache: the counted call only replays.
         assert packet_mismatch(program, source, executable, spec, 4, 3) is None
-        typechecks = _counting(monkeypatch, state, "check_program")
+        lookups = _counting(monkeypatch, state, "checked_types")
+        typechecks = _counting(monkeypatch, typecheck, "check_program")
         before = COUNTERS["packets_replayed"]
         assert packet_mismatch(program, source, executable, spec, 4, 3) is None
         assert COUNTERS["packets_replayed"] - before >= 3
-        assert len(typechecks) == 1
+        assert len(lookups) == 1
+        assert len(typechecks) <= 1
+
+    def test_campaign_typechecks_at_most_eight_times_per_program(self):
+        """The front end's two checking passes, plus one check per distinct
+        source the oracles interpret: validation, test generation, the
+        back-end executables and the packet layout share the memo."""
+
+        reset_worker_state()
+        clear_validation_caches()
+        programs = 20
+        stats = Campaign(
+            CampaignConfig(programs=programs, seed=1, platforms=("p4c", "bmv2", "tofino"))
+        ).run()
+        counters = stats.counters
+        assert counters["typecheck_runs"] <= 8 * programs
+        assert counters["typecheck_misses"] == counters["interp_misses"]
 
     def test_platform_units_of_one_program_share_one_feature_scan(self, monkeypatch):
         reset_worker_state()

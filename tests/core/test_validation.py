@@ -3,6 +3,8 @@
 import pytest
 
 from repro.compiler import CompilerOptions, compile_front_midend
+from repro.compiler.pass_manager import PassManager
+from repro.compiler.passes import CompilerPass
 from repro.core.validation import TranslationValidator, ValidationOutcome
 from repro.p4 import parse_program
 
@@ -239,3 +241,48 @@ class TestOtherOutcomes:
         )
         assert report.outcome == ValidationOutcome.INVALID_TRANSFORMATION
         assert report.invalid_pass == "Predication"
+
+
+class EmitSource(CompilerPass):
+    """A hand-written pass that replaces the program with ``source``."""
+
+    location = "mid_end"
+
+    def __init__(self, name: str, source: str) -> None:
+        self.name = name
+        self.source = source
+
+    def run(self, program, context):
+        return parse_program(self.source)
+
+
+class TestIllTypedSnapshots:
+    """A snapshot that parses but does not typecheck is an invalid
+    transformation of the pass that emitted it, not an oracle error."""
+
+    WELL_TYPED = control_program("hdr.h.a = 8w1;")
+    #: Parses, but assigns a 16-bit constant to an 8-bit field.
+    ILL_TYPED = control_program("hdr.h.a = 16w1;")
+
+    def validate_passes(self, *passes):
+        options = CompilerOptions()
+        result = PassManager(list(passes), options).run(parse_program(self.WELL_TYPED))
+        return TranslationValidator().validate_compilation(result)
+
+    def test_ill_typed_snapshot_names_its_pass(self):
+        report = self.validate_passes(
+            EmitSource("Harmless", control_program("hdr.h.a = 8w0 + 8w1;")),
+            EmitSource("IllTyped", self.ILL_TYPED),
+        )
+        assert report.outcome == ValidationOutcome.INVALID_TRANSFORMATION
+        assert report.invalid_pass == "IllTyped"
+        assert report.detail.startswith("emitted program does not typecheck: ")
+        assert "width mismatch" in report.detail
+
+    def test_first_failing_snapshot_in_pass_order_wins(self):
+        report = self.validate_passes(
+            EmitSource("First", self.ILL_TYPED),
+            EmitSource("Second", control_program("hdr.h.b = 16w1;")),
+        )
+        assert report.outcome == ValidationOutcome.INVALID_TRANSFORMATION
+        assert report.invalid_pass == "First"

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.p4.lexer import Lexer, LexerError, TokenKind, tokenize
+from repro.compiler import compile_front_midend
+from repro.core.generator import GeneratorConfig, RandomProgramGenerator
+from repro.metrics import COUNTERS
+from repro.p4.lexer import Lexer, LexerError, Token, TokenKind, clear_lexer_cache, tokenize
 
 
 class TestBasicTokens:
@@ -93,3 +96,67 @@ class TestRealisticSnippet:
         token = tokenize("apply")[0]
         assert token.is_keyword("apply")
         assert not token.is_symbol("apply")
+
+
+def _lex(method):
+    """Tokens, or the error text."""
+
+    try:
+        return method()
+    except LexerError as exc:
+        return str(exc)
+
+
+def assert_memo_matches_scan(source):
+    """Cold and warm line memo both agree with the full scan."""
+
+    reference = _lex(Lexer(source).scan)
+    clear_lexer_cache()
+    cold = _lex(Lexer(source).tokenize)
+    warm = _lex(Lexer(source).tokenize)
+    assert cold == reference and warm == reference
+    if not isinstance(reference, str):
+        assert all(type(token) is Token for token in warm)
+
+
+class TestLineMemo:
+    """``tokenize`` assembles tokens from the line memo; ``scan`` is the
+    full scan it must reproduce token for token and error for error."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "a /* multi\n line */ b\nc",  # a block comment spanning lines
+            "control c {\r\n    apply { x = 8w1; }\r\n}\r\n",  # CRLF endings
+            "a;\nb /* never closed\nc;",  # an unterminated block comment
+            "a;\nb = 8w1;\n    c = 0xZZ;\n",  # a bad literal on a later line
+            "a;\n  b $ c;",  # a bad character on a later line
+            "header H { bit<8> a; }",  # no trailing newline
+            "\n\n  \n",  # blank lines only
+            "",  # the empty source
+        ],
+    )
+    def test_edge_cases(self, source):
+        assert_memo_matches_scan(source)
+
+    def test_errors_name_the_failing_line(self):
+        with pytest.raises(LexerError) as info:
+            tokenize("a;\nb = 8w1;\n    c = 0xZZ;\n")
+        assert str(info.value) == "bad numeric literal '0xZZ' at line 3, column 9"
+
+    def test_generated_snapshots(self):
+        generator = RandomProgramGenerator(GeneratorConfig(seed=3))
+        sources = [
+            snapshot.source
+            for index in range(12)
+            for snapshot in compile_front_midend(
+                generator.generate_indexed(index)
+            ).changed_snapshots()
+        ]
+        clear_lexer_cache()
+        before = COUNTERS["lexer_hits"]
+        for source in sources:
+            assert Lexer(source).tokenize() == Lexer(source).scan()
+        # Snapshots of one program share most lines: most lookups hit.
+        lines = sum(source.count("\n") + 1 for source in sources)
+        assert COUNTERS["lexer_hits"] - before > lines // 2
