@@ -4,11 +4,9 @@
 Two workloads, both written into ``BENCH_campaign.json`` at the repository
 root so every PR leaves a perf data point behind:
 
-* **reference** (always): the 25-program, 3-platform bug-finding campaign
-  at seed 0, single-process — the workload the PR 1 throughput overhaul
-  was measured on.  The ``before`` block is that workload on the seed tree
-  (commit ``beed3ba``), recorded as a constant because the old code path
-  no longer exists.
+* **reference** (always): the clean 25-program, 3-platform campaign at
+  seed 0, single-process.  It enables no defect, so ``meets_target``
+  requires it to file no report and end no unit in an oracle error.
 * **scaling** (``--scaling``): a larger campaign (default 200 programs,
   3 platforms) run at jobs = 1, 2, 4, 8 on the staged engine, recording
   the worker-scaling curve and verifying that every job count files the
@@ -75,11 +73,11 @@ if _SRC not in sys.path:
 
 from repro import smt  # noqa: E402
 from repro.core.campaign import Campaign, CampaignConfig  # noqa: E402
+from repro.core.engine import reset_worker_state  # noqa: E402
 
-#: The reference workload.  The platform list is pinned to the PR 1
-#: measurement (p4c + the two paper back ends) so the before/after numbers
-#: stay comparable; the registry's later back ends are exercised by the
-#: ``backends_campaign`` block below.
+#: The reference workload: p4c plus the paper's two back ends; the
+#: registry's later back ends are exercised by the ``backends_campaign``
+#: block below.
 PROGRAMS = 25
 SEED = 0
 PLATFORMS = ("p4c", "bmv2", "tofino")
@@ -177,19 +175,6 @@ DETECTION_BASELINE_PATH = os.path.join(
     "detection_baseline.json",
 )
 
-#: Wall-clock of the identical workload on the seed tree (commit
-#: ``beed3ba``), measured in this container.  The seed pipeline rebuilt
-#: the SAT solver from scratch for every query, re-simplified every
-#: snapshot's term DAG per call and snapshotted programs with
-#: ``copy.deepcopy`` -- and it never finished the reference workload: the
-#: run was killed after 81 minutes of wall-clock with no result, so the
-#: recorded number is a *lower bound*.  Slices pin down the blow-up:
-#: 1 program completes in 0.1 s, but programs 1-2 already exceed 570 s
-#: (program #2's divergence queries explode the from-scratch CDCL search).
-SEED_BASELINE_S = 4860.0
-SEED_BASELINE_COMPLETED = False
-
-
 def _run_campaign(programs: int, jobs: int, seed: int = SEED) -> tuple:
     config = CampaignConfig(
         programs=programs,
@@ -215,6 +200,7 @@ def run_reference() -> dict:
         "crash_findings": stats.crash_findings,
         "semantic_findings": stats.semantic_findings,
         "oracle_errors": stats.oracle_errors,
+        "reports": len(stats.tracker.reports),
         "intern_table_terms": smt.intern_table_size(),
         "simplify_cache_entries": smt.simplify_cache_size(),
         #: Per-unit counter differences summed by the merge: the campaign's
@@ -265,24 +251,6 @@ def run_backends() -> dict:
     }
 
 
-def _reset_process_caches() -> None:
-    """Cold-start every process-wide cache so scaling runs are comparable.
-
-    All job counts run from this parent process and forked fleet workers
-    inherit its state, so without a reset the first run would pay
-    every cache miss and later runs would ride its warm reparse/interp/
-    testgen caches and intern tables — the curve would measure cache
-    warmth, not worker count.
-    """
-
-    from repro.core.engine import reset_worker_state
-    from repro.core.validation import clear_validation_caches
-
-    smt.clear_term_caches()
-    clear_validation_caches()
-    reset_worker_state()
-
-
 def run_scaling(programs: int, jobs_list: tuple) -> dict:
     """Record the worker-scaling curve for a larger campaign.
 
@@ -296,7 +264,9 @@ def run_scaling(programs: int, jobs_list: tuple) -> dict:
     baseline_elapsed = None
     for jobs in jobs_list:
         executor = "fleet" if jobs > 1 else "serial"
-        _reset_process_caches()
+        # Forked fleet workers inherit this process's caches: without a
+        # reset, later runs would ride the first run's warm caches.
+        reset_worker_state()
         stats, elapsed = _run_campaign(programs, jobs=jobs)
         if baseline_elapsed is None:
             baseline_elapsed = elapsed
@@ -378,7 +348,7 @@ def run_hotpath(programs: int) -> dict:
     scheduling into the findings.
     """
 
-    _reset_process_caches()
+    reset_worker_state()
     stats, elapsed = _run_campaign(programs, jobs=1)
     counters = stats.counters
     programs_per_sec = programs / elapsed if elapsed else float("inf")
@@ -394,7 +364,7 @@ def run_hotpath(programs: int) -> dict:
     }
 
     def seeded_reports(jobs: int) -> str:
-        _reset_process_caches()
+        reset_worker_state()
         config = CampaignConfig(
             programs=HOTPATH_DETERMINISM_PROGRAMS,
             seed=REDUCE_SEED,
@@ -711,7 +681,7 @@ def run_stateful() -> dict:
         reports = sorted(stats.tracker.reports, key=lambda report: report.identifier)
         return json.dumps([report.to_dict() for report in reports], sort_keys=True)
 
-    _reset_process_caches()
+    reset_worker_state()
     start = time.perf_counter()
     serial = Campaign(config()).run()
     elapsed = time.perf_counter() - start
@@ -740,7 +710,7 @@ def run_stateful() -> dict:
     }
     all_detected = all(entry["detected"] for entry in detection.values())
 
-    _reset_process_caches()
+    reset_worker_state()
     fleet = Campaign(config(jobs=2)).run()
     byte_identical = report_blob(fleet) == report_blob(serial)
 
@@ -807,7 +777,7 @@ def run_distributed(programs: int = DISTRIBUTED_PROGRAMS) -> dict:
     )
 
     def run(executor=None) -> tuple:
-        _reset_process_caches()
+        reset_worker_state()
         start = time.perf_counter()
         stats = CampaignEngine(spec, executor=executor).run()
         return stats, time.perf_counter() - start
@@ -914,7 +884,7 @@ def run_coverage() -> dict:
 
     # 1. Distinct coverage cells: static vs scheduled unseeded corpora.
     def unseeded_cells(seed: int, rounds: int) -> dict:
-        _reset_process_caches()
+        reset_worker_state()
         stats = Campaign(
             CampaignConfig(
                 programs=COVERAGE_CORPUS_PROGRAMS,
@@ -948,7 +918,7 @@ def run_coverage() -> dict:
 
     # 2. Scheduled-campaign determinism across executors.
     def scheduled_run(**overrides):
-        _reset_process_caches()
+        reset_worker_state()
         base = dict(
             programs=COVERAGE_PROGRAMS,
             seed=REDUCE_SEED,
@@ -1088,23 +1058,13 @@ def main(argv=None) -> int:
 
     after = run_reference()
     backends = run_backends()
-    speedup = SEED_BASELINE_S / after["elapsed_s"] if after["elapsed_s"] else float("inf")
     payload.update(
         {
             "benchmark": f"campaign_{PROGRAMS}programs_{len(PLATFORMS)}platforms_seed{SEED}",
-            "before": {
-                "elapsed_s": SEED_BASELINE_S,
-                "completed": SEED_BASELINE_COMPLETED,
-                "source": (
-                    "seed tree (commit beed3ba), pre-overhaul; killed after 81 min "
-                    "without completing (1 program: 0.1 s, 2 programs: > 570 s), so "
-                    "elapsed_s is a lower bound and the speedup is a floor"
-                ),
-            },
             "after": after,
-            "speedup": round(speedup, 1),
-            "target_speedup": 5.0,
-            "meets_target": speedup >= 5.0,
+            # The reference campaign enables no defect: a report or an
+            # oracle error on it is a false alarm or an oracle failure.
+            "meets_target": after["reports"] == 0 and after["oracle_errors"] == 0,
             "backends_campaign": backends,
         }
     )

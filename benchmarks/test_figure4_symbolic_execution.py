@@ -10,7 +10,7 @@ caught purely through packet tests (no IR access).
 from repro.compiler import CompilerOptions
 from repro.core.testgen import SymbolicTestGenerator
 from repro.p4 import parse_program
-from repro.targets import PtfRunner, PtfTest, TofinoTarget
+from repro.targets import PacketTest, PtfRunner, TofinoTarget
 
 
 PROGRAM = """
@@ -49,7 +49,7 @@ def _generate_and_run(enabled_bugs=frozenset()):
         packet = generated.build_packet(program)
         results.append(
             runner.run_test(
-                PtfTest(
+                PacketTest(
                     name=generated.name,
                     input_packet=packet,
                     expected=generated.expected,

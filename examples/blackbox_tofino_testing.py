@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.compiler import CompilerOptions
 from repro.core.testgen import SymbolicTestGenerator
 from repro.p4 import parse_program
-from repro.targets import PtfRunner, PtfTest, TofinoTarget
+from repro.targets import PacketTest, PtfRunner, TofinoTarget
 
 
 PROGRAM = """
@@ -72,7 +72,7 @@ def run(description: str, enabled_bugs: set) -> None:
     for generated in tests:
         packet = generated.build_packet(program)
         result = runner.run_test(
-            PtfTest(
+            PacketTest(
                 name=generated.name,
                 input_packet=packet,
                 expected=generated.expected,

@@ -46,6 +46,7 @@ from repro.core.validation import (
     TranslationValidator,
     ValidationOutcome,
     ValidationReport,
+    clear_validation_caches,
     term_shape_histogram,
 )
 from repro.p4 import ast, emit_program, parse_program
@@ -119,12 +120,17 @@ _VALIDATOR = TranslationValidator()
 
 
 def reset_worker_state() -> None:
-    """Drop per-process memo caches (tests and benchmarks start runs cold)."""
+    """Drop every per-process memo, so tests and benchmarks start runs cold:
+    generated programs, prefix compilations, packet tests, equivalence
+    verdicts, the term tables and every snapshot cache (lexer, reparse,
+    typecheck, interpretation, shape)."""
 
     _PROGRAM_MEMO.clear()
     clear_testgen_cache()
     clear_prefix_cache()
     smt.clear_equivalence_cache()
+    smt.clear_term_caches()
+    clear_validation_caches()
 
 
 # ----------------------------------------------------------------------
@@ -206,22 +212,6 @@ def _validation_finding(
     return None
 
 
-def packet_test(
-    unit: WorkUnit, program: ast.Program, source: str, executable, spec
-) -> Optional[str]:
-    """Run the symbolic packet tests against a compiled executable.
-
-    Returns a human-readable mismatch description, or ``None`` when every
-    test passes (or the oracle could not produce tests for this program).
-    The actual oracle lives in :func:`repro.core.reduce.oracles.packet_mismatch`
-    so the triage predicates exercise the exact same check.
-    """
-
-    return packet_mismatch(
-        program, source, executable, spec, unit.max_tests, unit.sequence_length
-    )
-
-
 def _backend_stage(
     unit: WorkUnit, program: ast.Program, source: str
 ) -> Tuple[str, List[FindingRecord]]:
@@ -262,7 +252,9 @@ def _backend_stage(
     finding = _validation_finding(_VALIDATOR.validate_compilation(result), platform)
     if finding is not None:
         return STATUS_FINDING, [finding]
-    mismatch = packet_test(unit, program, source, executable, spec)
+    mismatch = packet_mismatch(
+        program, source, executable, spec, unit.max_tests, unit.sequence_length
+    )
     if mismatch is not None:
         return STATUS_FINDING, [
             FindingRecord(
@@ -382,7 +374,7 @@ def run_unit(unit: WorkUnit) -> UnitOutcome:
         platform=unit.platform,
         status=status,
         findings=findings,
-        source=source,
+        source=source if findings else "",
         counters=deltas,
         coverage=coverage,
         elapsed_s=elapsed,

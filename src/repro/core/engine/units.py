@@ -166,7 +166,9 @@ class UnitOutcome:
     platform: str
     status: str
     findings: List[FindingRecord] = field(default_factory=list)
-    #: Emitted source of the generated program (the bug trigger).
+    #: Emitted source of the generated program, the trigger of the
+    #: findings.  Empty when there are none: only reports and triage read
+    #: it, and the unit's generator config and index rebuild the program.
     source: str = ""
     #: The difference of two :func:`repro.metrics.snapshot` readings around
     #: the unit, taken in the process that ran it (solver checks, cache

@@ -30,7 +30,7 @@ from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH, cached_sequences
 from repro.core.validation import TranslationValidator, ValidationOutcome
 from repro.metrics import COUNTERS, declare
 from repro.p4 import ast, emit_program
-from repro.targets import BACKEND_REGISTRY
+from repro.targets import BACKEND_REGISTRY, Executable, PacketTest
 from repro.targets.state import packet_layout
 
 from repro.core.engine.units import (
@@ -69,7 +69,7 @@ def backend_bug_set(enabled_bugs: Iterable[str], platform: str) -> Set[str]:
 def packet_mismatch(
     program: ast.Program,
     source: str,
-    executable,
+    executable: Executable,
     spec,
     max_tests: int,
     sequence_length: int = DEFAULT_SEQUENCE_LENGTH,
@@ -97,15 +97,12 @@ def packet_mismatch(
     runner = spec.runner_cls(executable)
     for sequence in sequences:
         COUNTERS["sequences_replayed"] += 1
-        reset = getattr(executable, "reset_state", None)
-        if reset is not None:
-            reset()
+        executable.reset_state()
         for generated in sequence.packets:
             COUNTERS["packets_replayed"] += 1
-            packet = generated.input_packet(layout)
-            test = spec.test_cls(
+            test = PacketTest(
                 name=generated.name,
-                input_packet=packet,
+                input_packet=generated.input_packet(layout),
                 expected=generated.expected,
                 entries=sequence.entries,
                 ignore_paths=generated.ignore_paths,
@@ -115,10 +112,7 @@ def packet_mismatch(
                 detail = result.error or str(result.mismatches)
                 return f"packet test {generated.name} failed: {detail}"
         if sequence.expected_state:
-            state_of = getattr(executable, "switch_state", None)
-            if state_of is None:
-                continue  # backend claims no stateful support; nothing to diff
-            observed = state_of().observable()
+            observed = executable.switch_state().observable()
             for path, expected_value in sorted(sequence.expected_state.items()):
                 if observed.get(path) != expected_value:
                     return (

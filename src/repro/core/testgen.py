@@ -9,8 +9,9 @@ execution), and feeds them to the target's packet test framework.
 Path selection follows the paper: one test per reachable combination of
 branch decisions (capped), with the solver asked for non-zero header values
 so that targets which zero-initialise undefined data cannot mask bugs.
-Undefined values in the oracle are fixed to the target's convention (zero)
-when computing the expected output.
+Undefined values in the oracle are fixed to the targets' convention
+(:data:`~repro.targets.state.UNDEFINED_VALUE`, zero) when computing the
+expected output.
 
 Stateful programs (registers/counters) are tested with *sequences*: the
 symbolic interpreter threads packet ``i``'s final state into packet
@@ -31,7 +32,13 @@ from repro.core.interpreter import BlockSemantics, InterpreterError, SymbolicInt
 from repro.metrics import MISSING, LruCache
 from repro.p4 import ast
 from repro.smt.solver import CheckResult, Model, Solver
-from repro.targets.state import PacketState, SwitchState, TableEntry, packet_layout
+from repro.targets.state import (
+    UNDEFINED_VALUE,
+    PacketState,
+    SwitchState,
+    TableEntry,
+    packet_layout,
+)
 
 
 #: Default packet count of a stateful test sequence.  Three packets is
@@ -108,9 +115,6 @@ class SymbolicTestGenerator:
         self,
         program: ast.Program,
         max_tests: int = 8,
-        prefer_nonzero: bool = True,
-        undefined_value: int = 0,
-        require_valid_headers: bool = True,
         sequence_length: int = 1,
         source: Optional[str] = None,
     ) -> None:
@@ -119,12 +123,6 @@ class SymbolicTestGenerator:
 
         self.program = program
         self.max_tests = max_tests
-        self.prefer_nonzero = prefer_nonzero
-        self.undefined_value = undefined_value
-        #: Input packets arrive with their headers parsed and valid; allowing
-        #: the solver to pick invalid input headers would make every output
-        #: field "invalid" and mask real divergences (§8, environment problem).
-        self.require_valid_headers = require_valid_headers
         #: One BlockSemantics per packet of the sequence, state threaded
         #: between them.  Packet 0 starts from the zero power-on state, which
         #: for stateless programs is exactly the single-packet pipeline view.
@@ -228,15 +226,16 @@ class SymbolicTestGenerator:
         for packet in self.packets:
             for overflow in packet.parser_overflows:
                 solver.add(smt.Not(overflow))
-            if self.require_valid_headers:
-                for path, symbol in packet.inputs.items():
-                    if path.endswith(".$valid"):
-                        solver.add(symbol)
+            # Input packets arrive with their headers parsed and valid;
+            # letting the solver pick invalid input headers would make every
+            # output field "invalid" and mask real divergences (§8, the
+            # environment problem).
+            for path, symbol in packet.inputs.items():
+                if path.endswith(".$valid"):
+                    solver.add(symbol)
         return solver
 
     def _preferences(self) -> List[smt.Term]:
-        if not self.prefer_nonzero:
-            return []
         return [
             smt.Ne(symbol, smt.BitVecVal(0, symbol.width))
             for packet in self.packets
@@ -304,7 +303,7 @@ class SymbolicTestGenerator:
         }
         return {
             path: int(
-                smt.evaluate(term, assignment, default=self.undefined_value)
+                smt.evaluate(term, assignment, default=UNDEFINED_VALUE)
             )
             for path, term in self.packets[-1].state_outputs.items()
         }
@@ -348,7 +347,7 @@ class SymbolicTestGenerator:
         validity: Dict[str, bool] = {}
         for path, term in semantics.outputs.items():
             if path.endswith(".$valid"):
-                value = smt.evaluate(term, assignment, default=self.undefined_value)
+                value = smt.evaluate(term, assignment, default=UNDEFINED_VALUE)
                 validity[path[: -len(".$valid")]] = bool(value)
                 expected[path] = bool(value)
         for path, term in semantics.outputs.items():
@@ -358,7 +357,7 @@ class SymbolicTestGenerator:
             if header in validity and not validity[header]:
                 expected[path] = None
                 continue
-            value = smt.evaluate(term, assignment, default=self.undefined_value)
+            value = smt.evaluate(term, assignment, default=UNDEFINED_VALUE)
             expected[path] = int(value) if not isinstance(value, bool) else value
         return expected, ignore
 

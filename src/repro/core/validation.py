@@ -149,10 +149,11 @@ class ValidationReport:
 
 
 class TranslationValidator:
-    """Check that every compiler pass preserved program semantics."""
+    """Check that every compiler pass preserved program semantics.
 
-    def __init__(self, stop_at_first_divergence: bool = True) -> None:
-        self.stop_at_first_divergence = stop_at_first_divergence
+    Validation stops at the first divergence: later passes work on an
+    already-miscompiled program, so their verdicts would not name a defect.
+    """
 
     # -- entry points ---------------------------------------------------------
 
@@ -205,13 +206,11 @@ class TranslationValidator:
                     self._pair_terms(previous_semantics, current_semantics),
                     solver=chain_solver,
                 ):
-                    divergences.extend(
-                        self._compare(
-                            previous, snapshot, previous_semantics, current_semantics
-                        )
+                    divergences = self._compare(
+                        previous, snapshot, previous_semantics, current_semantics
                     )
-                if divergences and self.stop_at_first_divergence:
-                    break
+                    if divergences:
+                        break
                 previous = snapshot
                 previous_semantics = current_semantics
         except InterpreterError as exc:
@@ -276,14 +275,15 @@ class TranslationValidator:
             _INTERP_CACHE.put(snapshot.source, semantics)
         return semantics
 
+    @staticmethod
     def _compare(
-        self,
         before: PassSnapshot,
         after: PassSnapshot,
         before_semantics: Dict[str, BlockSemantics],
         after_semantics: Dict[str, BlockSemantics],
     ) -> List[PassDivergence]:
-        divergences: List[PassDivergence] = []
+        """The pair's first diverging output (a one-element list), or ``[]``."""
+
         for block_name, before_block in before_semantics.items():
             after_block = after_semantics.get(block_name)
             if after_block is None:
@@ -300,7 +300,7 @@ class TranslationValidator:
                 witness = smt.find_divergence(before_term, after_term)
                 if witness is None:
                     continue
-                divergences.append(
+                return [
                     PassDivergence(
                         pass_name=after.pass_name,
                         block=block_name,
@@ -310,7 +310,5 @@ class TranslationValidator:
                         after_source=after.source,
                         before_pass=before.pass_name,
                     )
-                )
-                if self.stop_at_first_divergence:
-                    return divergences
-        return divergences
+                ]
+        return []

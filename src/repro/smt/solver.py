@@ -13,8 +13,8 @@ when first checked; ``check(*extra)`` encodes the extra constraints as
 assumption literals instead of rebuilding the CNF, so the SAT solver's
 learned-clause database, watch lists, activities and saved phases are
 reused across every check on the same solver.  This is what makes
-blocking-clause model enumeration (:func:`enumerate_models`) and the
-preference retry in :func:`find_divergence` cheap.
+blocking-clause model enumeration (:func:`enumerate_models`) and the test
+generator's retry without its non-zero preferences cheap.
 
 The module also provides the two operations Gauntlet actually needs:
 
@@ -561,10 +561,7 @@ def all_equivalent(
 
 
 def find_divergence(
-    left: Term,
-    right: Term,
-    extra_constraints: Iterable[Term] = (),
-    prefer_nonzero: Iterable[Term] = (),
+    left: Term, right: Term, extra_constraints: Iterable[Term] = ()
 ) -> Optional[Model]:
     """Search for an assignment under which ``left`` and ``right`` differ.
 
@@ -575,11 +572,6 @@ def find_divergence(
     are the same object, and identical terms never diverge, so ``left is
     right`` (before or after simplification) answers without touching the
     SAT solver.
-
-    ``prefer_nonzero`` lists symbols the caller would like to be non-zero in
-    the witness (Gauntlet asks Z3 for non-zero packets so that targets that
-    zero-initialise undefined values do not mask bugs); the preference is
-    best-effort and dropped if it would make the query unsatisfiable.
     """
 
     if left.sort != right.sort:
@@ -601,18 +593,6 @@ def find_divergence(
     difference = t.Ne(left, right)
     solver = Solver()
     solver.add(difference, *extras)
-
-    nonzero_terms = [
-        t.Ne(symbol, t.BitVecVal(0, symbol.width))
-        for symbol in prefer_nonzero
-        if symbol.sort.is_bv()
-    ]
-    if nonzero_terms:
-        if (
-            solver.check(*nonzero_terms, max_conflicts=EQUIVALENCE_CONFLICT_BUDGET)
-            == CheckResult.SAT
-        ):
-            return solver.model()
     verdict = solver.check(max_conflicts=EQUIVALENCE_CONFLICT_BUDGET)
     if verdict == CheckResult.SAT:
         return solver.model()

@@ -15,19 +15,28 @@ this package for the backend-author contract):
   verifier-flavoured resource limits (instruction budget, bounded loops,
   stack cap); observed through a ``bpf_prog_test_run``-style harness.
 
-All of them execute programs with the shared concrete interpreter in
-:mod:`repro.targets.execution` over a :class:`repro.targets.state.PacketState`.
+Every target's ``link`` returns the same
+:class:`~repro.targets.execution.Executable` (the shared concrete
+interpreter over the target's :class:`TargetSemantics` defect flags, on a
+:class:`repro.targets.state.PacketState`), and every runner replays the same
+:class:`~repro.targets.stf.PacketTest` through the same comparison.  A back
+end is therefore a target class plus a runner name.
 """
 
 from typing import Dict, NamedTuple, Type
 
 from repro.targets.state import HeaderInstance, PacketState, TableEntry
-from repro.targets.execution import ConcreteInterpreter, ExecutionError, TargetSemantics
-from repro.targets.bmv2 import Bmv2Executable, Bmv2Target
-from repro.targets.tofino import TofinoExecutable, TofinoTarget
-from repro.targets.ebpf import EbpfExecutable, EbpfTarget, XdpRunner, XdpTest, XdpResult
-from repro.targets.stf import StfRunner, StfTest, StfResult
-from repro.targets.ptf import PtfRunner, PtfTest, PtfResult
+from repro.targets.execution import (
+    ConcreteInterpreter,
+    ExecutionError,
+    Executable,
+    TargetSemantics,
+)
+from repro.targets.bmv2 import Bmv2Target
+from repro.targets.tofino import TofinoTarget
+from repro.targets.ebpf import EbpfTarget, XdpRunner
+from repro.targets.stf import PacketResult, PacketTest, StfRunner
+from repro.targets.ptf import PtfRunner
 
 
 class BackendSpec(NamedTuple):
@@ -41,16 +50,15 @@ class BackendSpec(NamedTuple):
 
     target_cls: Type
     runner_cls: Type
-    test_cls: Type
 
 
 #: Platform name -> backend classes, in deterministic platform order.
 #: ``p4c`` is absent on purpose: the open toolchain is validated by
 #: translation validation, not packet tests.
 BACKEND_REGISTRY: Dict[str, BackendSpec] = {
-    "bmv2": BackendSpec(Bmv2Target, StfRunner, StfTest),
-    "tofino": BackendSpec(TofinoTarget, PtfRunner, PtfTest),
-    "ebpf": BackendSpec(EbpfTarget, XdpRunner, XdpTest),
+    "bmv2": BackendSpec(Bmv2Target, StfRunner),
+    "tofino": BackendSpec(TofinoTarget, PtfRunner),
+    "ebpf": BackendSpec(EbpfTarget, XdpRunner),
 }
 
 
@@ -62,20 +70,14 @@ __all__ = [
     "TableEntry",
     "ConcreteInterpreter",
     "ExecutionError",
+    "Executable",
     "TargetSemantics",
-    "Bmv2Executable",
     "Bmv2Target",
-    "TofinoExecutable",
     "TofinoTarget",
-    "EbpfExecutable",
     "EbpfTarget",
+    "PacketTest",
+    "PacketResult",
     "StfRunner",
-    "StfTest",
-    "StfResult",
     "PtfRunner",
-    "PtfTest",
-    "PtfResult",
     "XdpRunner",
-    "XdpTest",
-    "XdpResult",
 ]

@@ -15,61 +15,13 @@ Seeded defects (see :mod:`repro.compiler.bugs`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.compiler import CompilerOptions, P4Compiler
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.compiler.pass_manager import CompilationResult
 from repro.p4 import ast
-from repro.targets.execution import ConcreteInterpreter, TargetSemantics
-from repro.targets.state import PacketState, SwitchState, TableEntry
-
-
-@dataclass
-class Bmv2Executable:
-    """A compiled program loaded into the software switch."""
-
-    program: ast.Program
-    semantics: TargetSemantics
-    #: The front/mid-end snapshots (the open part of the toolchain).
-    compilation: CompilationResult
-    #: Lazily-built interpreter shared by every packet: construction
-    #: typechecks the program (memoised by the compilation's final source),
-    #: and per-packet state lives in the packet.
-    _interpreter: Optional[ConcreteInterpreter] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Persistent register/counter state -- survives across :meth:`process`
-    #: calls, exactly like a running switch (see the stateful-support
-    #: section of the backend-author contract in ``targets/README.md``).
-    _switch_state: Optional[SwitchState] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def process(self, packet: PacketState, entries: Sequence[TableEntry] = ()) -> PacketState:
-        """Run one packet through the switch and return the output packet."""
-
-        if self._interpreter is None:
-            self._interpreter = ConcreteInterpreter(
-                self.program, self.semantics, source=self.compilation.final_source
-            )
-        return self._interpreter.run(
-            packet, entries, switch_state=self.switch_state()
-        )
-
-    def switch_state(self) -> SwitchState:
-        """The live register/counter state (lazily created at power-on)."""
-
-        if self._switch_state is None:
-            self._switch_state = SwitchState.for_program(self.program)
-        return self._switch_state
-
-    def reset_state(self) -> None:
-        """Power-cycle the switch: every register/counter cell back to zero."""
-
-        if self._switch_state is not None:
-            self._switch_state.reset()
+from repro.targets.execution import Executable, TargetSemantics
 
 
 class Bmv2Target:
@@ -82,12 +34,12 @@ class Bmv2Target:
 
     # -- compilation -----------------------------------------------------------
 
-    def compile(self, program) -> Bmv2Executable:
+    def compile(self, program) -> Executable:
         """Run the shared front/mid end, then the BMv2 lowering checks."""
 
         return self.link(P4Compiler(self.options).compile(program))
 
-    def link(self, result: CompilationResult) -> Bmv2Executable:
+    def link(self, result: CompilationResult) -> Executable:
         """Lower an already-compiled front/mid-end result.
 
         The campaign engine compiles the shared prefix once per program
@@ -104,10 +56,9 @@ class Bmv2Target:
         lowered = result.final_program
         self._lower(lowered)
         semantics = TargetSemantics(
-            name=self.name,
             truncate_wide_fields=self.options.bug_enabled("bmv2_wide_field_truncation"),
         )
-        return Bmv2Executable(lowered, semantics, result)
+        return Executable(lowered, semantics, result.final_source)
 
     def compile_with_snapshots(self, program) -> CompilationResult:
         """Expose the per-pass snapshots (BMv2 is an open back end)."""

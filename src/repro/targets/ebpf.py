@@ -48,8 +48,7 @@ Seeded defects (see :mod:`repro.compiler.bugs`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.compiler import CompilerOptions, P4Compiler
 from repro.compiler.errors import CompilerCrash, CompilerError
@@ -57,8 +56,8 @@ from repro.compiler.pass_manager import CompilationResult
 from repro.p4 import ast
 from repro.p4.types import BitType, HeaderStackType, HeaderType, StructType
 from repro.p4.typecheck import check_program
-from repro.targets.execution import ConcreteInterpreter, TargetSemantics
-from repro.targets.state import PacketState, SwitchState, TableEntry
+from repro.targets.execution import Executable, TargetSemantics
+from repro.targets.stf import StfRunner
 
 
 #: Instruction budget of the lowered program (``BPF_MAXINSNS``-flavoured;
@@ -77,54 +76,6 @@ EBPF_TAIL_CALL_LIMIT = 32
 _BUGGY_TAIL_CALL_LIMIT = 8
 
 
-@dataclass
-class EbpfExecutable:
-    """An opaque XDP object file loaded into the (simulated) kernel.
-
-    Like :class:`~repro.targets.tofino.TofinoExecutable` the lowered
-    program is private: only packet-level behaviour is observable.
-    """
-
-    _program: ast.Program
-    _semantics: TargetSemantics
-    #: The emitted source of ``_program``: its type check is memoised by it.
-    _source: Optional[str] = None
-    #: Lazily-built interpreter shared by every packet.
-    _interpreter: Optional[ConcreteInterpreter] = dataclass_field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Persistent register/counter state across :meth:`process` calls --
-    #: registers lower to BPF array maps, which outlive individual packets
-    #: (see the stateful-support contract in ``targets/README.md``).
-    _switch_state: Optional[SwitchState] = dataclass_field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def process(self, packet: PacketState, entries: Sequence[TableEntry] = ()) -> PacketState:
-        """Run one packet through the XDP hook and return the output."""
-
-        if self._interpreter is None:
-            self._interpreter = ConcreteInterpreter(
-                self._program, self._semantics, source=self._source
-            )
-        return self._interpreter.run(
-            packet, entries, switch_state=self.switch_state()
-        )
-
-    def switch_state(self) -> SwitchState:
-        """The live map-backed register state (lazily created at load time)."""
-
-        if self._switch_state is None:
-            self._switch_state = SwitchState.for_program(self._program)
-        return self._switch_state
-
-    def reset_state(self) -> None:
-        """Reload the maps: every register/counter cell back to zero."""
-
-        if self._switch_state is not None:
-            self._switch_state.reset()
-
-
 class EbpfTarget:
     """Compile P4 programs to an eBPF/XDP-style kernel extension."""
 
@@ -133,12 +84,12 @@ class EbpfTarget:
     def __init__(self, options: Optional[CompilerOptions] = None) -> None:
         self.options = options or CompilerOptions(target=self.name)
 
-    def compile(self, program) -> EbpfExecutable:
+    def compile(self, program) -> Executable:
         """Compile for XDP.  Only the executable (or an error) is visible."""
 
         return self.link(P4Compiler(self.options).compile(program))
 
-    def link(self, result: CompilationResult) -> EbpfExecutable:
+    def link(self, result: CompilationResult) -> Executable:
         """Lower an already-compiled (shared, read-only) front/mid-end result."""
 
         if result.crashed:
@@ -148,7 +99,6 @@ class EbpfTarget:
         lowered = result.final_program
         self._verifier_checks(lowered)
         semantics = TargetSemantics(
-            name=self.name,
             miss_runs_first_action=self.options.bug_enabled(
                 "ebpf_map_lookup_miss_action"
             ),
@@ -160,7 +110,7 @@ class EbpfTarget:
                 "ebpf_register_write_drops_high_byte"
             ),
         )
-        return EbpfExecutable(lowered, semantics, result.final_source)
+        return Executable(lowered, semantics, result.final_source)
 
     # -- verifier-flavored lowering checks (not observable from outside) ------
 
@@ -334,56 +284,8 @@ def _parser_has_cycle(parser: ast.ParserDeclaration) -> bool:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class XdpTest:
-    """One packet test for the eBPF back end."""
+class XdpRunner(StfRunner):
+    """Run packet tests against a compiled eBPF executable."""
 
-    name: str
-    input_packet: PacketState
-    expected: Dict[str, object]
-    entries: List[TableEntry] = dataclass_field(default_factory=list)
-    ignore_paths: List[str] = dataclass_field(default_factory=list)
-
-
-@dataclass
-class XdpResult:
-    """Outcome of one XDP test."""
-
-    test: XdpTest
-    passed: bool
-    observed: Dict[str, object]
-    mismatches: Dict[str, Dict[str, object]] = dataclass_field(default_factory=dict)
-    error: Optional[str] = None
-
-
-class XdpRunner:
-    """Run XDP tests against a compiled eBPF executable.
-
-    The interface mirrors :class:`~repro.targets.stf.StfRunner` /
-    :class:`~repro.targets.ptf.PtfRunner` — the campaign engine drives
-    every back end's runner through the same duck type (see the
-    backend-author contract in ``src/repro/targets/README.md``).
-    """
-
-    def __init__(self, executable) -> None:
-        self.executable = executable
-
-    def run_test(self, test: XdpTest) -> XdpResult:
-        try:
-            output = self.executable.process(test.input_packet, test.entries)
-        except Exception as exc:  # noqa: BLE001 - a target crash is a finding
-            return XdpResult(test, passed=False, observed={}, error=str(exc))
-        observed = output.observable()
-        mismatches: Dict[str, Dict[str, object]] = {}
-        for path, expected_value in test.expected.items():
-            if path in test.ignore_paths:
-                continue
-            if observed.get(path) != expected_value:
-                mismatches[path] = {
-                    "expected": expected_value,
-                    "observed": observed.get(path),
-                }
-        return XdpResult(test, passed=not mismatches, observed=observed, mismatches=mismatches)
-
-    def run_all(self, tests: Sequence[XdpTest]) -> List[XdpResult]:
-        return [self.run_test(test) for test in tests]
+    # Bound in the class body: the perfbench tracer wraps each runner's own run_test.
+    run_test = StfRunner.run_test

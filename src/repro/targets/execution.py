@@ -11,8 +11,9 @@ Semantics notes (kept deliberately aligned with the symbolic interpreter in
 :mod:`repro.core.interpreter` so that a correct compiler never produces
 expected/observed mismatches):
 
-* reading an uninitialised local or a field of an invalid header yields the
-  target's undefined value (zero, like BMv2),
+* reading an uninitialised local or a field of an invalid header yields
+  :data:`~repro.targets.state.UNDEFINED_VALUE` (zero, like BMv2), the value
+  the symbolic oracle fixes undefined reads to,
 * writing a field of an invalid header is a no-op,
 * ``setValid``/``setInvalid`` only toggle the validity bit; field contents
   are retained,
@@ -38,7 +39,13 @@ from repro.p4.types import (
     P4Type,
     StructType,
 )
-from repro.targets.state import HeaderInstance, PacketState, SwitchState, TableEntry
+from repro.targets.state import (
+    UNDEFINED_VALUE,
+    HeaderInstance,
+    PacketState,
+    SwitchState,
+    TableEntry,
+)
 
 
 class ExecutionError(Exception):
@@ -59,11 +66,9 @@ class _ReturnSignal(Exception):
 
 @dataclass(frozen=True)
 class TargetSemantics:
-    """Target-specific interpretation of undefined behaviour."""
+    """A back end's seeded-defect flags (every flag off: the reference
+    semantics the symbolic interpreter predicts)."""
 
-    name: str = "bmv2"
-    #: Value observed when reading uninitialised storage.
-    undefined_value: int = 0
     #: Drop assignments to slices narrower than this many bits
     #: (the Tofino ``tofino_slice_assignment_drop`` seeded defect).
     drop_narrow_slice_writes_below: int = 0
@@ -251,6 +256,54 @@ class ConcreteInterpreter:
             pass
 
 
+@dataclass
+class Executable:
+    """A lowered program loaded into a target: what every back end's
+    ``link`` returns.
+
+    Back ends differ only in their lowering checks and their
+    :class:`TargetSemantics`.  The oracles observe an executable through
+    packets alone: :meth:`process` and the register/counter state it
+    leaves between packets.
+    """
+
+    program: ast.Program
+    semantics: TargetSemantics
+    #: The emitted source of ``program``: its type check is memoised by it.
+    source: Optional[str] = None
+    #: Lazily-built interpreter shared by every packet.
+    _interpreter: Optional[ConcreteInterpreter] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Persistent register/counter state: it survives across
+    #: :meth:`process` calls, as on a running switch.
+    _switch_state: Optional[SwitchState] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def process(self, packet: PacketState, entries: Sequence[TableEntry] = ()) -> PacketState:
+        """Run one packet against the live switch state; return the output."""
+
+        if self._interpreter is None:
+            self._interpreter = ConcreteInterpreter(
+                self.program, self.semantics, source=self.source
+            )
+        return self._interpreter.run(packet, entries, switch_state=self.switch_state())
+
+    def switch_state(self) -> SwitchState:
+        """The live register/counter state (created at power-on)."""
+
+        if self._switch_state is None:
+            self._switch_state = SwitchState.for_program(self.program)
+        return self._switch_state
+
+    def reset_state(self) -> None:
+        """Power-cycle the target: every register/counter cell back to zero."""
+
+        if self._switch_state is not None:
+            self._switch_state.reset()
+
+
 class _Frame:
     """Execution state for one block: local variables plus the packet."""
 
@@ -298,11 +351,10 @@ class _Frame:
             self.locals[declaration.name] = self._default_value(var_type)
 
     def _default_value(self, var_type: P4Type) -> Value:
-        undefined = self.interpreter.semantics.undefined_value
         if isinstance(var_type, BoolType):
-            return Value(bool(undefined), None)
+            return Value(bool(UNDEFINED_VALUE), None)
         if isinstance(var_type, BitType):
-            return Value(undefined & _mask(var_type.width), var_type.width)
+            return Value(UNDEFINED_VALUE & _mask(var_type.width), var_type.width)
         raise ExecutionError(f"cannot create a local of type {var_type}")
 
     def _coerce(self, value: Value, var_type: P4Type) -> Value:
@@ -765,8 +817,7 @@ class _Frame:
                     f"header {header.header_type.name} has no field {field_name!r}"
                 )
             if not header.valid:
-                undefined = self.interpreter.semantics.undefined_value
-                return Value(undefined & _mask(field_type.width), field_type.width)
+                return Value(UNDEFINED_VALUE & _mask(field_type.width), field_type.width)
             raw = header.get(field_name)
             if (
                 self.interpreter.semantics.swap_16bit_field_reads

@@ -1,64 +1,19 @@
-"""A Packet-Test-Framework (PTF) style runner for the Tofino simulator.
+"""The Packet Test Framework (PTF) runner for the Tofino simulator.
 
-The interface intentionally mirrors :mod:`repro.targets.stf`: the difference
-in the paper is operational (PTF injects packets into the Tofino simulator
-or hardware, STF into BMv2), not conceptual.  Keeping both classes separate
-preserves the structure of the original toolchain and lets the campaign
-report per-target results.
+The difference from :mod:`repro.targets.stf` is operational (PTF injects
+packets into the Tofino simulator or hardware, STF into BMv2), not
+conceptual, so the runner replays the same
+:class:`~repro.targets.stf.PacketTest` through the same comparison; the
+class only gives the campaign a per-target name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-from repro.targets.state import PacketState, TableEntry
+from repro.targets.stf import StfRunner
 
 
-@dataclass
-class PtfTest:
-    """One packet test for the Tofino back end."""
+class PtfRunner(StfRunner):
+    """Run packet tests against a Tofino executable (the software simulator)."""
 
-    name: str
-    input_packet: PacketState
-    expected: Dict[str, object]
-    entries: List[TableEntry] = field(default_factory=list)
-    ignore_paths: List[str] = field(default_factory=list)
-
-
-@dataclass
-class PtfResult:
-    """Outcome of one PTF test."""
-
-    test: PtfTest
-    passed: bool
-    observed: Dict[str, object]
-    mismatches: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    error: Optional[str] = None
-
-
-class PtfRunner:
-    """Run PTF tests against a Tofino executable (the software simulator)."""
-
-    def __init__(self, executable) -> None:
-        self.executable = executable
-
-    def run_test(self, test: PtfTest) -> PtfResult:
-        try:
-            output = self.executable.process(test.input_packet, test.entries)
-        except Exception as exc:  # noqa: BLE001 - a target crash is a finding
-            return PtfResult(test, passed=False, observed={}, error=str(exc))
-        observed = output.observable()
-        mismatches: Dict[str, Dict[str, object]] = {}
-        for path, expected_value in test.expected.items():
-            if path in test.ignore_paths:
-                continue
-            if observed.get(path) != expected_value:
-                mismatches[path] = {
-                    "expected": expected_value,
-                    "observed": observed.get(path),
-                }
-        return PtfResult(test, passed=not mismatches, observed=observed, mismatches=mismatches)
-
-    def run_all(self, tests: Sequence[PtfTest]) -> List[PtfResult]:
-        return [self.run_test(test) for test in tests]
+    # Bound in the class body: the perfbench tracer wraps each runner's own run_test.
+    run_test = StfRunner.run_test

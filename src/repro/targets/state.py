@@ -27,6 +27,13 @@ from repro.p4.types import (
 from repro.p4.typecheck import checked_types
 
 
+#: The value a target reads from uninitialised storage (an unset local, a
+#: field of an invalid header).  The symbolic oracle fixes undefined reads
+#: to the same value when it computes expected outputs, so a correct
+#: compiler never produces a mismatch from them.
+UNDEFINED_VALUE = 0
+
+
 def _mask(width: int) -> int:
     return (1 << width) - 1
 

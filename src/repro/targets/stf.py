@@ -1,23 +1,24 @@
-"""A Simple-Test-Framework (STF) style packet test runner for BMv2.
+"""The packet test: one input/expected-output pair replayed on a target.
 
-An :class:`StfTest` describes one test case: the input packet (header field
-values and validity), the table entries to install, and the expected output
-packet.  The :class:`StfRunner` feeds the input through a compiled
-:class:`~repro.targets.bmv2.Bmv2Executable` and diffs the observed output
-against the expectation, which is exactly how Gauntlet detects semantic bugs
-on targets (paper §6, figure 4).
+A :class:`PacketTest` describes one test case: the input packet (header
+field values and validity), the table entries to install, and the expected
+output packet.  The :class:`StfRunner` (BMv2's Simple Test Framework) feeds
+the input through a compiled :class:`~repro.targets.execution.Executable`
+and diffs the observed output against the expectation, which is exactly how
+Gauntlet detects semantic bugs on targets (paper §6, figure 4).  Every back
+end's runner replays the same test through the same comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.targets.state import PacketState, TableEntry
 
 
 @dataclass
-class StfTest:
+class PacketTest:
     """One input/expected-output packet pair plus control-plane state."""
 
     name: str
@@ -30,10 +31,10 @@ class StfTest:
 
 
 @dataclass
-class StfResult:
-    """Outcome of one STF test."""
+class PacketResult:
+    """Outcome of one packet test."""
 
-    test: StfTest
+    test: PacketTest
     passed: bool
     observed: Dict[str, object]
     mismatches: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -41,16 +42,16 @@ class StfResult:
 
 
 class StfRunner:
-    """Run STF tests against a compiled executable."""
+    """Run packet tests against a compiled executable."""
 
     def __init__(self, executable) -> None:
         self.executable = executable
 
-    def run_test(self, test: StfTest) -> StfResult:
+    def run_test(self, test: PacketTest) -> PacketResult:
         try:
             output = self.executable.process(test.input_packet, test.entries)
         except Exception as exc:  # noqa: BLE001 - a target crash is a finding
-            return StfResult(test, passed=False, observed={}, error=str(exc))
+            return PacketResult(test, passed=False, observed={}, error=str(exc))
         observed = output.observable()
         mismatches: Dict[str, Dict[str, object]] = {}
         for path, expected_value in test.expected.items():
@@ -59,7 +60,4 @@ class StfRunner:
             observed_value = observed.get(path)
             if observed_value != expected_value:
                 mismatches[path] = {"expected": expected_value, "observed": observed_value}
-        return StfResult(test, passed=not mismatches, observed=observed, mismatches=mismatches)
-
-    def run_all(self, tests: Sequence[StfTest]) -> List[StfResult]:
-        return [self.run_test(test) for test in tests]
+        return PacketResult(test, passed=not mismatches, observed=observed, mismatches=mismatches)

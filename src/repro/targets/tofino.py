@@ -17,62 +17,17 @@ Seeded defects (see :mod:`repro.compiler.bugs`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.compiler import CompilerOptions, P4Compiler
-from repro.compiler.errors import CompilerCrash, CompilerError
+from repro.compiler.errors import CompilerCrash
 from repro.compiler.pass_manager import CompilationResult
 from repro.p4 import ast
-from repro.targets.execution import ConcreteInterpreter, TargetSemantics
-from repro.targets.state import PacketState, SwitchState, TableEntry
+from repro.targets.execution import Executable, TargetSemantics
 
 
 #: Number of match-action tables a single stage can accommodate.
 TABLES_PER_STAGE = 12
-
-
-@dataclass
-class TofinoExecutable:
-    """An opaque compiled artifact for the Tofino software simulator."""
-
-    _program: ast.Program
-    _semantics: TargetSemantics
-    #: The emitted source of ``_program``: its type check is memoised by it.
-    _source: Optional[str] = None
-    #: Lazily-built interpreter shared by every packet.
-    _interpreter: Optional[ConcreteInterpreter] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Persistent register/counter state across :meth:`process` calls (the
-    #: simulated ASIC's stateful ALUs; see ``targets/README.md``).
-    _switch_state: Optional[SwitchState] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def process(self, packet: PacketState, entries: Sequence[TableEntry] = ()) -> PacketState:
-        """Run one packet through the simulator."""
-
-        if self._interpreter is None:
-            self._interpreter = ConcreteInterpreter(
-                self._program, self._semantics, source=self._source
-            )
-        return self._interpreter.run(
-            packet, entries, switch_state=self.switch_state()
-        )
-
-    def switch_state(self) -> SwitchState:
-        """The live register/counter state (lazily created at power-on)."""
-
-        if self._switch_state is None:
-            self._switch_state = SwitchState.for_program(self._program)
-        return self._switch_state
-
-    def reset_state(self) -> None:
-        """Power-cycle the simulator: every stateful cell back to zero."""
-
-        if self._switch_state is not None:
-            self._switch_state.reset()
 
 
 class TofinoTarget:
@@ -83,12 +38,12 @@ class TofinoTarget:
     def __init__(self, options: Optional[CompilerOptions] = None) -> None:
         self.options = options or CompilerOptions(target=self.name)
 
-    def compile(self, program) -> TofinoExecutable:
+    def compile(self, program) -> Executable:
         """Compile for Tofino.  Only the executable (or an error) is visible."""
 
         return self.link(P4Compiler(self.options).compile(program))
 
-    def link(self, result: CompilationResult) -> TofinoExecutable:
+    def link(self, result: CompilationResult) -> Executable:
         """Lower an already-compiled (shared, read-only) front/mid-end result."""
 
         if result.crashed:
@@ -98,7 +53,6 @@ class TofinoTarget:
         lowered = result.final_program
         self._backend_checks(lowered)
         semantics = TargetSemantics(
-            name=self.name,
             drop_narrow_slice_writes_below=(
                 8 if self.options.bug_enabled("tofino_slice_assignment_drop") else 0
             ),
@@ -106,7 +60,7 @@ class TofinoTarget:
                 "tofino_ternary_condition_flip"
             ),
         )
-        return TofinoExecutable(lowered, semantics, result.final_source)
+        return Executable(lowered, semantics, result.final_source)
 
     # -- proprietary lowering (not observable from outside) -----------------------
 

@@ -22,7 +22,6 @@ import os
 
 import pytest
 
-from repro import smt
 from repro.compiler.bugs import BUG_CATALOG
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine import (
@@ -42,7 +41,6 @@ from repro.core.engine import (
 from repro.core.engine import stages
 from repro.core.engine.stages import GC_GEN0_THRESHOLD
 from repro.core.engine.units import program_groups
-from repro.core.validation import clear_validation_caches
 from repro.core.generator import (
     GeneratorConfig,
     RandomProgramGenerator,
@@ -149,14 +147,20 @@ class TestUnits:
         ) == outcome
 
     def test_run_unit_reports_counter_deltas(self):
-        unit = WorkUnit(
-            program_index=0,
-            platform="p4c",
-            generator=GeneratorConfig(seed=3),
-        )
-        outcome = run_unit(unit)
+        generator = GeneratorConfig(seed=3)
+        outcome = run_unit(WorkUnit(program_index=0, platform="p4c", generator=generator))
         assert outcome.platform == "p4c"
-        assert outcome.source.startswith("header") or "control" in outcome.source
+        # A clean unit carries no source; a finding carries its trigger.
+        assert outcome.status == "clean" and outcome.source == ""
+        finding = run_unit(
+            WorkUnit(
+                program_index=0, platform="p4c", generator=generator, enabled_bugs=ENABLED
+            )
+        )
+        assert finding.findings
+        assert finding.source == emit_program(
+            RandomProgramGenerator(generator).generate_indexed(0)
+        )
         # Deltas, not absolutes: a fresh unit on a fresh program must have
         # done *some* validation work, and no gauge keys leak through.
         assert outcome.counters.get("solver_checks", 0) >= 0
@@ -235,8 +239,6 @@ class TestProgramPlacement:
         ):
             # Forked workers inherit this process's caches: start each
             # run cold, as a campaign a user starts does.
-            smt.clear_term_caches()
-            clear_validation_caches()
             reset_worker_state()
             counters = CampaignEngine(spec, executor=executor).run().counters
             misses[name] = [counters[key] for key in self.MISSES]
@@ -310,6 +312,21 @@ class TestResume:
         again = Campaign(self._config(str(tmp_path))).run()
         assert again.units_reused == again.units_total == first.units_total
         assert reports(again) == reports(first)
+
+    def test_store_with_sources_on_clean_units_resumes(self, tmp_path):
+        # Older stores carry the program source on every outcome.
+        config = self._config(str(tmp_path))
+        first = Campaign(config).run()
+        entries = [json.loads(line) for line in open(config.artifact_path)]
+        for entry in entries:
+            if not entry["outcome"]["findings"]:
+                entry["outcome"]["source"] = "header h_t { bit<8> f; }"
+        with open(config.artifact_path, "w") as handle:
+            handle.writelines(json.dumps(entry) + "\n" for entry in entries)
+        again = Campaign(self._config(str(tmp_path))).run()
+        assert again.units_reused == again.units_total == first.units_total
+        assert reports(again) == reports(first)
+        assert headline(again) == headline(first)
 
     def test_different_config_does_not_reuse(self, tmp_path):
         tmp_path = str(tmp_path)

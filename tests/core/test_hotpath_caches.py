@@ -83,6 +83,28 @@ class TestPrefixMemo:
         assert bugged is not plain
 
 
+class TestResetWorkerState:
+    COLD_WORK = (
+        "prefix_misses",
+        "testgen_misses",
+        "lexer_misses",
+        "reparse_misses",
+        "typecheck_misses",
+        "typecheck_runs",
+        "interp_misses",
+    )
+
+    def test_every_run_after_a_reset_starts_cold(self):
+        config = CampaignConfig(programs=10, seed=1, platforms=("p4c", "bmv2", "tofino"))
+        work = []
+        for _ in range(2):
+            reset_worker_state()
+            counters = Campaign(config).run().counters
+            work.append([counters.get(key, 0) for key in self.COLD_WORK])
+        assert work[0] == work[1]
+        assert all(work[0])
+
+
 class TestCampaignCachesHit:
     def test_multi_platform_campaign_reuses_snapshots(self):
         # Regression for the zero-hit caches: before backend units
@@ -90,7 +112,6 @@ class TestCampaignCachesHit:
         # structurally stuck at 0 — only p4c units touched the caches, and
         # every p4c snapshot source is distinct.
         reset_worker_state()
-        clear_validation_caches()
         campaign = Campaign(
             CampaignConfig(
                 programs=4,
@@ -211,7 +232,6 @@ class TestPerProgramWorkRunsOnce:
         back-end executables and the packet layout share the memo."""
 
         reset_worker_state()
-        clear_validation_caches()
         programs = 20
         stats = Campaign(
             CampaignConfig(programs=programs, seed=1, platforms=("p4c", "bmv2", "tofino"))

@@ -24,7 +24,7 @@ from repro.core.reduce.reducer import gate_polish_transforms, reduce_program
 from repro.core.reduce.transforms import shrink_registers
 from repro.core.testgen import cached_sequences, program_has_state
 from repro.p4 import ast, check_program, emit_program, parse_program
-from repro.targets import BACKEND_REGISTRY
+from repro.targets import BACKEND_REGISTRY, PacketTest
 
 STATEFUL_MIDEND_DEFECTS = (
     "stateful_rmw_lost_update",
@@ -311,7 +311,7 @@ class TestSequenceResume:
         runner = spec.runner_cls(executable)
         first = sequences[0].packets[0]
         runner.run_test(
-            spec.test_cls(
+            PacketTest(
                 name=first.name,
                 input_packet=first.build_packet(program),
                 expected=first.expected,

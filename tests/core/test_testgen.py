@@ -6,7 +6,7 @@ from repro.compiler import CompilerOptions
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
 from repro.core.testgen import SymbolicTestGenerator
 from repro.p4 import parse_program
-from repro.targets import Bmv2Target, PtfRunner, PtfTest, StfRunner, StfTest, TofinoTarget
+from repro.targets import Bmv2Target, PacketTest, PtfRunner, StfRunner, TofinoTarget
 
 
 PRELUDE = """
@@ -34,7 +34,7 @@ def make_program(body: str, locals_: str = "", extra: str = ""):
     )
 
 
-def run_tests_against(program, target, runner_cls, test_cls, max_tests=6):
+def run_tests_against(program, target, runner_cls, max_tests=6):
     generator = SymbolicTestGenerator(program, max_tests=max_tests)
     tests = generator.generate()
     assert tests, "expected at least one generated test"
@@ -45,7 +45,7 @@ def run_tests_against(program, target, runner_cls, test_cls, max_tests=6):
         packet = generated.build_packet(program)
         results.append(
             runner.run_test(
-                test_cls(
+                PacketTest(
                     name=generated.name,
                     input_packet=packet,
                     expected=generated.expected,
@@ -111,14 +111,14 @@ class TestOracleAgreesWithCorrectTargets:
     @pytest.mark.parametrize("body", BODIES)
     def test_bmv2_oracle_agreement(self, body):
         program = make_program(body)
-        results = run_tests_against(program, Bmv2Target(), StfRunner, StfTest)
+        results = run_tests_against(program, Bmv2Target(), StfRunner)
         for result in results:
             assert result.passed, (result.mismatches, result.error)
 
     @pytest.mark.parametrize("body", BODIES)
     def test_tofino_oracle_agreement(self, body):
         program = make_program(body)
-        results = run_tests_against(program, TofinoTarget(), PtfRunner, PtfTest)
+        results = run_tests_against(program, TofinoTarget(), PtfRunner)
         for result in results:
             assert result.passed, (result.mismatches, result.error)
 
@@ -134,7 +134,7 @@ class TestOracleAgreesWithCorrectTargets:
     }
 """
         program = make_program("t.apply(); hdr.eth.a = hdr.h.b;", locals_=locals_)
-        results = run_tests_against(program, Bmv2Target(), StfRunner, StfTest)
+        results = run_tests_against(program, Bmv2Target(), StfRunner)
         for result in results:
             assert result.passed, (result.mismatches, result.error)
 
@@ -143,7 +143,7 @@ class TestOracleAgreesWithCorrectTargets:
         program = RandomProgramGenerator(
             GeneratorConfig(seed=seed, p_parser=0.0)
         ).generate()
-        results = run_tests_against(program, Bmv2Target(), StfRunner, StfTest, max_tests=3)
+        results = run_tests_against(program, Bmv2Target(), StfRunner, max_tests=3)
         for result in results:
             assert result.passed, (result.mismatches, result.error)
 
@@ -155,7 +155,7 @@ class TestBlackBoxBugDetection:
         buggy = TofinoTarget(
             CompilerOptions(enabled_bugs={"tofino_ternary_condition_flip"})
         )
-        results = run_tests_against(program, buggy, PtfRunner, PtfTest)
+        results = run_tests_against(program, buggy, PtfRunner)
         assert any(not result.passed for result in results)
 
     def test_tofino_slice_drop_detected(self):
@@ -163,7 +163,7 @@ class TestBlackBoxBugDetection:
         buggy = TofinoTarget(
             CompilerOptions(enabled_bugs={"tofino_slice_assignment_drop"})
         )
-        results = run_tests_against(program, buggy, PtfRunner, PtfTest)
+        results = run_tests_against(program, buggy, PtfRunner)
         assert any(not result.passed for result in results)
 
     def test_bmv2_wide_field_truncation_detected(self):
@@ -182,5 +182,5 @@ control ingress(inout Headers hdr) {
 """
         program = parse_program(source)
         buggy = Bmv2Target(CompilerOptions(enabled_bugs={"bmv2_wide_field_truncation"}))
-        results = run_tests_against(program, buggy, StfRunner, StfTest)
+        results = run_tests_against(program, buggy, StfRunner)
         assert any(not result.passed for result in results)

@@ -124,16 +124,6 @@ class TestEquivalence:
         assert find_divergence(left, right, [constraint]) is None
         assert find_divergence(left, right) is not None
 
-    def test_prefer_nonzero_witness(self):
-        left = smt.BvOr(X, Y)
-        right = smt.BvXor(X, Y)
-        witness = find_divergence(left, right, prefer_nonzero=[X, Y])
-        assert witness is not None
-        # Both preferred symbols should be non-zero because a non-zero
-        # witness exists for this pair.
-        assert witness["x"] != 0
-        assert witness["y"] != 0
-
 
 class TestModelEnumeration:
     def test_enumerate_distinct_models(self):

@@ -1,19 +1,12 @@
-"""Tests for the BMv2 and Tofino back ends and their test frameworks."""
+"""Tests for the BMv2 and Tofino back ends (the shared packet-test harness
+is tested over every registered back end in ``test_harness.py``)."""
 
 import pytest
 
 from repro.compiler import CompilerOptions
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.p4 import parse_program
-from repro.targets import (
-    Bmv2Target,
-    PtfRunner,
-    PtfTest,
-    StfRunner,
-    StfTest,
-    TofinoTarget,
-    TableEntry,
-)
+from repro.targets import Bmv2Target, PacketTest, PtfRunner, TofinoTarget
 from repro.targets.state import build_packet_state
 
 
@@ -106,63 +99,6 @@ control ingress(inout Headers hdr) {
         assert bad.read("w.addr") == 0xCCDDEEFF
 
 
-class TestStfRunner:
-    def test_passing_test(self):
-        program = make_program("hdr.h.b = hdr.h.a + 8w1;")
-        executable = Bmv2Target().compile(program)
-        packet = make_packet(program, {"h.a": 3})
-        test = StfTest(
-            name="adds-one",
-            input_packet=packet,
-            expected={"h.a": 3, "h.b": 4, "h.$valid": True},
-        )
-        result = StfRunner(executable).run_test(test)
-        assert result.passed, result.mismatches
-
-    def test_failing_test_reports_mismatch(self):
-        program = make_program("hdr.h.b = hdr.h.a + 8w1;")
-        executable = Bmv2Target().compile(program)
-        packet = make_packet(program, {"h.a": 3})
-        test = StfTest(name="wrong", input_packet=packet, expected={"h.b": 9})
-        result = StfRunner(executable).run_test(test)
-        assert not result.passed
-        assert result.mismatches["h.b"]["observed"] == 4
-
-    def test_ignore_paths_skipped(self):
-        program = make_program("hdr.h.b = hdr.h.a + 8w1;")
-        executable = Bmv2Target().compile(program)
-        packet = make_packet(program, {"h.a": 3})
-        test = StfTest(
-            name="ignores",
-            input_packet=packet,
-            expected={"h.b": 9},
-            ignore_paths=["h.b"],
-        )
-        assert StfRunner(executable).run_test(test).passed
-
-    def test_table_entries_passed_through(self):
-        locals_ = """
-    action set_b(bit<8> val) {
-        hdr.h.b = val;
-    }
-    table t {
-        key = { hdr.h.a : exact; }
-        actions = { set_b(); NoAction(); }
-        default_action = NoAction();
-    }
-"""
-        program = make_program("t.apply();", locals_)
-        executable = Bmv2Target().compile(program)
-        packet = make_packet(program, {"h.a": 7})
-        test = StfTest(
-            name="table",
-            input_packet=packet,
-            expected={"h.b": 42},
-            entries=[TableEntry("t", (7,), "set_b", (42,))],
-        )
-        assert StfRunner(executable).run_test(test).passed
-
-
 class TestTofinoTarget:
     def test_compile_and_process(self):
         program = make_program("hdr.h.a = hdr.h.a + 8w1;")
@@ -232,13 +168,13 @@ class TestPtfRunner:
         packet = make_packet(program, {"h.a": 2})
         expected = {"h.b": 5}
         good = PtfRunner(TofinoTarget().compile(program)).run_test(
-            PtfTest("flip", packet, expected)
+            PacketTest("flip", packet, expected)
         )
         assert good.passed
         buggy_target = TofinoTarget(
             CompilerOptions(enabled_bugs={"tofino_ternary_condition_flip"})
         )
         bad = PtfRunner(buggy_target.compile(program)).run_test(
-            PtfTest("flip", make_packet(program, {"h.a": 2}), expected)
+            PacketTest("flip", make_packet(program, {"h.a": 2}), expected)
         )
         assert not bad.passed

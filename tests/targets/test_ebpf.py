@@ -6,7 +6,7 @@ from repro.compiler import CompilerOptions
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.p4 import parse_program
 from repro.p4.builder import assign, const, control, header_decl, member, param, program, struct_decl
-from repro.targets import EbpfTarget, TableEntry, XdpRunner, XdpTest
+from repro.targets import EbpfTarget, PacketTest, TableEntry, XdpRunner
 from repro.targets.ebpf import (
     EBPF_MAX_INSNS,
     EBPF_STACK_LIMIT_BYTES,
@@ -296,48 +296,14 @@ class TestSeededDefects:
 
 
 class TestXdpRunner:
-    def test_passing_test(self):
-        prog = make_program("hdr.h.b = hdr.h.a + 8w1;")
-        executable = EbpfTarget().compile(prog)
-        test = XdpTest(
-            name="adds-one",
-            input_packet=make_packet(prog, {"h.a": 3}),
-            expected={"h.a": 3, "h.b": 4, "h.$valid": True},
-        )
-        result = XdpRunner(executable).run_test(test)
-        assert result.passed, result.mismatches
-
-    def test_mismatch_reported(self):
-        prog = make_program("hdr.h.b = hdr.h.a + 8w1;")
-        executable = EbpfTarget().compile(prog)
-        test = XdpTest(
-            name="wrong",
-            input_packet=make_packet(prog, {"h.a": 3}),
-            expected={"h.b": 9},
-        )
-        result = XdpRunner(executable).run_test(test)
-        assert not result.passed
-        assert result.mismatches["h.b"]["observed"] == 4
-
-    def test_ignore_paths_skipped(self):
-        prog = make_program("hdr.h.b = hdr.h.a + 8w1;")
-        executable = EbpfTarget().compile(prog)
-        test = XdpTest(
-            name="ignores",
-            input_packet=make_packet(prog, {"h.a": 3}),
-            expected={"h.b": 9},
-            ignore_paths=["h.b"],
-        )
-        assert XdpRunner(executable).run_test(test).passed
-
     def test_xdp_detects_semantic_divergence(self):
         prog = make_program("hdr.h.a = (bit<8>) hdr.h.c;")
         expected = {"h.a": 0x34}
         good = XdpRunner(EbpfTarget().compile(prog)).run_test(
-            XdpTest("cast", make_packet(prog, {"h.c": 0x1234}), expected)
+            PacketTest("cast", make_packet(prog, {"h.c": 0x1234}), expected)
         )
         assert good.passed
         bad = XdpRunner(buggy_target("ebpf_narrowing_cast_drop").compile(prog)).run_test(
-            XdpTest("cast", make_packet(prog, {"h.c": 0x1234}), expected)
+            PacketTest("cast", make_packet(prog, {"h.c": 0x1234}), expected)
         )
         assert not bad.passed
