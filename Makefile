@@ -32,12 +32,15 @@
 #   make check-detection run the per-defect detection matrix and fail if a
 #                       baseline-detected seeded defect is no longer found
 #   make check-docs     fail on dead relative links / stale module paths in docs
+#   make check-perfbench run the campaign benchmark's correctness check (one
+#                       traced 5 s run per workload) and fail unless every
+#                       run's reports and verdicts match perfbench/expected.json
 #   make clean          remove caches and benchmark artefacts
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test fast bench bench-scaling bench-reduce bench-hotpath bench-distributed bench-stateful bench-coverage check-detection check-docs clean
+.PHONY: test fast bench bench-scaling bench-reduce bench-hotpath bench-distributed bench-stateful bench-coverage check-detection check-docs check-perfbench clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -71,6 +74,9 @@ check-detection:
 
 check-docs:
 	$(PYTHON) tools/check_docs.py
+
+check-perfbench:
+	$(PYTHON) tools/check_perfbench.py
 
 clean:
 	rm -rf .pytest_cache .hypothesis BENCH_campaign.json

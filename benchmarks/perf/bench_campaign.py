@@ -479,7 +479,6 @@ def run_reduce(programs: int = PROGRAMS) -> dict:
         for outcome in sorted(outcomes.values(), key=lambda entry: entry.identifier)
     ]
     quality = _reduction_quality(list(outcomes.values()))
-    polish_gate = _polish_gate_report(quality)
     mean_ratio = stats.mean_reduction_ratio()
     localized = [
         report.localized_pass
@@ -498,44 +497,6 @@ def run_reduce(programs: int = PROGRAMS) -> dict:
         "target_mean_reduction": REDUCE_TARGET_RATIO,
         "meets_target": mean_ratio >= REDUCE_TARGET_RATIO,
         "reduction_quality": quality,
-        "polish_gate": polish_gate,
-    }
-
-
-def _polish_gate_report(quality: dict) -> dict:
-    """Record what the reducer's polish gate did and what it cost.
-
-    ``oracle_calls_before`` is the polish budget of the *previous* recorded
-    run (the committed ``BENCH_campaign.json`` the gate read its history
-    from); ``oracle_calls_after`` is this run's.  The delta is the signal
-    the gate exists for: a polish class whose recorded yield fell under the
-    floor stops burning calls in the next run.
-    """
-
-    from repro.core.reduce.reducer import (
-        POLISH_MIN_YIELD,
-        gate_polish_transforms,
-        recorded_polish_quality,
-    )
-    from repro.core.reduce.transforms import POLISH_TRANSFORMS
-
-    polish_names = [transform.__name__ for transform in POLISH_TRANSFORMS]
-    previous = recorded_polish_quality()
-    _, skipped = gate_polish_transforms(previous)
-
-    def polish_calls(per_class: dict) -> int:
-        return sum(
-            per_class.get(name, {}).get("oracle_calls", 0) for name in polish_names
-        )
-
-    before = polish_calls(previous)
-    after = polish_calls(quality.get("per_transform_class", {}))
-    return {
-        "threshold_kept_edits_per_call": POLISH_MIN_YIELD,
-        "skipped": sorted(skipped),
-        "oracle_calls_before": before,
-        "oracle_calls_after": after,
-        "oracle_call_delta": after - before,
     }
 
 
@@ -631,9 +592,7 @@ def _state_divergence_probe() -> str:
 
     program = parse_program(STATEFUL_PROBE_SOURCE)
     spec = BACKEND_REGISTRY["ebpf"]
-    options = CompilerOptions(
-        enabled_bugs={"ebpf_register_write_drops_high_byte"}, target="ebpf"
-    )
+    options = CompilerOptions(enabled_bugs={"ebpf_register_write_drops_high_byte"})
     result = compile_prefix(program, STATEFUL_PROBE_SOURCE, options)
     executable = spec.target_cls(options).link(result)
     return (

@@ -42,7 +42,7 @@ control ingress(inout Headers hdr) {
 def _generate_and_run(enabled_bugs=frozenset()):
     program = parse_program(PROGRAM)
     tests = SymbolicTestGenerator(program, max_tests=6).generate()
-    target = TofinoTarget(CompilerOptions(enabled_bugs=set(enabled_bugs), target="tofino"))
+    target = TofinoTarget(CompilerOptions(enabled_bugs=set(enabled_bugs)))
     runner = PtfRunner(target.compile(program))
     results = []
     for generated in tests:

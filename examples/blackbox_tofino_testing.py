@@ -64,7 +64,7 @@ def run(description: str, enabled_bugs: set) -> None:
     tests = generator.generate()
     print(f"generated {len(tests)} path-covering packet tests")
 
-    target = TofinoTarget(CompilerOptions(enabled_bugs=enabled_bugs, target="tofino"))
+    target = TofinoTarget(CompilerOptions(enabled_bugs=enabled_bugs))
     executable = target.compile(program)
     runner = PtfRunner(executable)
 

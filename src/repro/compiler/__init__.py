@@ -2,8 +2,8 @@
 
 The package mirrors the structure of P4C (paper §3): a front end that
 desugars and analyses the program, a mid end that optimises it, and
-target-specific back ends (in :mod:`repro.targets`).  The pass manager can
-emit the transformed program after every pass, which is the hook Gauntlet's
+target-specific back ends (in :mod:`repro.targets`).  The pass manager
+emits the transformed program after every pass, which is the hook Gauntlet's
 translation validation uses.
 
 Because the historical p4c defects are not available offline, the compiler

@@ -73,10 +73,9 @@ def compile_front_midend(
 # Every platform of a campaign runs the same front/mid-end prefix over the
 # same generated program: the open-toolchain unit to validate it, and each
 # closed back end before its own lowering.  The prefix is a pure function
-# of (source, the prefix-relevant enabled defects, skipped passes, the
-# emit flag) — back ends never influence it (no pass reads
-# ``options.target``, and backend-located defects are consulted only after
-# the prefix, in :mod:`repro.targets`) — so the compilation is memoised
+# of (source, the prefix-relevant enabled defects) — back ends never
+# influence it (backend-located defects are consulted only after the
+# prefix, in :mod:`repro.targets`) — so the compilation is memoised
 # process-wide and the resulting snapshots are shared by every consumer.
 
 _PREFIX_MEMO = LruCache("prefix", 32)
@@ -113,12 +112,7 @@ def compile_prefix(
     keep using their own options, never the result's.
     """
 
-    key = (
-        source,
-        _prefix_relevant_bugs(options.enabled_bugs),
-        frozenset(options.skip_passes),
-        options.emit_after_each_pass,
-    )
+    key = (source, _prefix_relevant_bugs(options.enabled_bugs))
     result = _PREFIX_MEMO.get(key)
     if result is MISSING:
         result = P4Compiler(options).compile(program.clone(), source)

@@ -12,16 +12,12 @@ class CompilerOptions:
 
     ``enabled_bugs`` lists seeded-bug identifiers from
     :data:`repro.compiler.bugs.BUG_CATALOG` that should be active during this
-    run.  ``skip_passes`` supports the Different-Optimization-Levels style of
-    testing (paper §2.1) by selectively omitting passes.
+    run.  It is the only option: every run applies the whole pipeline and
+    records a snapshot after every pass (the p4test ``--top4`` behaviour),
+    and a back end is chosen by its target class, not by an option.
     """
 
     enabled_bugs: Set[str] = field(default_factory=set)
-    skip_passes: Set[str] = field(default_factory=set)
-    #: Emit a P4 snapshot after every pass (the p4test ``--top4`` behaviour).
-    emit_after_each_pass: bool = True
-    #: Target name; back ends use it to pick their own pass list.
-    target: str = "bmv2"
 
     def bug_enabled(self, bug_id: str) -> bool:
         return bug_id in self.enabled_bugs

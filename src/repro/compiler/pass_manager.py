@@ -98,7 +98,7 @@ class PassManager:
     """Run a sequence of passes over a program, collecting snapshots."""
 
     def __init__(self, passes: Sequence[CompilerPass], options: CompilerOptions) -> None:
-        self.passes = [p for p in passes if p.name not in options.skip_passes]
+        self.passes = list(passes)
         self.options = options
 
     def run(self, program: ast.Program, source: Optional[str] = None) -> CompilationResult:
@@ -149,16 +149,15 @@ class PassManager:
             changed = new_source != previous_source
             if changed:
                 context.coverage.record_pass(compiler_pass.name)
-            if self.options.emit_after_each_pass or changed:
-                result.snapshots.append(
-                    PassSnapshot(
-                        compiler_pass.name,
-                        compiler_pass.location,
-                        transformed,
-                        new_source,
-                        changed=changed,
-                    )
+            result.snapshots.append(
+                PassSnapshot(
+                    compiler_pass.name,
+                    compiler_pass.location,
+                    transformed,
+                    new_source,
+                    changed=changed,
                 )
+            )
             current = transformed
             previous_source = new_source
         return result

@@ -35,19 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.compiler.bugs import (
-    BUG_CATALOG,
-    KIND_CRASH,
-    KIND_SEMANTIC,
-    LOCATION_BACKEND,
-    LOCATION_FRONTEND,
-    LOCATION_MIDEND,
-    SeededBug,
-)
+from repro.compiler import P4Compiler
+from repro.compiler.bugs import BUG_CATALOG, KIND_CRASH, KIND_SEMANTIC, SeededBug
 from repro.core.bugs import BugKind, BugLocation, BugReport, BugStatus, BugTracker
 from repro.core.engine.units import (
     FINDING_CRASH,
     FINDING_INVALID,
+    FINDING_SEMANTIC,
     STATUS_ORACLE_ERROR,
     STATUS_REJECTED,
     TRIAGE_REDUCED,
@@ -56,35 +50,12 @@ from repro.core.engine.units import (
     UnitOutcome,
 )
 
-_LOCATION_MAP = {
-    LOCATION_FRONTEND: BugLocation.FRONT_END,
-    LOCATION_MIDEND: BugLocation.MID_END,
-    LOCATION_BACKEND: BugLocation.BACK_END,
-}
-
-#: Pass name -> location, used to localise findings that are not attributed
-#: to a seeded defect.
+#: Pass name -> location of every pipeline pass, used to localise findings
+#: that are not attributed to a seeded defect; any other name is a back
+#: end's.
 _PASS_LOCATIONS = {
-    "TypeChecking": BugLocation.FRONT_END,
-    "SimplifyDefUse": BugLocation.FRONT_END,
-    "InlineFunctions": BugLocation.FRONT_END,
-    "RemoveActionParameters": BugLocation.FRONT_END,
-    "ParserGraphs": BugLocation.FRONT_END,
-    "TypeCheckingPost": BugLocation.MID_END,
-    "CheckNoFunctionCalls": BugLocation.MID_END,
-    "HeaderStackFlattening": BugLocation.MID_END,
-    "StatefulLowering": BugLocation.MID_END,
-    "ConstantFolding": BugLocation.MID_END,
-    "StrengthReduction": BugLocation.MID_END,
-    "Predication": BugLocation.MID_END,
-    "LocalCopyPropagation": BugLocation.MID_END,
-    "DeadCodeElimination": BugLocation.MID_END,
-    "SimplifyControlFlow": BugLocation.MID_END,
-}
-
-_KIND_MAP = {
-    FINDING_CRASH: BugKind.CRASH,
-    FINDING_INVALID: BugKind.INVALID_TRANSFORMATION,
+    compiler_pass.name: BugLocation(compiler_pass.location)
+    for compiler_pass in P4Compiler().passes()
 }
 
 #: Coverage cells land in :attr:`CampaignStatistics.counters` under this
@@ -275,7 +246,7 @@ class OutcomeMerger:
         exactly the attribution error the bisection exists to remove.
         """
 
-        if finding.attributed_bugs and finding.kind not in _KIND_MAP:
+        if finding.attributed_bugs and finding.kind == FINDING_SEMANTIC:
             reports = []
             for bug_id in finding.attributed_bugs:
                 bug = BUG_CATALOG.get(bug_id)
@@ -286,7 +257,7 @@ class OutcomeMerger:
                         identifier=f"{finding.platform}:{bug_id}",
                         kind=BugKind.SEMANTIC,
                         platform=finding.platform,
-                        location=_LOCATION_MAP[bug.location],
+                        location=BugLocation(bug.location),
                         pass_name=finding.pass_name,
                         description=finding.description,
                         status=BugStatus.CONFIRMED,
@@ -301,10 +272,10 @@ class OutcomeMerger:
 
     def _to_report(self, finding: FindingRecord, source: str) -> BugReport:
         seeded = self._attribute(finding)
-        kind = _KIND_MAP.get(finding.kind, BugKind.SEMANTIC)
+        kind = BugKind(finding.kind)
         if seeded is not None:
             identifier = f"{finding.platform}:{seeded.bug_id}"
-            location = _LOCATION_MAP[seeded.location]
+            location = BugLocation(seeded.location)
         elif finding.kind == FINDING_CRASH:
             identifier = f"{finding.platform}:{finding.signature}"
             location = _PASS_LOCATIONS.get(finding.pass_name, BugLocation.BACK_END)

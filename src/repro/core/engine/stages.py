@@ -232,7 +232,7 @@ def _backend_stage(
     platform = unit.platform
     spec = BACKEND_REGISTRY[platform]
     platform_bugs = backend_bug_set(unit.enabled_bugs, platform)
-    target = spec.target_cls(CompilerOptions(enabled_bugs=platform_bugs, target=platform))
+    target = spec.target_cls(CompilerOptions(enabled_bugs=platform_bugs))
     result = compile_prefix(program, source, target.options)
     try:
         executable = target.link(result)
@@ -294,9 +294,7 @@ def _bisect_backend_defects(
         return tuple(sorted(platform_bugs))
     attributed = []
     for bug_id in sorted(platform_bugs):
-        target = spec.target_cls(
-            CompilerOptions(enabled_bugs={bug_id}, target=unit.platform)
-        )
+        target = spec.target_cls(CompilerOptions(enabled_bugs={bug_id}))
         result = compile_prefix(program, source, target.options)
         try:
             executable = target.link(result)
@@ -332,8 +330,7 @@ def _unit_coverage(unit: WorkUnit, generated: GeneratedProgram) -> Dict[str, int
             options = CompilerOptions(enabled_bugs=p4c_bug_set(unit.enabled_bugs))
         else:
             options = CompilerOptions(
-                enabled_bugs=backend_bug_set(unit.enabled_bugs, unit.platform),
-                target=unit.platform,
+                enabled_bugs=backend_bug_set(unit.enabled_bugs, unit.platform)
             )
         result = compile_prefix(generated.program, generated.source, options)
         coverage.update(result.coverage.to_dict())

@@ -9,7 +9,8 @@ filed.
 
 Layout:
 
-* :mod:`repro.core.reduce.reducer` — the fixpoint reduction loop.  Every
+* :mod:`repro.core.reduce.reducer` — the fixed reduction pipeline: the
+  primary transformations to their fixpoint, then one polish pass.  Every
   candidate is re-typechecked before the oracle predicate runs, so a
   deletion that produces an ill-formed program can never "confirm" the bug.
 * :mod:`repro.core.reduce.transforms` — the transformation classes the
@@ -36,14 +37,9 @@ from repro.core.reduce.reducer import (
     program_size,
     reduce_program,
 )
-from repro.core.reduce.transforms import (
-    DEFAULT_TRANSFORMS,
-    POLISH_TRANSFORMS,
-    PRIMARY_TRANSFORMS,
-)
+from repro.core.reduce.transforms import POLISH_TRANSFORMS, PRIMARY_TRANSFORMS
 
 __all__ = [
-    "DEFAULT_TRANSFORMS",
     "POLISH_TRANSFORMS",
     "PRIMARY_TRANSFORMS",
     "Predicate",

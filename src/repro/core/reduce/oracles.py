@@ -145,7 +145,7 @@ def _backend_crash_predicate(
     bugs = backend_bug_set(enabled_bugs, platform)
 
     def still_fails(candidate: ast.Program) -> bool:
-        options = CompilerOptions(enabled_bugs=set(bugs), target=platform)
+        options = CompilerOptions(enabled_bugs=set(bugs))
         try:
             result = compile_prefix(candidate, emit_program(candidate), options)
             spec.target_cls(options).link(result)
@@ -212,7 +212,7 @@ def _packet_predicate(
         bugs = attributed
 
     def still_fails(candidate: ast.Program) -> bool:
-        options = CompilerOptions(enabled_bugs=set(bugs), target=platform)
+        options = CompilerOptions(enabled_bugs=set(bugs))
         source = emit_program(candidate)
         try:
             result = compile_prefix(candidate, source, options)

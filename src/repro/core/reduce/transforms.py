@@ -9,21 +9,26 @@ function of (program, oracle).
 
 The classes go beyond plain statement deletion — the paper's manual
 pruning workflow also strips tables, actions, parser states and header
-fields, and each of those needs its own edit shape:
+fields, and each of those needs its own edit shape.  The reducer runs
+them as two fixed lists.  :data:`PRIMARY_TRANSFORMS`, repeated to their
+fixpoint:
 
 * ``prune_declarations``    — drop whole top-level declarations,
 * ``prune_control_locals``  — drop control-local tables/actions/variables,
 * ``delete_statements``     — ddmin-style chunked statement deletion,
   recursing into ``if`` branches and nested blocks,
-* ``prune_table_properties``— drop table keys, action refs and the
-  default action,
 * ``shrink_parsers``        — drop parser states, flatten ``select``
   transitions, prune select cases,
 * ``simplify_expressions``  — hoist operands over their operators and try
   literal replacements, walking the live tree top-down,
 * ``shrink_stacks``         — shrink header-stack sizes towards one element,
 * ``shrink_registers``      — shrink register/counter bank sizes towards
-  one cell (the oracle replays the finding's full packet sequence),
+  one cell (the oracle replays the finding's full packet sequence);
+
+then :data:`POLISH_TRANSFORMS`, once:
+
+* ``prune_table_properties``— drop table keys, action refs and the
+  default action,
 * ``shrink_headers``        — drop header/struct fields (including whole
   stack fields).
 
@@ -475,20 +480,5 @@ PRIMARY_TRANSFORMS: Tuple[Callable[[ast.Program, Accept], bool], ...] = (
 #: per reduction instead of once per round.
 POLISH_TRANSFORMS: Tuple[Callable[[ast.Program, Accept], bool], ...] = (
     prune_table_properties,
-    shrink_headers,
-)
-
-#: The full pipeline in legacy order — callers passing an explicit
-#: ``transforms`` list to :func:`~repro.core.reduce.reducer.reduce_program`
-#: get exactly this flat per-round behaviour.
-DEFAULT_TRANSFORMS: Tuple[Callable[[ast.Program, Accept], bool], ...] = (
-    prune_declarations,
-    prune_control_locals,
-    delete_statements,
-    prune_table_properties,
-    shrink_parsers,
-    simplify_expressions,
-    shrink_stacks,
-    shrink_registers,
     shrink_headers,
 )

@@ -13,16 +13,16 @@ which is where several of the crash bugs described in the paper live
 Two entry points, each run counted as ``typecheck_runs``:
 
 * :func:`check_program` always checks.  The compiler under test calls it
-  (the front end's ``TypeChecking`` and ``TypeCheckingPost`` passes, the
-  eBPF back end's stack-usage check), and so do the reducer's candidate
-  gate (the candidate has no emitted source there; emitting it once more
-  would cost more than the check) and :func:`repro.core.levels.classify`.
+  (the front end's ``TypeChecking`` and ``TypeCheckingPost`` passes), and
+  so do the reducer's candidate gate (the candidate has no emitted source
+  there; emitting it once more would cost more than the check) and
+  :func:`repro.core.levels.classify`.
 * :func:`checked_types` memoises the verdict and the resolved
   :class:`~repro.p4.types.TypeEnvironment` by the program's emitted
   source, because a program's types are a function of its source.  Every
-  check outside the compiler under test that knows the source goes
-  through it: the symbolic interpreter (validation and test generation),
-  the back ends' concrete interpreters and
+  check that knows the source goes through it: the symbolic interpreter
+  (validation and test generation), the back ends' concrete interpreters,
+  the eBPF back end's stack-usage check and
   :func:`repro.targets.state.packet_layout`.  It keeps no
   :class:`TypeChecker`, which holds its AST, and consumers only read the
   environment.

@@ -30,7 +30,7 @@ class Bmv2Target:
     name = "bmv2"
 
     def __init__(self, options: Optional[CompilerOptions] = None) -> None:
-        self.options = options or CompilerOptions(target=self.name)
+        self.options = options or CompilerOptions()
 
     # -- compilation -----------------------------------------------------------
 

@@ -55,7 +55,7 @@ from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.compiler.pass_manager import CompilationResult
 from repro.p4 import ast
 from repro.p4.types import BitType, HeaderStackType, HeaderType, StructType
-from repro.p4.typecheck import check_program
+from repro.p4.typecheck import checked_types
 from repro.targets.execution import Executable, TargetSemantics
 from repro.targets.stf import StfRunner
 
@@ -82,7 +82,7 @@ class EbpfTarget:
     name = "ebpf"
 
     def __init__(self, options: Optional[CompilerOptions] = None) -> None:
-        self.options = options or CompilerOptions(target=self.name)
+        self.options = options or CompilerOptions()
 
     def compile(self, program) -> Executable:
         """Compile for XDP.  Only the executable (or an error) is visible."""
@@ -97,7 +97,7 @@ class EbpfTarget:
         if result.rejected:
             raise result.error
         lowered = result.final_program
-        self._verifier_checks(lowered)
+        self._verifier_checks(lowered, result.final_source)
         semantics = TargetSemantics(
             miss_runs_first_action=self.options.bug_enabled(
                 "ebpf_map_lookup_miss_action"
@@ -114,11 +114,11 @@ class EbpfTarget:
 
     # -- verifier-flavored lowering checks (not observable from outside) ------
 
-    def _verifier_checks(self, program: ast.Program) -> None:
+    def _verifier_checks(self, program: ast.Program, source: str) -> None:
         self._check_parser_loops(program)
         self._check_tail_calls(program)
         self._check_exit_in_actions(program)
-        self._check_stack_usage(program)
+        self._check_stack_usage(program, source)
         self._check_instruction_budget(program)
 
     def _check_parser_loops(self, program: ast.Program) -> None:
@@ -186,11 +186,15 @@ class EbpfTarget:
                         "tail-called actions on this target"
                     )
 
-    def _check_stack_usage(self, program: ast.Program) -> None:
-        """Parsed headers live on the BPF stack; the frame is 512 bytes."""
+    def _check_stack_usage(self, program: ast.Program, source: str) -> None:
+        """Parsed headers live on the BPF stack; the frame is 512 bytes.
+
+        ``source`` is the emitted source of ``program``: the resolved types
+        are memoised by it, shared with the executable's interpreter.
+        """
 
         total_bits = 0
-        checker = check_program(program)
+        types = checked_types(program, source)
         # The same struct type is typically bound to both the parser and
         # the control, so storage is deduplicated per struct *type* — two
         # distinct structs each contribute their own fields, even when
@@ -198,18 +202,18 @@ class EbpfTarget:
         seen_structs: Set[str] = set()
         for declaration in list(program.controls()) + list(program.parsers()):
             for parameter in declaration.params:
-                param_type = checker.types.resolve(parameter.param_type)
+                param_type = types.resolve(parameter.param_type)
                 if not isinstance(param_type, StructType):
                     continue
                 if param_type.name in seen_structs:
                     continue
                 seen_structs.add(param_type.name)
                 for _field_name, field_type in param_type.fields:
-                    resolved = checker.types.resolve(field_type)
+                    resolved = types.resolve(field_type)
                     if isinstance(resolved, HeaderType):
                         total_bits += _header_bits(resolved)
                     elif isinstance(resolved, HeaderStackType):
-                        element = checker.types.resolve(resolved.element)
+                        element = types.resolve(resolved.element)
                         total_bits += _header_bits(element) * resolved.size
                     elif isinstance(resolved, BitType):
                         total_bits += resolved.width

@@ -163,7 +163,6 @@ class ConcreteInterpreter:
         self,
         packet: PacketState,
         entries: Sequence[TableEntry] = (),
-        run_parser: bool = True,
         switch_state: Optional[SwitchState] = None,
     ) -> PacketState:
         """Execute the program on ``packet`` and return the output packet.
@@ -191,7 +190,7 @@ class ConcreteInterpreter:
         for entry in entries:
             entries_by_table.setdefault(entry.table, []).append(entry)
 
-        if run_parser and self.parsers:
+        if self.parsers:
             parser = next(iter(self.parsers.values()))
             self._run_parser(parser, state, entries_by_table)
 

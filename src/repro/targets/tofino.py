@@ -36,7 +36,7 @@ class TofinoTarget:
     name = "tofino"
 
     def __init__(self, options: Optional[CompilerOptions] = None) -> None:
-        self.options = options or CompilerOptions(target=self.name)
+        self.options = options or CompilerOptions()
 
     def compile(self, program) -> Executable:
         """Compile for Tofino.  Only the executable (or an error) is visible."""

@@ -55,11 +55,6 @@ class TestPipelineBasics:
         assert result.rejected
         assert not result.crashed
 
-    def test_skip_passes_option(self):
-        result = compile_ok(control_program("hdr.h.a = 8w1;"), skip_passes={"ConstantFolding"})
-        names = [snapshot.pass_name for snapshot in result.snapshots]
-        assert "ConstantFolding" not in names
-
     def test_every_snapshot_reparses(self):
         source = control_program(
             "hdr.h.a = 8w3 * 8w2; if (hdr.h.b == 8w0) { hdr.h.b = 8w1; }",

@@ -156,7 +156,7 @@ class TestFlatteningEquivalence:
         for index in range(4):
             program = generator.generate_indexed(index)
             source = emit_program(program)
-            target = spec.target_cls(CompilerOptions(target=platform))
+            target = spec.target_cls()
             executable = target.compile(program.clone())
             mismatch = packet_mismatch(program, source, executable, spec, 6)
             assert mismatch is None, (index, mismatch)

@@ -6,9 +6,11 @@ surrounding tracebacks differ (different trigger programs, different
 messages), and two different root causes must never collapse.
 """
 
+from repro.compiler import P4Compiler
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pass_manager import CompilationResult
+from repro.core.bugs import BugKind, BugLocation
 from repro.core.crash import CrashFinding, classify_compilation, crash_from_exception
 from repro.core.engine.merge import CampaignStatistics, OutcomeMerger
 from repro.core.engine.units import FindingRecord, UnitOutcome
@@ -139,3 +141,40 @@ class TestMergeDeduplication:
             "p4c:width-assert",
             "p4c:null-deref",
         }
+
+
+class TestMergeLocation:
+    """A finding no seeded defect explains is filed where its pass lives."""
+
+    @staticmethod
+    def semantic_report(pass_name: str):
+        outcome = UnitOutcome(
+            program_index=0,
+            platform="p4c",
+            status="finding",
+            findings=[
+                FindingRecord(
+                    kind="semantic",
+                    platform="p4c",
+                    pass_name=pass_name,
+                    description="outputs diverge",
+                )
+            ],
+            source="// trigger",
+        )
+        stats = OutcomeMerger(enabled_bugs=()).merge([outcome], CampaignStatistics())
+        (report,) = stats.tracker.reports
+        assert report.kind is BugKind.SEMANTIC
+        assert report.seeded_bug_id is None
+        return report
+
+    def test_each_pipeline_pass_files_at_its_location(self):
+        passes = P4Compiler().passes()
+        assert len(passes) == 15
+        for compiler_pass in passes:
+            report = self.semantic_report(compiler_pass.name)
+            assert report.identifier == f"p4c:semantic:{compiler_pass.name}"
+            assert report.location.value == compiler_pass.location, compiler_pass.name
+
+    def test_backend_files_at_back_end(self):
+        assert self.semantic_report("backend").location is BugLocation.BACK_END

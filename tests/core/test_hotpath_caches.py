@@ -66,9 +66,7 @@ class TestPrefixMemo:
         tofino = compile_prefix(
             program,
             source,
-            CompilerOptions(
-                enabled_bugs={"tofino_slice_assignment_drop"}, target="tofino"
-            ),
+            CompilerOptions(enabled_bugs={"tofino_slice_assignment_drop"}),
         )
         assert tofino is plain
 
@@ -214,7 +212,7 @@ class TestPerProgramWorkRunsOnce:
         program = parse_program(STATEFUL_SOURCE)
         source = emit_program(program)
         spec = BACKEND_REGISTRY["bmv2"]
-        options = CompilerOptions(enabled_bugs=set(), target="bmv2")
+        options = CompilerOptions(enabled_bugs=set())
         executable = spec.target_cls(options).link(compile_prefix(program, source, options))
         # Warm the test-generation cache: the counted call only replays.
         assert packet_mismatch(program, source, executable, spec, 4, 3) is None

@@ -8,6 +8,8 @@ across ``jobs`` (serial and the worker fleet), and sequence metadata must
 survive the store wire formats and the triage stage.
 """
 
+import functools
+
 import pytest
 
 from repro.compiler import CompilerOptions, compile_prefix
@@ -19,8 +21,9 @@ from repro.core.engine.units import (
     WorkUnit,
 )
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
+from repro.core.reduce import transforms
 from repro.core.reduce.oracles import build_predicate, packet_mismatch
-from repro.core.reduce.reducer import gate_polish_transforms, reduce_program
+from repro.core.reduce.reducer import reduce_program
 from repro.core.reduce.transforms import shrink_registers
 from repro.core.testgen import cached_sequences, program_has_state
 from repro.p4 import ast, check_program, emit_program, parse_program
@@ -72,7 +75,7 @@ control ingress(inout Headers hdr) {
 
 def _link_backend(program, source, platform, enabled_bugs=()):
     spec = BACKEND_REGISTRY[platform]
-    options = CompilerOptions(enabled_bugs=set(enabled_bugs), target=platform)
+    options = CompilerOptions(enabled_bugs=set(enabled_bugs))
     result = compile_prefix(program, source, options)
     return spec.target_cls(options).link(result), spec
 
@@ -260,35 +263,28 @@ class TestStatefulTriage:
         # Smallest-first: one accepted probe per bank, no ladder walking.
         assert len(calls) == 2
 
-    def test_polish_gate_skips_low_yield_classes(self):
-        quality = {
-            "prune_table_properties": {"oracle_calls": 50, "kept_edits": 1},
-            "shrink_headers": {"oracle_calls": 40, "kept_edits": 30},
-        }
-        kept, skipped = gate_polish_transforms(quality)
-        assert skipped == ["prune_table_properties"]
-        assert any(t.__name__ == "shrink_headers" for t in kept)
-        # No history -> no gating; empty dict disables the gate entirely.
-        kept_all, skipped_none = gate_polish_transforms({})
-        assert not skipped_none and len(kept_all) >= len(kept)
+    def test_reduce_program_polishes_once_after_primary_fixpoint(self, monkeypatch):
+        calls = []
 
-    def test_reduce_program_records_gated_polish(self):
-        program = parse_program(STATEFUL_SOURCE)
-        low_yield = {
-            "prune_table_properties": {"oracle_calls": 50, "kept_edits": 0},
-            "shrink_headers": {"oracle_calls": 50, "kept_edits": 0},
-        }
-        result = reduce_program(
-            program,
-            lambda candidate: program_has_state(candidate),
-            polish_quality=low_yield,
-        )
+        def counted(transform):
+            @functools.wraps(transform)
+            def run(program, accept):
+                calls.append(transform.__name__)
+                return transform(program, accept)
+
+            return run
+
+        primary = [t.__name__ for t in transforms.PRIMARY_TRANSFORMS]
+        polish = [t.__name__ for t in transforms.POLISH_TRANSFORMS]
+        for name in ("PRIMARY_TRANSFORMS", "POLISH_TRANSFORMS"):
+            monkeypatch.setattr(
+                transforms, name, tuple(map(counted, getattr(transforms, name)))
+            )
+        result = reduce_program(parse_program(STATEFUL_SOURCE), program_has_state)
         assert result.reproduced
-        assert sorted(result.polish_skipped) == [
-            "prune_table_properties",
-            "shrink_headers",
-        ]
-        assert "shrink_headers" not in result.transform_stats
+        # Whole primary rounds up to the fixpoint, then one polish pass.
+        assert calls == primary * (result.rounds - 1) + polish
+        assert set(polish) <= set(result.transform_stats)
 
 
 # ----------------------------------------------------------------------

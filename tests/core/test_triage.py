@@ -12,6 +12,7 @@ The stage's contract, mirroring the engine's own three legs:
   finished reductions.
 """
 
+import hashlib
 import json
 import os
 
@@ -239,6 +240,13 @@ class TestRoundTrips:
 # The reference campaign (acceptance criteria)
 # ----------------------------------------------------------------------
 
+#: sha256 of the reference campaign's reports (``json.dumps(...,
+#: sort_keys=True)``), 7 reports, recorded with Python 3.11.
+REFERENCE_REPORTS_SHA256 = (
+    "0ca46c0d766f8072a2299d7186f3104a91a8557eac117978c8820cc2671b6ba1"
+)
+
+
 @pytest.fixture(scope="module")
 def triaged_campaign():
     return Campaign(reference_config()).run()
@@ -298,6 +306,15 @@ class TestReferenceCampaign:
     def test_parallel_triage_is_byte_identical(self, triaged_campaign):
         parallel = Campaign(reference_config(jobs=4)).run()
         assert reports(parallel) == reports(triaged_campaign)
+
+    def test_reports_match_recorded_digest(self, triaged_campaign):
+        """Pins every reduction, localization and report of the campaign:
+        a reducer change that moves any reduced source moves the digest."""
+
+        filed = reports(triaged_campaign)
+        digest = hashlib.sha256(json.dumps(filed, sort_keys=True).encode()).hexdigest()
+        assert len(filed) == 7
+        assert digest == REFERENCE_REPORTS_SHA256
 
 
 # ----------------------------------------------------------------------

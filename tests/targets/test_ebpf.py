@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.compiler import CompilerOptions
+from repro.compiler import CompilerOptions, compile_prefix
 from repro.compiler.errors import CompilerCrash, CompilerError
-from repro.p4 import parse_program
+from repro.core.engine import reset_worker_state
+from repro.core.generator import GeneratorConfig, RandomProgramGenerator
+from repro.metrics import COUNTERS
+from repro.p4 import emit_program, parse_program
 from repro.p4.builder import assign, const, control, header_decl, member, param, program, struct_decl
 from repro.targets import EbpfTarget, PacketTest, TableEntry, XdpRunner
 from repro.targets.ebpf import (
@@ -63,7 +66,7 @@ def make_packet(prog, values):
 
 
 def buggy_target(*bugs: str) -> EbpfTarget:
-    return EbpfTarget(CompilerOptions(enabled_bugs=set(bugs), target="ebpf"))
+    return EbpfTarget(CompilerOptions(enabled_bugs=set(bugs)))
 
 
 def many_tables_program(count: int):
@@ -90,6 +93,18 @@ class TestEbpfTarget:
         executable = EbpfTarget().compile(prog)
         packet = make_packet(prog, {"h.a": 4})
         assert executable.process(packet).read("h.a") == 5
+
+    def test_relinking_type_checks_at_most_once(self):
+        """The stack-usage check reads the types memoised by the final
+        source, so linking one compilation again checks nothing again."""
+
+        program = RandomProgramGenerator(GeneratorConfig(seed=1)).generate_indexed(1)
+        reset_worker_state()
+        result = compile_prefix(program, emit_program(program), CompilerOptions())
+        before = COUNTERS["typecheck_runs"]
+        for _ in range(3):
+            EbpfTarget().link(result)
+        assert COUNTERS["typecheck_runs"] - before <= 1
 
     def test_backend_is_black_box(self):
         assert not hasattr(EbpfTarget(), "compile_with_snapshots")
@@ -181,11 +196,8 @@ control ingress(inout Headers hdr) { apply { hdr.h.a = 8w1; } }
             struct_decl("Headers", [("h", "Hdr_t")]),
             control("ingress", [param("inout", "Headers", "hdr")], [], *statements),
         )
-        target = EbpfTarget(
-            CompilerOptions(target="ebpf", emit_after_each_pass=False)
-        )
         with pytest.raises(CompilerError, match="instruction"):
-            target.compile(prog)
+            EbpfTarget().compile(prog)
 
     def test_tail_call_chain_limit(self):
         EbpfTarget().compile(many_tables_program(EBPF_TAIL_CALL_LIMIT))

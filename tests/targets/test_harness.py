@@ -8,7 +8,6 @@ defect tests stay with their targets.
 
 import pytest
 
-from repro.compiler import CompilerOptions
 from repro.p4 import parse_program
 from repro.targets import BACKEND_REGISTRY, ExecutionError, PacketTest, TableEntry
 from repro.targets.state import build_packet_state
@@ -47,7 +46,7 @@ def harness(request):
 
     spec = BACKEND_REGISTRY[request.param]
     program = parse_program(SOURCE)
-    target = spec.target_cls(CompilerOptions(target=request.param))
+    target = spec.target_cls()
     return spec.runner_cls(target.compile(program)), program
 
 
