@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.records import Record
+
 #: Serialisation schema of :meth:`BugReport.to_dict`.  Version 2 added the
 #: triage fields (``reduced_source``, ``reduction_ratio``,
 #: ``reduction_rounds``, ``localized_pass``, ``pass_pair``).  Version 3
@@ -23,8 +25,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 #: (``knob_arm``, ``knob_overrides``) stamped by scheduled campaigns: which
 #: generator arm produced the triggering program (empty for static
 #: campaigns).  :meth:`BugReport.from_dict` accepts any version
-#: ``<= BUG_REPORT_SCHEMA`` by defaulting the missing keys, so artifact
-#: stores written before the triage stage still load.
+#: ``<= BUG_REPORT_SCHEMA`` by defaulting the missing keys, so a report
+#: exported by older code still loads.
 BUG_REPORT_SCHEMA = 4
 
 
@@ -54,7 +56,7 @@ class BugStatus(Enum):
 
 
 @dataclass
-class BugReport:
+class BugReport(Record):
     """One distinct bug found by the campaign."""
 
     identifier: str
@@ -91,34 +93,7 @@ class BugReport:
     knob_overrides: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (enum members become their values).
-
-        Used by the campaign engine to compare trackers across executors
-        (serial vs. sharded runs must file identical reports) and to export
-        findings from worker processes.
-        """
-
-        return {
-            "schema_version": BUG_REPORT_SCHEMA,
-            "identifier": self.identifier,
-            "kind": self.kind.value,
-            "platform": self.platform,
-            "location": self.location.value,
-            "pass_name": self.pass_name,
-            "description": self.description,
-            "status": self.status.value,
-            "trigger_source": self.trigger_source,
-            "witness": dict(self.witness),
-            "seeded_bug_id": self.seeded_bug_id,
-            "reduced_source": self.reduced_source,
-            "reduction_ratio": self.reduction_ratio,
-            "reduction_rounds": self.reduction_rounds,
-            "localized_pass": self.localized_pass,
-            "pass_pair": list(self.pass_pair) if self.pass_pair else None,
-            "sequence_length": self.sequence_length,
-            "knob_arm": self.knob_arm,
-            "knob_overrides": dict(self.knob_overrides),
-        }
+        return {"schema_version": BUG_REPORT_SCHEMA, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "BugReport":
@@ -128,27 +103,7 @@ class BugReport:
                 f"bug report schema {version} is newer than supported "
                 f"({BUG_REPORT_SCHEMA}); upgrade the reader"
             )
-        pair = payload.get("pass_pair")
-        return cls(
-            identifier=payload["identifier"],
-            kind=BugKind(payload["kind"]),
-            platform=payload["platform"],
-            location=BugLocation(payload["location"]),
-            pass_name=payload["pass_name"],
-            description=payload["description"],
-            status=BugStatus(payload.get("status", BugStatus.FILED.value)),
-            trigger_source=payload.get("trigger_source", ""),
-            witness=dict(payload.get("witness", {})),
-            seeded_bug_id=payload.get("seeded_bug_id"),
-            reduced_source=payload.get("reduced_source", ""),
-            reduction_ratio=payload.get("reduction_ratio", 0.0),
-            reduction_rounds=payload.get("reduction_rounds", 0),
-            localized_pass=payload.get("localized_pass", ""),
-            pass_pair=(pair[0], pair[1]) if pair else None,
-            sequence_length=payload.get("sequence_length", 1),
-            knob_arm=payload.get("knob_arm", ""),
-            knob_overrides=dict(payload.get("knob_overrides", {})),
-        )
+        return super().from_dict(payload)
 
 
 class BugTracker:

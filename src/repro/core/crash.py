@@ -28,25 +28,6 @@ class CrashFinding:
     def dedup_key(self) -> str:
         return f"{self.platform}:{self.signature}"
 
-    def to_dict(self) -> dict:
-        """JSON-ready form, for the campaign engine's artifact store."""
-
-        return {
-            "signature": self.signature,
-            "pass_name": self.pass_name,
-            "message": self.message,
-            "platform": self.platform,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CrashFinding":
-        return cls(
-            signature=payload["signature"],
-            pass_name=payload["pass_name"],
-            message=payload["message"],
-            platform=payload.get("platform", "p4c"),
-        )
-
 
 def classify_compilation(
     result: CompilationResult, platform: str = "p4c"

@@ -422,10 +422,10 @@ class CoordinatorService:
             return {"ok": False, "error": "malformed outcome"}
         try:
             outcome = KINDS[self._kind].outcome.from_dict(payload)
+            key = outcome.key
+            index = self._key_to_index.get(key)  # an unhashable key raises
         except (KeyError, TypeError, ValueError):
             return {"ok": False, "error": "undecodable outcome"}
-        key = outcome.key
-        index = self._key_to_index.get(key)
         if index is None:
             return {"ok": False, "error": f"unknown unit {key!r}"}
         self.counters["dist_bytes_streamed"] += received_bytes

@@ -138,10 +138,10 @@ class ArtifactStore:
         Journal lines share the campaign's JSONL file under a
         ``lease_event`` payload field, so the outcome loaders skip them
         (and vice versa).  The journal records every lease issued,
-        reclaimed and completed — together with the outcome lines it lets
-        a restarted coordinator resume the unit space exactly where the
-        killed one stopped, and lets audits reconstruct which worker ran
-        what.
+        reclaimed and completed, so an audit can reconstruct which worker
+        ran what (:meth:`load_lease_events`).  Resume does not read it: a
+        restarted coordinator skips the units whose outcome lines the
+        store holds.
         """
 
         self._append_line({"key": key, "lease_event": dict(event)})
@@ -197,7 +197,7 @@ class ArtifactStore:
                 continue
             try:
                 outcome = outcome_cls.from_dict(entry[payload_field])
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):  # as the coordinator refuses
                 continue
             dedup.accept(outcome.key, outcome)
         return dedup.accepted

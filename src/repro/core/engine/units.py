@@ -2,10 +2,10 @@
 
 A campaign is decomposed into independent ``(program_index, platform)``
 work units.  Every unit and outcome of every kind (:data:`KINDS`) has a
-``key`` and a JSON form (``to_dict`` / ``from_dict``): units cross a TCP
-connection on the way to a fleet worker, and outcomes are appended to the
-campaign's JSONL artifact store so an interrupted campaign can resume
-without recomputing finished units.
+``key`` and the JSON form its fields define (:class:`~repro.core.records.Record`):
+units cross a TCP connection on the way to a fleet worker, and outcomes
+are appended to the campaign's JSONL artifact store so an interrupted
+campaign can resume without recomputing finished units.
 
 The outcome deliberately carries raw, attribution-free data: which oracle
 fired, the finding's signature/pass/witness, and the emitted source that
@@ -17,10 +17,11 @@ independent of worker scheduling.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.generator import GeneratorConfig
+from repro.core.records import Record
 
 #: Deterministic platform ordering used when merging unit outcomes: the
 #: serial loop tested p4c first, then the back ends (in the order they
@@ -67,7 +68,7 @@ def platform_rank(platform: str) -> int:
 
 
 @dataclass(frozen=True)
-class WorkUnit:
+class WorkUnit(Record):
     """One shard of a campaign: test one generated program on one platform.
 
     The unit carries everything a worker needs to *regenerate* the program
@@ -93,32 +94,9 @@ class WorkUnit:
     def key(self) -> Tuple[int, str]:
         return (self.program_index, self.platform)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "program_index": self.program_index,
-            "platform": self.platform,
-            "generator": asdict(self.generator),
-            "enabled_bugs": list(self.enabled_bugs),
-            "max_tests": self.max_tests,
-            "sequence_length": self.sequence_length,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "WorkUnit":
-        # Legacy payloads may carry a ``validate_prefix`` key; it was never
-        # false, and backend units always validate the shared prefix.
-        return cls(
-            program_index=payload["program_index"],
-            platform=payload["platform"],
-            generator=GeneratorConfig(**payload["generator"]),
-            enabled_bugs=tuple(payload.get("enabled_bugs", ())),
-            max_tests=payload.get("max_tests", 4),
-            sequence_length=payload.get("sequence_length", 1),
-        )
-
 
 @dataclass
-class FindingRecord:
+class FindingRecord(Record):
     """One raw oracle finding, before attribution and deduplication."""
 
     kind: str  # FINDING_CRASH | FINDING_SEMANTIC | FINDING_INVALID
@@ -139,27 +117,9 @@ class FindingRecord:
     #: merge falls back to platform-level attribution.
     attributed_bugs: Tuple[str, ...] = ()
 
-    def to_dict(self) -> Dict[str, object]:
-        payload = asdict(self)
-        payload["attributed_bugs"] = list(self.attributed_bugs)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FindingRecord":
-        return cls(
-            kind=payload["kind"],
-            platform=payload["platform"],
-            pass_name=payload["pass_name"],
-            description=payload["description"],
-            signature=payload.get("signature", ""),
-            witness=dict(payload.get("witness", {})),
-            before_pass=payload.get("before_pass", ""),
-            attributed_bugs=tuple(payload.get("attributed_bugs", ())),
-        )
-
 
 @dataclass
-class UnitOutcome:
+class UnitOutcome(Record):
     """Everything one work unit produced, in JSON-serialisable form."""
 
     program_index: int
@@ -192,36 +152,9 @@ class UnitOutcome:
     def sort_key(self) -> Tuple[int, int]:
         return (self.program_index, platform_rank(self.platform))
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "program_index": self.program_index,
-            "platform": self.platform,
-            "status": self.status,
-            "findings": [finding.to_dict() for finding in self.findings],
-            "source": self.source,
-            "counters": dict(self.counters),
-            "coverage": dict(self.coverage),
-            "elapsed_s": self.elapsed_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "UnitOutcome":
-        return cls(
-            program_index=payload["program_index"],
-            platform=payload["platform"],
-            status=payload["status"],
-            findings=[
-                FindingRecord.from_dict(entry) for entry in payload.get("findings", ())
-            ],
-            source=payload.get("source", ""),
-            counters=dict(payload.get("counters", {})),
-            coverage=dict(payload.get("coverage", {})),
-            elapsed_s=payload.get("elapsed_s", 0.0),
-        )
-
 
 @dataclass(frozen=True)
-class TriageUnit:
+class TriageUnit(Record):
     """One shard of the triage stage: reduce + localize one filed report.
 
     The unit carries the deduplicated report's identity, its winning
@@ -247,34 +180,9 @@ class TriageUnit:
     def key(self) -> str:
         return self.identifier
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "identifier": self.identifier,
-            "platform": self.platform,
-            "source": self.source,
-            "finding": self.finding.to_dict(),
-            "enabled_bugs": list(self.enabled_bugs),
-            "max_tests": self.max_tests,
-            "reduce_rounds": self.reduce_rounds,
-            "sequence_length": self.sequence_length,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "TriageUnit":
-        return cls(
-            identifier=payload["identifier"],
-            platform=payload["platform"],
-            source=payload["source"],
-            finding=FindingRecord.from_dict(payload["finding"]),
-            enabled_bugs=tuple(payload.get("enabled_bugs", ())),
-            max_tests=payload.get("max_tests", 4),
-            reduce_rounds=payload.get("reduce_rounds", 8),
-            sequence_length=payload.get("sequence_length", 1),
-        )
-
 
 @dataclass
-class TriageOutcome:
+class TriageOutcome(Record):
     """Everything one triage unit produced, in JSON-serialisable form."""
 
     identifier: str
@@ -309,45 +217,6 @@ class TriageOutcome:
             return 0.0
         return 1.0 - (self.reduced_size / self.original_size)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "identifier": self.identifier,
-            "status": self.status,
-            "reduced_source": self.reduced_source,
-            "original_size": self.original_size,
-            "reduced_size": self.reduced_size,
-            "rounds": self.rounds,
-            "attempts": self.attempts,
-            "localized_pass": self.localized_pass,
-            "pass_pair": list(self.pass_pair) if self.pass_pair else None,
-            "elapsed_s": self.elapsed_s,
-            "transform_stats": {
-                name: dict(entry) for name, entry in self.transform_stats.items()
-            },
-            "min_sequence_length": self.min_sequence_length,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "TriageOutcome":
-        pair = payload.get("pass_pair")
-        return cls(
-            identifier=payload["identifier"],
-            status=payload["status"],
-            reduced_source=payload.get("reduced_source", ""),
-            original_size=payload.get("original_size", 0),
-            reduced_size=payload.get("reduced_size", 0),
-            rounds=payload.get("rounds", 0),
-            attempts=payload.get("attempts", 0),
-            localized_pass=payload.get("localized_pass", ""),
-            pass_pair=(pair[0], pair[1]) if pair else None,
-            elapsed_s=payload.get("elapsed_s", 0.0),
-            transform_stats={
-                name: dict(entry)
-                for name, entry in payload.get("transform_stats", {}).items()
-            },
-            min_sequence_length=payload.get("min_sequence_length", 0),
-        )
-
 
 def detection_technique(outcome: UnitOutcome) -> str:
     """Map a detecting unit outcome onto the paper's technique names."""
@@ -360,7 +229,7 @@ def detection_technique(outcome: UnitOutcome) -> str:
 
 
 @dataclass(frozen=True)
-class MatrixUnit:
+class MatrixUnit(Record):
     """One defect's detection-matrix try loop, shipped to a worker.
 
     The loop runs programs ``start``, ``start + 1``, ... of the steered
@@ -392,16 +261,9 @@ class MatrixUnit:
             sequence_length=self.sequence_length,
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "MatrixUnit":
-        return cls(**{**payload, "generator": GeneratorConfig(**payload["generator"])})
-
 
 @dataclass
-class MatrixOutcome:
+class MatrixOutcome(Record):
     """Whether one defect's try loop detected it, plus the units it ran."""
 
     bug_id: str
@@ -415,14 +277,6 @@ class MatrixOutcome:
     @property
     def key(self) -> str:
         return self.bug_id
-
-    def to_dict(self) -> Dict[str, object]:
-        return {**vars(self), "fresh": [outcome.to_dict() for outcome in self.fresh]}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "MatrixOutcome":
-        fresh = [UnitOutcome.from_dict(entry) for entry in payload["fresh"]]
-        return cls(**{**payload, "fresh": fresh})
 
 
 class Kind(NamedTuple):

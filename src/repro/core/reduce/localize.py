@@ -2,12 +2,9 @@
 
 The translation-validation design already pins a semantic bug to the pass
 pair whose snapshots first disagree (paper §5); this module extracts that
-signal and adds the analogue for crash bugs: a binary search over pass
-pipeline *prefixes*.  A compilation crash is prefix-monotone — the
-pipeline runs sequentially and stops at the crash, so every prefix that
-includes the crashing pass crashes with the same signature and no shorter
-prefix does — which makes the bisection sound and costs O(log n) compiles
-instead of one per pass.
+signal and adds the analogue for crash bugs: the pass manager stops at the
+first crash and names the pass that raised it, so one compilation of the
+reduced program gives the crashing pass and the snapshot before it.
 
 Black-box back ends cannot be localized past the platform boundary: for
 backend crashes the crash exception already names the proprietary pass,
@@ -20,7 +17,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from repro.compiler import CompilerOptions, P4Compiler
-from repro.compiler.pass_manager import PassManager
 from repro.core.validation import TranslationValidator, ValidationOutcome
 from repro.p4 import ast
 
@@ -31,33 +27,17 @@ from repro.core.reduce.oracles import p4c_bug_set
 Localization = Tuple[str, Optional[Tuple[str, str]]]
 
 
-def bisect_crash_pass(
+def crash_pass_pair(
     program: ast.Program, signature: str, enabled_bugs: Iterable[str]
 ) -> Localization:
-    """Find the shortest pipeline prefix that still crashes with ``signature``."""
+    """The pass that crashes with ``signature``, and the snapshot before it."""
 
-    bugs = p4c_bug_set(enabled_bugs)
-
-    def crashes(prefix: int) -> bool:
-        options = CompilerOptions(enabled_bugs=set(bugs))
-        passes = P4Compiler(options).passes()[:prefix]
-        result = PassManager(passes, options).run(program.clone())
-        return result.crashed and result.crash.signature == signature
-
-    total = len(P4Compiler(CompilerOptions(enabled_bugs=set(bugs))).passes())
-    if not crashes(total):
+    options = CompilerOptions(enabled_bugs=p4c_bug_set(enabled_bugs))
+    result = P4Compiler(options).compile(program.clone())
+    if not result.crashed or result.crash.signature != signature:
         return "", None
-    low, high = 1, total
-    while low < high:
-        mid = (low + high) // 2
-        if crashes(mid):
-            high = mid
-        else:
-            low = mid + 1
-    pipeline = P4Compiler(CompilerOptions(enabled_bugs=set(bugs))).passes()
-    culprit = pipeline[low - 1].name
-    before = pipeline[low - 2].name if low >= 2 else "input"
-    return culprit, (before, culprit)
+    culprit = result.crash.pass_name
+    return culprit, (result.snapshots[-1].pass_name, culprit)
 
 
 def first_divergence_pair(
@@ -87,8 +67,8 @@ def localize_finding(
 ) -> Localization:
     """Localize one (already reduced) finding to a compiler pass.
 
-    Falls back to the pass the original oracle named whenever the bisect /
-    revalidation cannot reproduce on this program — a localization must
+    Falls back to the pass the original oracle named whenever the crash or
+    divergence does not reproduce on this program — a localization must
     never erase the information the campaign already had.
     """
 
@@ -97,7 +77,7 @@ def localize_finding(
         # packet mismatches stop at the platform boundary.
         return (finding.pass_name or "backend"), None
     if finding.kind == FINDING_CRASH:
-        localized, pair = bisect_crash_pass(program, finding.signature, enabled_bugs)
+        localized, pair = crash_pass_pair(program, finding.signature, enabled_bugs)
     elif finding.kind == FINDING_INVALID:
         # The reparse check already names the pass that emitted the broken
         # program; its predecessor snapshot is not tracked for reparses.

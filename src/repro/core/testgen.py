@@ -134,7 +134,13 @@ class SymbolicTestGenerator:
     # -- public API ------------------------------------------------------------
 
     def generate(self) -> List[GeneratedTest]:
-        """Produce up to ``max_tests`` tests covering distinct program paths.
+        """Produce up to ``max_tests`` single-packet tests: the first packet
+        of each sequence :meth:`generate_sequences` produces."""
+
+        return [sequence.packets[0] for sequence in self.generate_sequences()]
+
+    def generate_sequences(self) -> List[TestSequence]:
+        """Produce up to ``max_tests`` sequences covering distinct paths.
 
         All path probes share one incremental solver: the environment
         constraints (parser unroll guards, valid input headers) are asserted
@@ -142,30 +148,7 @@ class SymbolicTestGenerator:
         passed as an assumption, so the CNF and the learned clauses of
         earlier probes carry over instead of being rebuilt per path.  The
         probe sequence is fixed, so the generated tests are a deterministic
-        function of the program alone.
-        """
-
-        solver = self._base_solver()
-        preferences = self._preferences()
-        tests: List[GeneratedTest] = []
-        for index, constraint in enumerate(self._path_constraints()):
-            if len(tests) >= self.max_tests:
-                break
-            model = self._solve(solver, constraint, preferences)
-            if model is None:
-                continue
-            tests.append(self._build_test(f"path_{index}", model))
-        if not tests:
-            # Fall back to a single unconstrained test.
-            model = self._solve(solver, smt.BoolVal(True), preferences)
-            if model is not None:
-                tests.append(self._build_test("default", model))
-        return tests
-
-    def generate_sequences(self) -> List[TestSequence]:
-        """Produce up to ``max_tests`` multi-packet sequences.
-
-        Same probe machinery as :meth:`generate`, but each model yields one
+        function of the program alone.  Each model yields one
         :class:`TestSequence` of ``sequence_length`` packets plus the
         expected final state, all evaluated under the one model that covers
         the whole threaded sequence.
@@ -182,6 +165,7 @@ class SymbolicTestGenerator:
                 continue
             sequences.append(self._build_sequence(f"path_{index}", model))
         if not sequences:
+            # Fall back to a single unconstrained test.
             model = self._solve(solver, smt.BoolVal(True), preferences)
             if model is not None:
                 sequences.append(self._build_sequence("default", model))
@@ -257,9 +241,8 @@ class SymbolicTestGenerator:
     # -- test construction ----------------------------------------------------------
 
     def _build_test(
-        self, name: str, model: Model, semantics: Optional[BlockSemantics] = None
+        self, name: str, model: Model, semantics: BlockSemantics
     ) -> GeneratedTest:
-        semantics = semantics if semantics is not None else self.semantics
         assignment: Dict[str, object] = {}
         for symbol_name, value in model.items():
             assignment[symbol_name] = value

@@ -11,7 +11,7 @@ from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pass_manager import CompilationResult
 from repro.core.bugs import BugKind, BugLocation
-from repro.core.crash import CrashFinding, classify_compilation, crash_from_exception
+from repro.core.crash import classify_compilation, crash_from_exception
 from repro.core.engine.merge import CampaignStatistics, OutcomeMerger
 from repro.core.engine.units import FindingRecord, UnitOutcome
 
@@ -59,12 +59,6 @@ class TestClassifyCompilation:
         assert finding.signature == "width-underflow"
         assert finding.pass_name == "TypeChecking"
         assert finding.dedup_key == "p4c:width-underflow"
-
-    def test_round_trip(self):
-        finding = CrashFinding(
-            signature="sig", pass_name="Lowering", message="boom", platform="bmv2"
-        )
-        assert CrashFinding.from_dict(finding.to_dict()) == finding
 
 
 class TestSignatureStability:

@@ -6,8 +6,8 @@ The service's contract extends the engine's executor-equivalence leg:
   fleet files byte-identical reports to ``jobs=1``, including when a
   worker is killed mid-lease (the range is reclaimed and re-issued);
 * **coordinator resume** — a killed coordinator restarts from the JSONL
-  store (plus its lease journal) and finishes to the identical result
-  without re-running completed units;
+  store's outcome lines (its lease journal records the handoff) and
+  finishes to the identical result without re-running completed units;
 * **stream hygiene** — torn streamed lines are discarded without
   poisoning the connection, and duplicate outcome lines (at-least-once
   delivery) are accepted exactly once, by the same first-write-wins
@@ -353,6 +353,37 @@ class TestCoordinatorService:
             stream.send({"op": "hello", "worker": "w", "token": "phase-secret"})
             assert stream.recv()["ok"]
             stream.send(outcome)
+            accepted = stream.recv()
+            assert accepted["ok"] and accepted["duplicate"] is False
+            assert service.done
+        finally:
+            stream.close()
+            service.stop()
+
+    def test_undecodable_outcomes_are_refused_and_the_connection_survives(self):
+        units = self._units(programs=1, platforms=("p4c",))
+        service, stream = self._start(units)
+        good = _clean_outcome(units[0]).to_dict()
+        missing_status = {key: value for key, value in good.items() if key != "status"}
+        bad = [
+            missing_status,
+            {**good, "findings": 5},
+            {**good, "findings": [5]},
+            {**good, "counters": "x"},
+            {**good, "program_index": 99},
+            {**good, "program_index": [0]},
+            [good],
+            "outcome",
+        ]
+        try:
+            stream.send({"op": "hello", "worker": "w"})
+            assert stream.recv()["ok"]
+            for payload in bad:
+                stream.send({"op": "outcome", "worker": "w", "outcome": payload})
+                assert stream.recv()["ok"] is False, payload
+            assert service.status()["done"] == 0
+
+            stream.send({"op": "outcome", "worker": "w", "outcome": good})
             accepted = stream.recv()
             assert accepted["ok"] and accepted["duplicate"] is False
             assert service.done

@@ -390,6 +390,17 @@ class TestArtifactStore:
         assert store.load("key-b")[(0, "p4c")] == outcome
         assert store.load("key-c") == {}
 
+    def test_load_skips_lines_the_coordinator_would_refuse(self, tmp_path):
+        path = os.path.join(str(tmp_path), "store.jsonl")
+        store = ArtifactStore(path)
+        outcome = UnitOutcome(program_index=0, platform="p4c", status="clean")
+        store.append("key-a", outcome)
+        payload = outcome.to_dict()
+        with open(path, "a") as handle:
+            for bad in ({**payload, "counters": "x"}, {**payload, "findings": [5]}, []):
+                handle.write(json.dumps({"key": "key-a", "outcome": bad}) + "\n")
+        assert store.load("key-a") == {(0, "p4c"): outcome}
+
     def test_campaign_key_sensitivity(self):
         generator = GeneratorConfig(seed=0)
         base = campaign_key(generator, ("a",), ("p4c",), 4)

@@ -373,14 +373,9 @@ class TestSequenceWireFormats:
             platform="ebpf",
             generator=GeneratorConfig(seed=9, p_register=0.5),
             enabled_bugs=(EBPF_DEFECT,),
-            sequence_length=3,
+            sequence_length=2,
         )
-        clone = WorkUnit.from_dict(unit.to_dict())
-        assert clone == unit
-
-        legacy = unit.to_dict()
-        del legacy["sequence_length"]
-        assert WorkUnit.from_dict(legacy).sequence_length == 1
+        assert WorkUnit.from_dict(unit.to_dict()) == unit
 
     def test_triage_unit_round_trips_sequence_length(self):
         unit = TriageUnit(
@@ -395,13 +390,9 @@ class TestSequenceWireFormats:
                 attributed_bugs=(EBPF_DEFECT,),
             ),
             enabled_bugs=(EBPF_DEFECT,),
-            sequence_length=3,
+            sequence_length=2,
         )
-        clone = TriageUnit.from_dict(unit.to_dict())
-        assert clone == unit
-        legacy = unit.to_dict()
-        del legacy["sequence_length"]
-        assert TriageUnit.from_dict(legacy).sequence_length == 1
+        assert TriageUnit.from_dict(unit.to_dict()) == unit
 
     def test_triage_outcome_round_trips_min_sequence_length(self):
         outcome = TriageOutcome(

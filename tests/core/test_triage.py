@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.compiler import CompilerOptions, P4Compiler
 from repro.core.bugs import BUG_REPORT_SCHEMA, BugKind, BugLocation, BugReport
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine import (
@@ -29,7 +30,7 @@ from repro.core.engine import (
 )
 from repro.core.engine.units import FindingRecord
 from repro.core.reduce import build_predicate, program_size, reduce_program
-from repro.core.reduce.localize import bisect_crash_pass, localize_finding
+from repro.core.reduce.localize import crash_pass_pair, localize_finding
 from repro.p4 import parse_program
 from repro.p4.typecheck import check_program
 
@@ -134,17 +135,28 @@ control ingress(inout Headers hdr) {
 
 
 class TestLocalization:
-    def test_bisect_names_the_crashing_pass(self):
+    def test_names_the_crashing_pass_and_its_predecessor(self):
         program = parse_program(CRASHING_PROGRAM)
         enabled = ("strength_reduction_negative_slice",)
-        localized, pair = bisect_crash_pass(
+        localized, pair = crash_pass_pair(
             program, signature="negative-slice-index", enabled_bugs=enabled
         )
+        passes = [entry.name for entry in P4Compiler(CompilerOptions()).passes()]
+        culprit = passes.index("StrengthReduction")
         assert localized == "StrengthReduction"
-        assert pair is not None and pair[1] == "StrengthReduction"
-        assert pair[0] != "StrengthReduction"
+        assert pair == (passes[culprit - 1], "StrengthReduction")
 
-    def test_bisect_falls_back_when_signature_does_not_reproduce(self):
+    def test_a_crash_in_the_first_pass_pairs_with_the_input(self):
+        source = CRASHING_PROGRAM.replace("hdr.h.b << 8w9", "1 << hdr.h.b")
+        program = parse_program(source)
+        enabled = ("typecheck_shift_width_crash",)
+        localized, pair = crash_pass_pair(
+            program, signature="typeinference-shift-width", enabled_bugs=enabled
+        )
+        assert localized == "TypeChecking"
+        assert pair == ("input", "TypeChecking")
+
+    def test_falls_back_when_signature_does_not_reproduce(self):
         program = parse_program(GATED_PROGRAM)
         finding = FindingRecord(
             kind="crash",
@@ -211,7 +223,7 @@ class TestRoundTrips:
         assert BugReport.from_dict(payload) == report
 
     def test_schema_v1_payload_still_loads(self):
-        # An artifact store written before the triage stage has neither a
+        # A report exported before the triage stage has neither a
         # schema_version key nor the triage fields.
         payload = {
             "identifier": "p4c:old",

@@ -92,6 +92,7 @@ def test_deleted_class_and_constant_are_flagged():
 def test_non_symbol_spans_literals_and_fences_are_ignored():
     text = (
         "`schedule_rounds=4`, `coverage()`, `None`, `True`, `False`, `SAT`\n"
+        "`stats`, `gc_gen*_collections`, `make bench-reduce`\n"
         "```\nsee `BanditScheduler`\n```\n"
     )
     assert symbols(text) == []
@@ -107,6 +108,19 @@ def test_single_word_caps_their_members_and_repro_paths_are_checked():
         (1, "stale symbol: `TALLY`"),
         (1, "stale symbol: `TALLY.snapshot()`"),
         (2, "stale symbol: `repro.smt.TALLY`"),
+    ]
+
+
+def test_snake_case_names_and_calls_are_checked():
+    text = (
+        "`reduce_program` and `stats.coverage()` live; `bandit_score()` does not.\n"
+        "`train_arm_profiles` and `result.arm_skipped` neither.\n"
+    )
+    words = WORDS | {"reduce_program", "stats", "result"}
+    assert symbols(text, words) == [
+        (1, "stale symbol: `bandit_score()`"),
+        (2, "stale symbol: `train_arm_profiles`"),
+        (2, "stale symbol: `result.arm_skipped`"),
     ]
 
 

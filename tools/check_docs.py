@@ -16,13 +16,16 @@ module must fail the docs job until the maps are updated.
 
 In the package READMEs (``*/README.md``) a third check catches **stale
 symbols**: an inline-code span that is ``CamelCase``, ``ALL_CAPS`` or
-``UPPER_SNAKE`` (each also as ``.member`` or ``()``), or a dotted
-``repro.…`` path, fails when some part of it is a
+``UPPER_SNAKE`` (each also as ``.member`` or ``()``), a dotted
+``repro.…`` path, or a ``snake_case`` name (also as ``.member``) that
+contains ``_`` or ends in ``()``, fails when some part of it is a
 word in no ``.py`` file under the code directories (:data:`CODE_DIRS`),
-so deleting or renaming a class, method or constant fails the docs job
-until the READMEs stop naming it.  Inside fences the same check reads
-the symbol-shaped words of module-map rows: lines that start with a
-``*.py`` path or a ``dir/``.
+so deleting or renaming a class, function, field or constant fails the
+docs job until the READMEs stop naming it.  A name the code builds at
+run time is written with a placeholder (``gc_gen*_collections``): a span
+holding any other character is not a symbol.  Inside fences the same
+check reads the symbol-shaped words of module-map rows: lines that start
+with a ``*.py`` path or a ``dir/``.
 
 Two facts the top-level ``README.md`` states about the code are checked
 against the code itself (:func:`readme_problems`):
@@ -54,10 +57,12 @@ _DEFECT_COUNT = re.compile(r"\b(\d+) (?:seeded )?defects\b")
 _PHONY = re.compile(r"^\.PHONY:(.*)$", re.MULTILINE)
 #: A symbol-shaped inline code span: ``CamelCase``, ``ALL_CAPS`` (one
 #: word or snake case) or a dotted ``repro.…`` path, each with an optional
-#: ``.member`` and a trailing ``()``.
+#: ``.member`` and a trailing ``()``; or a lower-case ``snake_case`` name
+#: with an optional ``.member`` that contains ``_`` or ends in ``()``.
 _SYMBOL = re.compile(
     r"(?:[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)*|[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+"
     r"|[A-Z][A-Z0-9]+|repro(?:\.\w+)+)(?:\.\w+)?(?:\(\))?"
+    r"|(?=[\w.]*_|.*\)$)_*[a-z][a-z0-9_]*(?:\.\w+)?(?:\(\))?"
 )
 _WORD = re.compile(r"\w+")
 #: A fenced module-map row: it starts with a ``*.py`` path or a ``dir/``.
