@@ -585,27 +585,18 @@ def _state_divergence_probe() -> str:
     divergence; empty means the state oracle missed the defect).
     """
 
-    from repro.compiler import CompilerOptions, compile_prefix
-    from repro.core.reduce.oracles import packet_mismatch
+    from repro.core.reduce.oracles import platform_verdict
     from repro.p4 import parse_program
-    from repro.targets import BACKEND_REGISTRY
 
-    program = parse_program(STATEFUL_PROBE_SOURCE)
-    spec = BACKEND_REGISTRY["ebpf"]
-    options = CompilerOptions(enabled_bugs={"ebpf_register_write_drops_high_byte"})
-    result = compile_prefix(program, STATEFUL_PROBE_SOURCE, options)
-    executable = spec.target_cls(options).link(result)
-    return (
-        packet_mismatch(
-            program,
-            STATEFUL_PROBE_SOURCE,
-            executable,
-            spec,
-            2,
-            STATEFUL_SEQUENCE_LENGTH,
-        )
-        or ""
+    _, finding = platform_verdict(
+        parse_program(STATEFUL_PROBE_SOURCE),
+        STATEFUL_PROBE_SOURCE,
+        "ebpf",
+        {"ebpf_register_write_drops_high_byte"},
+        2,
+        STATEFUL_SEQUENCE_LENGTH,
     )
+    return finding.description if finding is not None else ""
 
 
 def run_stateful() -> dict:

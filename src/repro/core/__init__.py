@@ -25,7 +25,6 @@ from repro.core.validation import (
     ValidationReport,
 )
 from repro.core.testgen import SymbolicTestGenerator, GeneratedTest
-from repro.core.crash import CrashFinding, classify_compilation
 from repro.core.campaign import Campaign, CampaignConfig, CampaignStatistics
 from repro.core.engine import CampaignEngine, CampaignSpec, DetectionRecord
 from repro.core.levels import ConformanceLevel, classify_input_level
@@ -47,8 +46,6 @@ __all__ = [
     "ValidationReport",
     "SymbolicTestGenerator",
     "GeneratedTest",
-    "CrashFinding",
-    "classify_compilation",
     "Campaign",
     "CampaignConfig",
     "CampaignEngine",

@@ -33,37 +33,21 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import astuple, dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import metrics, smt
 from repro.compiler import CompilerOptions, clear_prefix_cache, compile_prefix
 from repro.compiler.coverage import CoverageMap, program_features, shape_cell
-from repro.compiler.errors import CompilerCrash, CompilerError
-from repro.core.crash import classify_compilation, crash_from_exception
 from repro.core.generator import RandomProgramGenerator
 from repro.core.testgen import clear_testgen_cache, program_has_state
-from repro.core.validation import (
-    TranslationValidator,
-    ValidationOutcome,
-    ValidationReport,
-    clear_validation_caches,
-    term_shape_histogram,
-)
+from repro.core.validation import clear_validation_caches, term_shape_histogram
 from repro.p4 import ast, emit_program, parse_program
-from repro.targets import BACKEND_REGISTRY
 
 from repro.core.engine.units import (
-    FINDING_CRASH,
-    FINDING_INVALID,
-    FINDING_SEMANTIC,
     KINDS,
-    STATUS_CLEAN,
     STATUS_FINDING,
-    STATUS_ORACLE_ERROR,
-    STATUS_REJECTED,
     TRIAGE_REDUCED,
     TRIAGE_UNREPRODUCED,
-    FindingRecord,
     MatrixOutcome,
     MatrixUnit,
     TriageOutcome,
@@ -77,7 +61,13 @@ from repro.core.reduce import (
     localize_finding,
     reduce_program,
 )
-from repro.core.reduce.oracles import backend_bug_set, p4c_bug_set, packet_mismatch
+from repro.core.reduce.oracles import (
+    COMPILE,
+    REPLAY,
+    is_packet_finding,
+    platform_bugs,
+    platform_verdict,
+)
 
 # ----------------------------------------------------------------------
 # Per-process state
@@ -116,8 +106,6 @@ class GeneratedProgram:
 
 _PROGRAM_MEMO = metrics.LruCache("program", 64)
 
-_VALIDATOR = TranslationValidator()
-
 
 def reset_worker_state() -> None:
     """Drop every per-process memo, so tests and benchmarks start runs cold:
@@ -154,132 +142,20 @@ def stage_generate(unit: WorkUnit) -> GeneratedProgram:
 # Stage: compile + oracles, per platform
 # ----------------------------------------------------------------------
 
-def _p4c_stage(
-    unit: WorkUnit, program: ast.Program, source: str
-) -> Tuple[str, List[FindingRecord]]:
-    """Open-toolchain unit: crash detection + translation validation."""
-
-    options = CompilerOptions(enabled_bugs=p4c_bug_set(unit.enabled_bugs))
-    result = compile_prefix(program, source, options)
-    if result.rejected:
-        return STATUS_REJECTED, []
-    crash = classify_compilation(result, platform="p4c")
-    if crash is not None:
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_CRASH,
-                platform="p4c",
-                pass_name=crash.pass_name,
-                description=crash.message,
-                signature=crash.signature,
-            )
-        ]
-    report = _VALIDATOR.validate_compilation(result)
-    if report.outcome == ValidationOutcome.ORACLE_ERROR:
-        return STATUS_ORACLE_ERROR, []
-    finding = _validation_finding(report, "p4c")
-    if finding is not None:
-        return STATUS_FINDING, [finding]
-    return STATUS_CLEAN, []
-
-
-def _validation_finding(
-    report: ValidationReport, platform: str
-) -> Optional[FindingRecord]:
-    """The finding a validation report files: an invalid transformation or
-    the first semantic divergence, or ``None`` for any other outcome."""
-
-    if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
-        return FindingRecord(
-            kind=FINDING_INVALID,
-            platform=platform,
-            pass_name=report.invalid_pass or "ToP4",
-            description=report.detail,
-        )
-    if report.outcome == ValidationOutcome.SEMANTIC_BUG:
-        divergence = report.divergences[0]
-        return FindingRecord(
-            kind=FINDING_SEMANTIC,
-            platform=platform,
-            pass_name=divergence.pass_name,
-            description=(
-                f"pass {divergence.pass_name} changed {divergence.output_path} "
-                f"in block {divergence.block}"
-            ),
-            witness=dict(divergence.witness),
-            before_pass=divergence.before_pass,
-        )
-    return None
-
-
-def _backend_stage(
-    unit: WorkUnit, program: ast.Program, source: str
-) -> Tuple[str, List[FindingRecord]]:
-    """Closed-backend unit: crash detection + symbolic packet tests.
-
-    The front/mid-end prefix comes from the process-wide memo
-    (:func:`repro.compiler.compile_prefix`): the back ends of one program
-    share a single prefix compilation (backend defects never reach the
-    prefix, so they share a key) and the target only runs its own
-    lowering via ``link``.  The shared prefix is then *validated* through
-    the same snapshot-keyed reparse/interp caches the open-toolchain unit
-    warms — nearly free on a cache re-walk, and the only way a latent
-    mid-end defect on the backend's (usually clean) prefix chain gets
-    reported rather than silently lowered.  A validator limitation
-    (``ORACLE_ERROR``) never blocks the §6 packet tests.
-    """
-
-    platform = unit.platform
-    spec = BACKEND_REGISTRY[platform]
-    platform_bugs = backend_bug_set(unit.enabled_bugs, platform)
-    target = spec.target_cls(CompilerOptions(enabled_bugs=platform_bugs))
-    result = compile_prefix(program, source, target.options)
-    try:
-        executable = target.link(result)
-    except CompilerCrash as crash_exc:
-        crash = crash_from_exception(crash_exc, platform)
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_CRASH,
-                platform=platform,
-                pass_name=crash.pass_name,
-                description=crash.message,
-                signature=crash.signature,
-            )
-        ]
-    except CompilerError:
-        return STATUS_REJECTED, []
-    finding = _validation_finding(_VALIDATOR.validate_compilation(result), platform)
-    if finding is not None:
-        return STATUS_FINDING, [finding]
-    mismatch = packet_mismatch(
-        program, source, executable, spec, unit.max_tests, unit.sequence_length
-    )
-    if mismatch is not None:
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_SEMANTIC,
-                platform=platform,
-                pass_name="backend",
-                description=mismatch,
-                attributed_bugs=_bisect_backend_defects(unit, program, source, spec),
-            )
-        ]
-    return STATUS_CLEAN, []
-
-
 def _bisect_backend_defects(
-    unit: WorkUnit, program: ast.Program, source: str, spec
+    unit: WorkUnit, program: ast.Program, source: str, bugs: Set[str]
 ) -> Tuple[str, ...]:
-    """Attribute a packet mismatch to individual enabled backend defects.
+    """Attribute a packet mismatch to the individual defects of ``bugs``,
+    the unit's enabled backend defects.
 
-    Recompiles the trigger with each same-platform enabled defect alone and
-    re-runs the packet tests: a defect is implicated iff it reproduces the
-    mismatch by itself.  Cheap where it matters — the front/mid-end prefix
-    is memoised process-wide (backend defects never reach the prefix, so
-    every singleton shares the compilation this unit already paid for) and
-    the symbolic packet tests are memoised by source — so each singleton
-    costs one backend lowering plus the packet replay.
+    Asks the platform's oracle again with each same-platform enabled
+    defect alone, compiling and replaying only: a defect is implicated iff
+    it reproduces a packet mismatch by itself.  Cheap where it matters —
+    the front/mid-end prefix is memoised process-wide (backend defects
+    never reach the prefix, so every singleton shares the compilation
+    this unit already paid for) and the symbolic packet tests are
+    memoised by source — so each singleton costs one backend lowering
+    plus the packet replay.
 
     Returns the implicated defects in sorted order, or ``()`` when no
     singleton reproduces (an interaction-only mismatch, or an unseeded
@@ -287,22 +163,22 @@ def _bisect_backend_defects(
     attribution rather than inventing a culprit.
     """
 
-    platform_bugs = backend_bug_set(unit.enabled_bugs, unit.platform)
-    if len(platform_bugs) <= 1:
+    if len(bugs) <= 1:
         # The mismatch already *is* the singleton run (or there is nothing
         # to attribute): no recompilation can add information.
-        return tuple(sorted(platform_bugs))
+        return tuple(sorted(bugs))
     attributed = []
-    for bug_id in sorted(platform_bugs):
-        target = spec.target_cls(CompilerOptions(enabled_bugs={bug_id}))
-        result = compile_prefix(program, source, target.options)
-        try:
-            executable = target.link(result)
-        except (CompilerCrash, CompilerError):
-            continue  # the lone defect breaks compilation: not this mismatch
-        if packet_mismatch(
-            program, source, executable, spec, unit.max_tests, unit.sequence_length
-        ):
+    for bug_id in sorted(bugs):
+        _, finding = platform_verdict(
+            program,
+            source,
+            unit.platform,
+            {bug_id},
+            unit.max_tests,
+            unit.sequence_length,
+            steps=(COMPILE, REPLAY),
+        )
+        if finding is not None and is_packet_finding(finding):
             attributed.append(bug_id)
     return tuple(attributed)
 
@@ -311,8 +187,9 @@ def _bisect_backend_defects(
 # The worker entry point
 # ----------------------------------------------------------------------
 
-def _unit_coverage(unit: WorkUnit, generated: GeneratedProgram) -> Dict[str, int]:
-    """Coverage cells this unit's program lit up (pure function of the unit).
+def _unit_coverage(generated: GeneratedProgram, bugs: Set[str]) -> Dict[str, int]:
+    """Coverage cells a unit's program lit up under its platform's defect
+    set ``bugs`` (a pure function of the unit).
 
     The feature scan runs once per memoised program and is shared by its
     platform units.  :func:`compile_prefix` re-runs with the same options
@@ -326,12 +203,7 @@ def _unit_coverage(unit: WorkUnit, generated: GeneratedProgram) -> Dict[str, int
         if generated.features is None:
             generated.features = program_features(generated.program).to_dict()
         coverage = CoverageMap(dict(generated.features))
-        if unit.platform == "p4c":
-            options = CompilerOptions(enabled_bugs=p4c_bug_set(unit.enabled_bugs))
-        else:
-            options = CompilerOptions(
-                enabled_bugs=backend_bug_set(unit.enabled_bugs, unit.platform)
-            )
+        options = CompilerOptions(enabled_bugs=bugs)
         result = compile_prefix(generated.program, generated.source, options)
         coverage.update(result.coverage.to_dict())
         if result.succeeded and result.snapshots:
@@ -356,13 +228,14 @@ def run_unit(unit: WorkUnit) -> UnitOutcome:
     start = time.perf_counter()
     generated = stage_generate(unit)
     program, source = generated.program, generated.source
-    if unit.platform == "p4c":
-        status, findings = _p4c_stage(unit, program, source)
-    elif unit.platform in BACKEND_REGISTRY:
-        status, findings = _backend_stage(unit, program, source)
-    else:
-        raise ValueError(f"unknown platform {unit.platform!r}")
-    coverage = _unit_coverage(unit, generated)
+    bugs = platform_bugs(unit.enabled_bugs, unit.platform)
+    status, finding = platform_verdict(
+        program, source, unit.platform, bugs, unit.max_tests, unit.sequence_length
+    )
+    findings = [] if finding is None else [finding]
+    if finding is not None and is_packet_finding(finding):
+        finding.attributed_bugs = _bisect_backend_defects(unit, program, source, bugs)
+    coverage = _unit_coverage(generated, bugs)
     elapsed = time.perf_counter() - start
     after = metrics.snapshot()
     deltas = {key: after[key] - before.get(key, 0) for key in after}
@@ -459,11 +332,15 @@ def run_triage_unit(unit: TriageUnit) -> TriageOutcome:
         pass_pair=pair,
         elapsed_s=time.perf_counter() - start,
         transform_stats=result.transform_stats,
-        min_sequence_length=_minimize_sequence_length(unit, result.program),
+        min_sequence_length=_minimize_sequence_length(
+            unit, result.program, result.source
+        ),
     )
 
 
-def _minimize_sequence_length(unit: TriageUnit, reduced: ast.Program) -> int:
+def _minimize_sequence_length(
+    unit: TriageUnit, reduced: ast.Program, source: str
+) -> int:
     """Shrink the replay vector: fewest packets that still show the bug.
 
     Backend packet findings on stateful programs only — every other oracle
@@ -474,7 +351,7 @@ def _minimize_sequence_length(unit: TriageUnit, reduced: ast.Program) -> int:
     length — minimization is best-effort polish, never a correctness gate.
     """
 
-    if unit.platform == "p4c" or unit.finding.kind != FINDING_SEMANTIC:
+    if not is_packet_finding(unit.finding):
         return 0
     if unit.sequence_length <= 1 or not program_has_state(reduced):
         return 0
@@ -483,7 +360,7 @@ def _minimize_sequence_length(unit: TriageUnit, reduced: ast.Program) -> int:
             shorter = build_predicate(
                 unit.finding, unit.platform, unit.enabled_bugs, unit.max_tests, length
             )
-            if shorter(reduced):
+            if shorter(reduced, source):
                 return length
         except Exception:  # noqa: BLE001 - best-effort minimization
             break

@@ -17,11 +17,12 @@ Layout:
   loop cycles through: statement deletion, declaration/control-local and
   table pruning, expression simplification, parser-state and header-field
   shrinking.
-* :mod:`repro.core.reduce.oracles` — builds the ``still_fails`` predicate
-  from the original :class:`~repro.core.engine.units.FindingRecord`
-  (crash-signature match, same-pass divergence, packet-test mismatch).
-* :mod:`repro.core.reduce.localize` — pass-pipeline bisection for crash
-  bugs and first-diverging-pair extraction for semantic bugs.
+* :mod:`repro.core.reduce.oracles` — ``platform_verdict``, the one oracle
+  campaign units and triage ask, and the ``still_fails`` predicate built
+  on it from the original :class:`~repro.core.engine.units.FindingRecord`
+  (the same crash signature, or the same pass to blame).
+* :mod:`repro.core.reduce.localize` — the crashing pass and its
+  predecessor for crash bugs, the first diverging pair for semantic bugs.
 
 The campaign engine runs reductions as a triage *stage*
 (:func:`repro.core.engine.stages.run_triage_unit`) on the same executor

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from repro.compiler import CompilerOptions, P4Compiler
-from repro.core.validation import TranslationValidator, ValidationOutcome
-from repro.p4 import ast
+from repro.compiler import CompilerOptions, compile_prefix
+from repro.p4 import ast, emit_program
 
-from repro.core.engine.units import FINDING_CRASH, FINDING_INVALID, FindingRecord
-from repro.core.reduce.oracles import p4c_bug_set
+from repro.core.engine.units import (
+    FINDING_CRASH,
+    FINDING_INVALID,
+    FINDING_SEMANTIC,
+    FindingRecord,
+)
+from repro.core.reduce.oracles import platform_bugs, platform_verdict
 
 #: ``(localized pass, optional (before, after) snapshot/pipeline pair)``.
 Localization = Tuple[str, Optional[Tuple[str, str]]]
@@ -32,31 +36,12 @@ def crash_pass_pair(
 ) -> Localization:
     """The pass that crashes with ``signature``, and the snapshot before it."""
 
-    options = CompilerOptions(enabled_bugs=p4c_bug_set(enabled_bugs))
-    result = P4Compiler(options).compile(program.clone())
+    options = CompilerOptions(enabled_bugs=platform_bugs(enabled_bugs, "p4c"))
+    result = compile_prefix(program, emit_program(program), options)
     if not result.crashed or result.crash.signature != signature:
         return "", None
     culprit = result.crash.pass_name
     return culprit, (result.snapshots[-1].pass_name, culprit)
-
-
-def first_divergence_pair(
-    program: ast.Program, enabled_bugs: Iterable[str]
-) -> Localization:
-    """The first diverging snapshot pair of a semantic p4c finding."""
-
-    options = CompilerOptions(enabled_bugs=p4c_bug_set(enabled_bugs))
-    result = P4Compiler(options).compile(program.clone())
-    if not result.succeeded:
-        return "", None
-    report = TranslationValidator().validate_compilation(result)
-    if report.outcome != ValidationOutcome.SEMANTIC_BUG or not report.divergences:
-        return "", None
-    divergence = report.divergences[0]
-    return divergence.pass_name, (
-        divergence.before_pass or "input",
-        divergence.pass_name,
-    )
 
 
 def localize_finding(
@@ -76,14 +61,19 @@ def localize_finding(
         # Closed back end: the crash exception names the proprietary pass;
         # packet mismatches stop at the platform boundary.
         return (finding.pass_name or "backend"), None
-    if finding.kind == FINDING_CRASH:
-        localized, pair = crash_pass_pair(program, finding.signature, enabled_bugs)
-    elif finding.kind == FINDING_INVALID:
+    if finding.kind == FINDING_INVALID:
         # The reparse check already names the pass that emitted the broken
         # program; its predecessor snapshot is not tracked for reparses.
         return finding.pass_name, None
-    else:
-        localized, pair = first_divergence_pair(program, enabled_bugs)
-    if not localized:
+    if finding.kind == FINDING_CRASH:
+        localized, pair = crash_pass_pair(program, finding.signature, enabled_bugs)
+        if not localized:
+            return finding.pass_name, None
+        return localized, pair
+    # The first diverging snapshot pair, as the p4c unit's oracle sees it.
+    _, found = platform_verdict(
+        program, emit_program(program), platform, platform_bugs(enabled_bugs, platform)
+    )
+    if found is None or found.kind != FINDING_SEMANTIC:
         return finding.pass_name, None
-    return localized, pair
+    return found.pass_name, (found.before_pass, found.pass_name)

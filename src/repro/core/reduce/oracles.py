@@ -1,41 +1,44 @@
-"""Oracle-faithful predicates: is the *original* bug still present?
+"""One oracle for every verdict, and the predicates triage builds on it.
+
+:func:`platform_verdict` answers "what do platform P's oracles say about
+this program under defect set B".  Campaign units, the backend-defect
+bisection, the reducer's predicates and localization all ask it, so
+triage re-asks exactly the oracle that filed a finding.
 
 A reduction is only useful if the shrunken program still triggers the bug
-the finding recorded — not merely *a* bug.  Each builder here closes over
-the identity the campaign's oracles assigned to the finding:
+the finding recorded — not merely *a* bug.  :func:`build_predicate`
+therefore reruns the checks that can file the finding again and compares
+its identity: the kind plus the crash **signature** (the paper's §4 dedup
+key) for a crash, the kind plus the defective pass otherwise (for a
+packet mismatch, the pass is ``backend``).
 
-* crash bugs       — the crash **signature** must match (the paper's §4
-  dedup key), on the same platform, with the same enabled defects;
-* invalid passes   — the same pass must emit a non-reparsing program;
-* semantic bugs    — translation validation must report its first
-  divergence in the **same defective pass**;
-* black-box bugs   — the symbolic packet tests (regenerated for the
-  candidate) must still produce a mismatch on the same back end.
-
-Predicates never raise: any infrastructure failure while checking a
-candidate reads as "the bug is gone", so the reducer keeps the statement
-and moves on.  Compilation always works on a clone — the reducer owns the
-working tree and keeps mutating it between calls.
+The reducer reads an exception a predicate raises as "the bug is gone",
+keeps the statement and moves on.  Compilation always works on a clone —
+the reducer owns the working tree and keeps mutating it between calls.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from repro.compiler import CompilerOptions, compile_prefix
-from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND
+from repro.compiler.bugs import BUG_CATALOG
 from repro.compiler.errors import CompilerCrash, CompilerError
-from repro.core.crash import crash_from_exception
 from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH, cached_sequences
 from repro.core.validation import TranslationValidator, ValidationOutcome
 from repro.metrics import COUNTERS, declare
-from repro.p4 import ast, emit_program
+from repro.p4 import ast
 from repro.targets import BACKEND_REGISTRY, Executable, PacketTest
 from repro.targets.state import packet_layout
 
 from repro.core.engine.units import (
     FINDING_CRASH,
     FINDING_INVALID,
+    FINDING_SEMANTIC,
+    STATUS_CLEAN,
+    STATUS_FINDING,
+    STATUS_ORACLE_ERROR,
+    STATUS_REJECTED,
     FindingRecord,
 )
 from repro.core.reduce.reducer import Predicate
@@ -45,25 +48,34 @@ from repro.core.reduce.reducer import Predicate
 # bench-stateful`` is derived from these.
 declare("sequences_replayed", "packets_replayed")
 
+#: The checks of a unit, in the order it runs them.  Compiling (and
+#: linking, for a back end) runs whatever ``steps`` holds: every other
+#: check reads its result.
+COMPILE, VALIDATE, REPLAY = "compile", "validate", "replay"
+ALL_STEPS = (COMPILE, VALIDATE, REPLAY)
 
-def p4c_bug_set(enabled_bugs: Iterable[str]) -> Set[str]:
-    """The open-toolchain share of the campaign's enabled defects."""
+#: The pass a back end's finding is charged to when it names none: a
+#: packet-test mismatch, or a crash without a pass.  Closed back ends are
+#: observed at the platform boundary only.
+BACKEND_PASS = "backend"
+
+_VALIDATOR = TranslationValidator()
+
+
+def platform_bugs(enabled_bugs: Iterable[str], platform: str) -> Set[str]:
+    """The share of the campaign's enabled defects that live on ``platform``
+    (``p4c``: the front and mid end; a back end: its own lowering)."""
 
     return {
-        bug_id
-        for bug_id in enabled_bugs
-        if BUG_CATALOG[bug_id].location != LOCATION_BACKEND
+        bug_id for bug_id in enabled_bugs if BUG_CATALOG[bug_id].platform == platform
     }
 
 
-def backend_bug_set(enabled_bugs: Iterable[str], platform: str) -> Set[str]:
-    """The enabled defects living in one closed back end."""
+def is_packet_finding(finding: FindingRecord) -> bool:
+    """True for a §6 packet-test mismatch, as opposed to a validation
+    divergence a back end's prefix showed."""
 
-    return {
-        bug_id
-        for bug_id in enabled_bugs
-        if BUG_CATALOG[bug_id].platform == platform
-    }
+    return finding.kind == FINDING_SEMANTIC and finding.pass_name == BACKEND_PASS
 
 
 def packet_mismatch(
@@ -78,13 +90,11 @@ def packet_mismatch(
 
     Returns a human-readable mismatch description, or ``None`` when every
     test passes (or the oracle could not produce tests for this program).
-    This is the §6 oracle shared by the campaign's backend stage, the
-    per-defect bisection and the triage predicates — every consumer replays
-    the *full* sequence: state is reset once per sequence, the packets run
-    in order against the live switch state, and after the last packet the
-    final ``$state.*`` cells are compared too.  Stateless programs collapse
-    to single-packet sequences, so their behaviour (and their cached tests)
-    is unchanged.
+    Every sequence is replayed in full: state is reset once per sequence,
+    the packets run in order against the live switch state, and after the
+    last packet the final ``$state.*`` cells are compared too.  Stateless
+    programs collapse to single-packet sequences, so their behaviour (and
+    their cached tests) is unchanged.
     """
 
     sequences = cached_sequences(program, source, max_tests, sequence_length)
@@ -123,110 +133,108 @@ def packet_mismatch(
     return None
 
 
-# ----------------------------------------------------------------------
-# Predicate builders
-# ----------------------------------------------------------------------
-
-def _p4c_crash_predicate(signature: str, enabled_bugs: Iterable[str]) -> Predicate:
-    bugs = p4c_bug_set(enabled_bugs)
-
-    def still_fails(candidate: ast.Program) -> bool:
-        options = CompilerOptions(enabled_bugs=set(bugs))
-        result = compile_prefix(candidate, emit_program(candidate), options)
-        return result.crashed and result.crash.signature == signature
-
-    return still_fails
-
-
-def _backend_crash_predicate(
-    platform: str, signature: str, enabled_bugs: Iterable[str]
-) -> Predicate:
-    spec = BACKEND_REGISTRY[platform]
-    bugs = backend_bug_set(enabled_bugs, platform)
-
-    def still_fails(candidate: ast.Program) -> bool:
-        options = CompilerOptions(enabled_bugs=set(bugs))
-        try:
-            result = compile_prefix(candidate, emit_program(candidate), options)
-            spec.target_cls(options).link(result)
-        except CompilerCrash as crash_exc:
-            return crash_from_exception(crash_exc, platform).signature == signature
-        except CompilerError:
-            return False
-        return False
-
-    return still_fails
-
-
-def _invalid_predicate(pass_name: str, enabled_bugs: Iterable[str]) -> Predicate:
-    bugs = p4c_bug_set(enabled_bugs)
-
-    def still_fails(candidate: ast.Program) -> bool:
-        options = CompilerOptions(enabled_bugs=set(bugs))
-        result = compile_prefix(candidate, emit_program(candidate), options)
-        if not result.succeeded:
-            return False
-        report = TranslationValidator().validate_compilation(result)
-        return (
-            report.outcome == ValidationOutcome.INVALID_TRANSFORMATION
-            and report.invalid_pass == pass_name
-        )
-
-    return still_fails
-
-
-def _divergence_predicate(pass_name: str, enabled_bugs: Iterable[str]) -> Predicate:
-    bugs = p4c_bug_set(enabled_bugs)
-
-    def still_fails(candidate: ast.Program) -> bool:
-        options = CompilerOptions(enabled_bugs=set(bugs))
-        result = compile_prefix(candidate, emit_program(candidate), options)
-        if not result.succeeded:
-            return False
-        report = TranslationValidator().validate_compilation(result)
-        if report.outcome != ValidationOutcome.SEMANTIC_BUG or not report.divergences:
-            return False
-        # The *defective pass* is the bug's identity; the before-pass of
-        # the snapshot pair may legitimately shift as earlier passes stop
-        # changing the shrinking program.
-        return report.divergences[0].pass_name == pass_name
-
-    return still_fails
-
-
-def _packet_predicate(
+def platform_verdict(
+    program: ast.Program,
+    source: str,
     platform: str,
-    enabled_bugs: Iterable[str],
-    max_tests: int,
-    attributed_bugs: Iterable[str] = (),
+    bugs: Iterable[str],
+    max_tests: int = 4,
     sequence_length: int = DEFAULT_SEQUENCE_LENGTH,
-) -> Predicate:
-    spec = BACKEND_REGISTRY[platform]
-    bugs = backend_bug_set(enabled_bugs, platform)
-    # When the finding was bisected down to individual defects, reduce
-    # against exactly those: a candidate that only still trips some *other*
-    # same-platform defect is a different bug, and accepting it would walk
-    # the reduction away from the report being triaged.
-    attributed = backend_bug_set(attributed_bugs, platform)
-    if attributed:
-        bugs = attributed
+    steps: Sequence[str] = ALL_STEPS,
+) -> Tuple[str, Optional[FindingRecord]]:
+    """The unit status and finding of ``program`` on ``platform`` under
+    the defect set ``bugs``; ``source`` is the program's emitted source.
 
-    def still_fails(candidate: ast.Program) -> bool:
-        options = CompilerOptions(enabled_bugs=set(bugs))
-        source = emit_program(candidate)
+    The checks run in the unit's order, and the first finding ends them:
+
+    1. compile the front/mid-end prefix (memoised process-wide: back ends
+       of one program share it) and, for a back end, link its lowering.
+       A :class:`CompilerCrash` is a crash finding (§4); a
+       :class:`CompilerError` is a graceful rejection;
+    2. translation validation (§5): an invalid transformation or the
+       first semantic divergence.  A back end validates its prefix too:
+       nearly free on the snapshot caches the p4c unit warmed, and the
+       only way a latent mid-end defect on its (usually clean) prefix
+       chain gets reported rather than silently lowered.  When the
+       validator gives up, that is p4c's status (``oracle_error``),
+       while a back end goes on to
+    3. replay the symbolic packet tests (§6), back ends only.
+
+    ``steps`` selects which checks after compiling run: triage leaves out
+    the ones that cannot file the finding it reproduces.
+    Raises :class:`ValueError` for a platform nobody registered.
+    """
+
+    spec = BACKEND_REGISTRY.get(platform)
+    if spec is None and platform != "p4c":
+        raise ValueError(f"unknown platform {platform!r}")
+    options = CompilerOptions(enabled_bugs=set(bugs))
+    result = compile_prefix(program, source, options)
+    if result.rejected:
+        return STATUS_REJECTED, None
+    # A crashed prefix is read, not linked: linking would re-raise the
+    # memoised exception, and every raise grows its traceback.
+    crash, executable = result.crash, None
+    if crash is None and spec is not None:
         try:
-            result = compile_prefix(candidate, source, options)
             executable = spec.target_cls(options).link(result)
-        except (CompilerCrash, CompilerError):
-            return False
-        return (
-            packet_mismatch(
-                candidate, source, executable, spec, max_tests, sequence_length
-            )
-            is not None
+        except CompilerCrash as exc:
+            crash = exc
+        except CompilerError:
+            return STATUS_REJECTED, None
+    if crash is not None:
+        return STATUS_FINDING, FindingRecord(
+            kind=FINDING_CRASH,
+            platform=platform,
+            pass_name=crash.pass_name or BACKEND_PASS,
+            description=str(crash),
+            signature=crash.signature,
         )
+    if VALIDATE in steps:
+        report = _VALIDATOR.validate_compilation(result)
+        if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
+            return STATUS_FINDING, FindingRecord(
+                kind=FINDING_INVALID,
+                platform=platform,
+                pass_name=report.invalid_pass,
+                description=report.detail,
+            )
+        if report.outcome == ValidationOutcome.SEMANTIC_BUG:
+            divergence = report.divergences[0]
+            return STATUS_FINDING, FindingRecord(
+                kind=FINDING_SEMANTIC,
+                platform=platform,
+                pass_name=divergence.pass_name,
+                description=(
+                    f"pass {divergence.pass_name} changed {divergence.output_path} "
+                    f"in block {divergence.block}"
+                ),
+                witness=dict(divergence.witness),
+                before_pass=divergence.before_pass,
+            )
+        if report.outcome == ValidationOutcome.ORACLE_ERROR and spec is None:
+            return STATUS_ORACLE_ERROR, None
+    if executable is not None and REPLAY in steps:
+        mismatch = packet_mismatch(
+            program, source, executable, spec, max_tests, sequence_length
+        )
+        if mismatch is not None:
+            return STATUS_FINDING, FindingRecord(
+                kind=FINDING_SEMANTIC,
+                platform=platform,
+                pass_name=BACKEND_PASS,
+                description=mismatch,
+            )
+    return STATUS_CLEAN, None
 
-    return still_fails
+
+def _identity(finding: FindingRecord) -> Tuple[str, str]:
+    """What makes two findings the same bug: the kind plus the crash
+    signature, or the kind plus the pass to blame."""
+
+    if finding.kind == FINDING_CRASH:
+        return finding.kind, finding.signature
+    return finding.kind, finding.pass_name
 
 
 def build_predicate(
@@ -236,16 +244,30 @@ def build_predicate(
     max_tests: int = 4,
     sequence_length: int = DEFAULT_SEQUENCE_LENGTH,
 ) -> Predicate:
-    """The ``still_fails`` predicate matching one finding's original oracle."""
+    """The ``still_fails(candidate, source)`` predicate of one finding: the
+    platform's verdict on the candidate files a finding of the same
+    identity."""
 
     if finding.kind == FINDING_CRASH:
-        if platform == "p4c":
-            return _p4c_crash_predicate(finding.signature, enabled_bugs)
-        return _backend_crash_predicate(platform, finding.signature, enabled_bugs)
-    if finding.kind == FINDING_INVALID:
-        return _invalid_predicate(finding.pass_name, enabled_bugs)
-    if platform == "p4c":
-        return _divergence_predicate(finding.pass_name, enabled_bugs)
-    return _packet_predicate(
-        platform, enabled_bugs, max_tests, finding.attributed_bugs, sequence_length
+        steps: Tuple[str, ...] = (COMPILE,)
+    elif is_packet_finding(finding):
+        steps = (COMPILE, REPLAY)
+    else:
+        steps = (COMPILE, VALIDATE)
+    # When the finding was bisected down to individual defects, reduce
+    # against exactly those: a candidate that only still trips some *other*
+    # same-platform defect is a different bug, and accepting it would walk
+    # the reduction away from the report being triaged.  Only packet
+    # findings are bisected.
+    bugs = platform_bugs(finding.attributed_bugs, platform) or platform_bugs(
+        enabled_bugs, platform
     )
+    wanted = _identity(finding)
+
+    def still_fails(candidate: ast.Program, source: str) -> bool:
+        _, found = platform_verdict(
+            candidate, source, platform, bugs, max_tests, sequence_length, steps
+        )
+        return found is not None and _identity(found) == wanted
+
+    return still_fails

@@ -9,12 +9,14 @@ single pass over the leftovers.  Transformations mutate the working
 program in place and call back into :meth:`ReductionOracle.accepts` for
 every candidate; the oracle
 
-1. re-typechecks the candidate (:func:`repro.p4.typecheck.check_program`) —
+1. emits the candidate once and re-typechecks it
+   (:func:`repro.p4.typecheck.checked_types`, memoised by that source) —
    an edit that breaks well-formedness is rejected before the bug predicate
    ever sees it, so reduction cannot "confirm" on a program the front end
    would refuse, and
-2. runs the caller's ``still_fails`` predicate, treating any exception it
-   raises as "the bug is gone" (a reduction step must never abort triage).
+2. runs the caller's ``still_fails(candidate, source)`` predicate on the
+   same source, treating any exception it raises as "the bug is gone" (a
+   reduction step must never abort triage).
 
 Everything here is deterministic and reads nothing but its arguments:
 transformations enumerate edits in program order and the predicate is a
@@ -30,9 +32,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict
 
 from repro.p4 import ast, emit_program
-from repro.p4.typecheck import check_program
+from repro.p4.typecheck import checked_types
 
-Predicate = Callable[[ast.Program], bool]
+#: ``still_fails(candidate, source)``, where ``source`` is the candidate's
+#: emitted source.
+Predicate = Callable[[ast.Program, str], bool]
 
 #: Hard ceiling on oracle invocations per reduction, protecting campaign
 #: throughput against pathological programs (each attempt can cost a full
@@ -59,11 +63,12 @@ class ReductionOracle:
             return False
         self.attempts += 1
         try:
-            check_program(candidate)
+            source = emit_program(candidate)
+            checked_types(candidate, source)
         except Exception:  # noqa: BLE001 - ill-typed (or a checker crash): no confirmation
             return False
         try:
-            verdict = bool(self.still_fails(candidate))
+            verdict = bool(self.still_fails(candidate, source))
         except Exception:  # noqa: BLE001 - predicate errors mean "bug gone"
             return False
         if verdict:
@@ -131,14 +136,15 @@ def reduce_program(
 
     original_size = program_size(program)
     oracle = ReductionOracle(still_fails)
+    source = emit_program(program)
     try:
-        reproduced = bool(still_fails(program))
+        reproduced = bool(still_fails(program, source))
     except Exception:  # noqa: BLE001 - an erroring oracle cannot anchor a reduction
         reproduced = False
     if not reproduced:
         return ReductionResult(
             program=program,
-            source=emit_program(program),
+            source=source,
             original_size=original_size,
             reduced_size=original_size,
             rounds=0,

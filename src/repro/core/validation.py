@@ -48,6 +48,9 @@ _INTERP_CACHE = LruCache("interp", 1024)
 #: source -> term-shape histogram of the program's symbolic semantics.
 _SHAPE_CACHE = LruCache("shape", 1024)
 
+#: ``(block, output path, before term, after term)`` of one snapshot pair.
+OutputPair = Tuple[str, str, "smt.Term", "smt.Term"]
+
 
 def clear_validation_caches() -> None:
     """Drop every snapshot cache: the lexer's line memo, reparse, typecheck,
@@ -202,13 +205,12 @@ class TranslationValidator:
                 # reported first divergence and its witness stay
                 # byte-identical to the pre-batching validator — witness
                 # models are solver-history-dependent, verdicts are not.
+                pairs = self._output_pairs(previous_semantics, current_semantics)
                 if not smt.all_equivalent(
-                    self._pair_terms(previous_semantics, current_semantics),
+                    [(before, after) for _, _, before, after in pairs],
                     solver=chain_solver,
                 ):
-                    divergences = self._compare(
-                        previous, snapshot, previous_semantics, current_semantics
-                    )
+                    divergences = self._compare(previous, snapshot, pairs)
                     if divergences:
                         break
                 previous = snapshot
@@ -239,32 +241,33 @@ class TranslationValidator:
         return error
 
     @staticmethod
-    def _pair_terms(
+    def _output_pairs(
         before_semantics: Dict[str, BlockSemantics],
         after_semantics: Dict[str, BlockSemantics],
-    ) -> List[Tuple["smt.Term", "smt.Term"]]:
-        """The (before, after) output terms one snapshot pair must preserve."""
+    ) -> List[OutputPair]:
+        """The ``(block, path, before, after)`` output terms one snapshot
+        pair must preserve: per block, the packet outputs, then the state
+        outputs (whose ``$state.*`` paths no packet output shares).  An
+        output only one side has is skipped."""
 
-        pairs: List[Tuple["smt.Term", "smt.Term"]] = []
+        pairs: List[OutputPair] = []
         for block_name, before_block in before_semantics.items():
             after_block = after_semantics.get(block_name)
             if after_block is None:
                 continue
-            for path, before_term in before_block.outputs.items():
-                after_term = after_block.outputs.get(path)
-                if after_term is None:
-                    continue
-                pairs.append((before_term, after_term))
             # State-aware equivalence: the final register/counter state is
             # as observable as the packet outputs (it feeds the next packet).
             # Cell paths survive lowering (counters keep their bank name),
             # and both snapshots share the initial-state input symbols, so
             # this quantifies over every reachable and unreachable state.
-            for path, before_term in before_block.state_outputs.items():
-                after_term = after_block.state_outputs.get(path)
-                if after_term is None:
-                    continue
-                pairs.append((before_term, after_term))
+            for before_outputs, after_outputs in (
+                (before_block.outputs, after_block.outputs),
+                (before_block.state_outputs, after_block.state_outputs),
+            ):
+                for path, before_term in before_outputs.items():
+                    after_term = after_outputs.get(path)
+                    if after_term is not None:
+                        pairs.append((block_name, path, before_term, after_term))
         return pairs
 
     @staticmethod
@@ -277,38 +280,23 @@ class TranslationValidator:
 
     @staticmethod
     def _compare(
-        before: PassSnapshot,
-        after: PassSnapshot,
-        before_semantics: Dict[str, BlockSemantics],
-        after_semantics: Dict[str, BlockSemantics],
+        before: PassSnapshot, after: PassSnapshot, pairs: List[OutputPair]
     ) -> List[PassDivergence]:
         """The pair's first diverging output (a one-element list), or ``[]``."""
 
-        for block_name, before_block in before_semantics.items():
-            after_block = after_semantics.get(block_name)
-            if after_block is None:
+        for block_name, path, before_term, after_term in pairs:
+            witness = smt.find_divergence(before_term, after_term)
+            if witness is None:
                 continue
-            compared = list(before_block.outputs.items()) + list(
-                before_block.state_outputs.items()
-            )
-            for path, before_term in compared:
-                after_term = after_block.outputs.get(
-                    path, after_block.state_outputs.get(path)
+            return [
+                PassDivergence(
+                    pass_name=after.pass_name,
+                    block=block_name,
+                    output_path=path,
+                    witness=dict(witness.items()),
+                    before_source=before.source,
+                    after_source=after.source,
+                    before_pass=before.pass_name,
                 )
-                if after_term is None:
-                    continue
-                witness = smt.find_divergence(before_term, after_term)
-                if witness is None:
-                    continue
-                return [
-                    PassDivergence(
-                        pass_name=after.pass_name,
-                        block=block_name,
-                        output_path=path,
-                        witness=dict(witness.items()),
-                        before_source=before.source,
-                        after_source=after.source,
-                        before_pass=before.pass_name,
-                    )
-                ]
+            ]
         return []

@@ -117,7 +117,7 @@ control ingress(inout Headers hdr) {
 """
         program = parse_program(source)
 
-        def still_fails(candidate):
+        def still_fails(candidate, source):
             # "The bug" is the presence of the literal-underflow statement.
             return any(
                 isinstance(node, ast.BinaryOp)
@@ -129,14 +129,14 @@ control ingress(inout Headers hdr) {
         result = reduce_program(program, still_fails)
         statements = result.program.controls()[0].apply.statements
         assert len(statements) == 1
-        assert still_fails(result.program)
+        assert still_fails(result.program, result.source)
         assert result.reproduced
         assert result.reduced_size < result.original_size
         assert 0.0 < result.reduction_ratio < 1.0
 
     def test_returns_original_when_predicate_fails(self):
         program = parse_program(VALID_PROGRAM)
-        result = reduce_program(program, lambda candidate: False)
+        result = reduce_program(program, lambda candidate, source: False)
         assert result.program is program
         assert not result.reproduced
         assert result.reduction_ratio == 0.0
@@ -156,12 +156,13 @@ control ingress(inout Headers hdr) {
         program = parse_program(source)
         options = CompilerOptions(enabled_bugs={"strength_reduction_negative_slice"})
 
-        def still_crashes(candidate):
+        def still_crashes(candidate, source):
             try:
                 return compile_front_midend(candidate.clone(), options).crashed
             except Exception:  # noqa: BLE001 - defensive: malformed candidates
                 return False
 
         result = reduce_program(program, still_crashes)
-        assert still_crashes(result.program)
+        assert result.reproduced
+        assert still_crashes(result.program, result.source)
         assert len(result.program.controls()[0].apply.statements) <= 2

@@ -1,37 +1,63 @@
-"""Tests for crash-bug classification (paper §4) and signature dedup.
+"""Tests for crash-bug detection (paper §4) and signature dedup.
 
 Crash signatures are the campaign's deduplication key: two crashes with
 the same root cause must map onto one filed report even when the
 surrounding tracebacks differ (different trigger programs, different
-messages), and two different root causes must never collapse.
+messages), and two different root causes must never collapse.  The
+crash finding itself comes from the one platform oracle,
+:func:`repro.core.reduce.oracles.platform_verdict`.
 """
 
 from repro.compiler import P4Compiler
-from repro.compiler.errors import CompilerCrash, CompilerError
-from repro.compiler.options import CompilerOptions
-from repro.compiler.pass_manager import CompilationResult
 from repro.core.bugs import BugKind, BugLocation
-from repro.core.crash import classify_compilation, crash_from_exception
 from repro.core.engine.merge import CampaignStatistics, OutcomeMerger
 from repro.core.engine.units import FindingRecord, UnitOutcome
+from repro.core.reduce.oracles import platform_verdict
+from repro.p4 import emit_program, parse_program
+
+PRELUDE = """
+header Hdr_t { bit<8> a; bit<8> b; }
+struct Headers { Hdr_t h; }
+"""
+
+SHIFT_PROGRAM = PRELUDE + """
+control ingress(inout Headers hdr) {
+    apply {
+        hdr.h.a = hdr.h.b << 8w9;
+    }
+}
+"""
+
+#: A table with more keys than actions: BMv2's seeded lowering crash.
+TWO_KEY_TABLE_PROGRAM = PRELUDE + """
+control ingress(inout Headers hdr) {
+    action set_a() { hdr.h.a = 8w1; }
+    table t {
+        key = { hdr.h.a : exact; hdr.h.b : exact; }
+        actions = { set_a(); }
+        default_action = set_a();
+    }
+    apply { t.apply(); }
+}
+"""
 
 
-def crash_result(message: str, signature: str, pass_name: str = "TypeChecking"):
-    return CompilationResult(
-        options=CompilerOptions(),
-        crash=CompilerCrash(message, pass_name=pass_name, signature=signature),
-    )
+def verdict(source, platform, *bugs):
+    program = parse_program(source)
+    return platform_verdict(program, emit_program(program), platform, set(bugs))
 
 
-def crash_outcome(index: int, message: str, signature: str, pass_name="TypeChecking"):
+def crash_outcome(
+    index: int, message: str, signature: str, pass_name="TypeChecking", platform="p4c"
+):
     return UnitOutcome(
         program_index=index,
-        platform="p4c",
+        platform=platform,
         status="finding",
         findings=[
             FindingRecord(
                 kind="crash",
-                platform="p4c",
+                platform=platform,
                 pass_name=pass_name,
                 description=message,
                 signature=signature,
@@ -41,65 +67,37 @@ def crash_outcome(index: int, message: str, signature: str, pass_name="TypeCheck
     )
 
 
-class TestClassifyCompilation:
+class TestCrashVerdicts:
     def test_clean_compilation_is_not_a_finding(self):
-        result = CompilationResult(options=CompilerOptions())
-        assert classify_compilation(result) is None
+        assert verdict(SHIFT_PROGRAM, "p4c") == ("clean", None)
 
     def test_graceful_rejection_is_not_a_finding(self):
-        result = CompilationResult(
-            options=CompilerOptions(), error=CompilerError("bad program")
+        rejected = SHIFT_PROGRAM.replace("hdr.h.b << 8w9", "16w1")
+        assert verdict(rejected, "p4c") == ("rejected", None)
+        assert verdict(rejected, "bmv2") == ("rejected", None)
+
+    def test_p4c_crash_yields_its_signature_and_pass(self):
+        status, finding = verdict(
+            SHIFT_PROGRAM, "p4c", "strength_reduction_negative_slice"
         )
-        assert classify_compilation(result) is None
+        assert status == "finding"
+        assert finding.kind == "crash"
+        assert finding.platform == "p4c"
+        assert finding.signature == "negative-slice-index"
+        assert finding.pass_name == "StrengthReduction"
+        assert "StrengthReduction" in finding.description
 
-    def test_crash_produces_finding_with_signature_and_pass(self):
-        result = crash_result("width underflow at node 0x7f01", "width-underflow")
-        finding = classify_compilation(result, platform="p4c")
-        assert finding is not None
-        assert finding.signature == "width-underflow"
-        assert finding.pass_name == "TypeChecking"
-        assert finding.dedup_key == "p4c:width-underflow"
-
-
-class TestSignatureStability:
-    def test_equivalent_tracebacks_share_a_signature(self):
-        # The same assertion firing on two different trigger programs
-        # renders two different messages (addresses, values) but carries
-        # one signature -- the dedup key must ignore the noise.
-        first = classify_compilation(
-            crash_result("assert width > 0 failed for node 0x7fa100", "width-assert")
+    def test_backend_crash_names_the_backend_pass(self):
+        status, finding = verdict(
+            TWO_KEY_TABLE_PROGRAM, "bmv2", "bmv2_table_key_order_crash"
         )
-        second = classify_compilation(
-            crash_result("assert width > 0 failed for node 0x55e0ff", "width-assert")
-        )
-        assert first.signature == second.signature
-        assert first.dedup_key == second.dedup_key
-        assert first.message != second.message
-
-    def test_distinct_signatures_never_collapse(self):
-        first = classify_compilation(crash_result("boom", "width-assert"))
-        second = classify_compilation(crash_result("boom", "null-deref"))
-        assert first.dedup_key != second.dedup_key
-
-    def test_platform_scopes_the_dedup_key(self):
-        p4c = classify_compilation(crash_result("boom", "sig"), platform="p4c")
-        bmv2 = classify_compilation(crash_result("boom", "sig"), platform="bmv2")
-        assert p4c.dedup_key != bmv2.dedup_key
-
-
-class TestCrashFromException:
-    def test_uses_exception_signature_and_pass(self):
-        exc = CompilerCrash("exit in action", pass_name="ActionLowering",
-                            signature="exit-in-action")
-        finding = crash_from_exception(exc, "tofino")
-        assert finding.signature == "exit-in-action"
-        assert finding.pass_name == "ActionLowering"
-        assert finding.platform == "tofino"
-
-    def test_falls_back_for_foreign_exceptions(self):
-        finding = crash_from_exception(ValueError("surprise"), "bmv2")
-        assert finding.signature == "unhandled-ValueError"
-        assert finding.pass_name == "backend"
+        assert status == "finding"
+        assert finding.kind == "crash"
+        assert finding.platform == "bmv2"
+        assert finding.signature == "bmv2-key-action-invariant"
+        assert finding.pass_name == "Bmv2Lowering"
+        # The same program compiles cleanly without the seeded defect.
+        assert verdict(TWO_KEY_TABLE_PROGRAM, "bmv2")[1] is None
 
 
 class TestMergeDeduplication:
@@ -120,6 +118,19 @@ class TestMergeDeduplication:
         assert report.identifier == "p4c:width-assert"
         assert report.trigger_source == "// trigger 1"
         assert merger.provenance[report.identifier].program_index == 1
+
+    def test_same_signature_on_two_platforms_files_two_reports(self):
+        # The platform scopes the dedup key: one signature seen by two
+        # platforms is two bugs.
+        merger = OutcomeMerger(enabled_bugs=())
+        stats = merger.merge(
+            [
+                crash_outcome(0, "boom", "sig", platform="p4c"),
+                crash_outcome(0, "boom", "sig", pass_name="Bmv2Lowering", platform="bmv2"),
+            ],
+            CampaignStatistics(),
+        )
+        assert {r.identifier for r in stats.tracker.reports} == {"p4c:sig", "bmv2:sig"}
 
     def test_different_signatures_file_separate_reports(self):
         merger = OutcomeMerger(enabled_bugs=())

@@ -13,10 +13,11 @@ import os
 import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.engine.units import FindingRecord, build_units
+from repro.core.engine import run_unit
+from repro.core.engine.units import FindingRecord, WorkUnit, build_units
 from repro.core.generator import GeneratorConfig
 from repro.core.reduce import build_predicate, program_size
-from repro.p4 import check_program, parse_program
+from repro.p4 import check_program, emit_program, parse_program
 
 EBPF_CRASH_DEFECTS = (
     "ebpf_verifier_loop_crash",
@@ -109,7 +110,7 @@ class TestEbpfTriage:
             description=report.description,
         )
         still_fails = build_predicate(finding, "ebpf", (bug_id,), max_tests=4)
-        assert still_fails(reduced)
+        assert still_fails(reduced, emit_program(reduced))
         assert report.reduction_ratio > 0
 
     def test_reduced_crash_report_keeps_its_signature(self):
@@ -127,7 +128,7 @@ class TestEbpfTriage:
             signature="ebpf-verifier-loop-bound",
         )
         still_fails = build_predicate(finding, "ebpf", (bug_id,))
-        assert still_fails(reduced)
+        assert still_fails(reduced, emit_program(reduced))
 
 
 class TestPlatformRegistryErrors:
@@ -142,6 +143,17 @@ class TestPlatformRegistryErrors:
             )
         assert "xpu" in str(excinfo.value)
         assert "ebpf" in str(excinfo.value)  # the message lists the registry
+
+    def test_a_unit_on_an_unknown_platform_raises(self):
+        unit = WorkUnit(
+            program_index=0,
+            platform="xpu",
+            generator=GeneratorConfig(seed=0),
+            enabled_bugs=(),
+            max_tests=4,
+        )
+        with pytest.raises(ValueError, match="xpu"):
+            run_unit(unit)
 
     def test_campaign_rejects_unknown_platform_before_scheduling(self, tmp_path):
         artifacts = tmp_path / "artifacts.jsonl"

@@ -420,9 +420,14 @@ class TestPerPlatformRejection:
         # reject and check the back-end oracle still files its findings.
         from repro.core.engine import stages
 
-        monkeypatch.setattr(
-            stages, "_p4c_stage", lambda unit, program, source: ("rejected", [])
-        )
+        verdict = stages.platform_verdict
+
+        def p4c_rejects(program, source, platform, *args, **kwargs):
+            if platform == "p4c":
+                return "rejected", None
+            return verdict(program, source, platform, *args, **kwargs)
+
+        monkeypatch.setattr(stages, "platform_verdict", p4c_rejects)
         spec = CampaignSpec(
             programs=10,
             generator=GeneratorConfig(seed=7),

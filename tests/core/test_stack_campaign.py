@@ -13,7 +13,7 @@ from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine.units import FindingRecord
 from repro.core.generator import GeneratorConfig
 from repro.core.reduce import build_predicate, program_size
-from repro.p4 import check_program, parse_program
+from repro.p4 import check_program, emit_program, parse_program
 
 STACK_DEFECTS = (
     "stack_flatten_next_index_off_by_one",
@@ -107,5 +107,5 @@ class TestStackTriage:
             description=report.description,
         )
         still_fails = build_predicate(finding, "p4c", (bug_id,), max_tests=4)
-        assert still_fails(reduced)
+        assert still_fails(reduced, emit_program(reduced))
         assert report.reduction_ratio > 0

@@ -235,12 +235,12 @@ class TestStatefulTriage:
             finding, "ebpf", (EBPF_DEFECT,), max_tests=4,
             sequence_length=report.sequence_length,
         )
-        assert at_recorded(reduced)
+        assert at_recorded(reduced, emit_program(reduced))
         if report.sequence_length > 1:
             at_one = build_predicate(
                 finding, "ebpf", (EBPF_DEFECT,), max_tests=4, sequence_length=1
             )
-            assert not at_one(reduced)
+            assert not at_one(reduced, emit_program(reduced))
 
     def test_shrink_registers_collapses_banks_smallest_first(self):
         program = parse_program(STATEFUL_SOURCE)
@@ -280,7 +280,10 @@ class TestStatefulTriage:
             monkeypatch.setattr(
                 transforms, name, tuple(map(counted, getattr(transforms, name)))
             )
-        result = reduce_program(parse_program(STATEFUL_SOURCE), program_has_state)
+        result = reduce_program(
+            parse_program(STATEFUL_SOURCE),
+            lambda candidate, source: program_has_state(candidate),
+        )
         assert result.reproduced
         # Whole primary rounds up to the fixpoint, then one polish pass.
         assert calls == primary * (result.rounds - 1) + polish

@@ -29,9 +29,11 @@ from repro.core.engine import (
     run_triage_unit,
 )
 from repro.core.engine.units import FindingRecord
-from repro.core.reduce import build_predicate, program_size, reduce_program
+from repro.core.reduce import build_predicate, oracles, program_size, reduce_program
 from repro.core.reduce.localize import crash_pass_pair, localize_finding
-from repro.p4 import parse_program
+from repro.core.reduce.oracles import platform_bugs, platform_verdict
+from repro.core.validation import TranslationValidator
+from repro.p4 import emit_program, parse_program
 from repro.p4.typecheck import check_program
 
 #: The reference seeded-defect selection (one per technique and platform).
@@ -86,7 +88,7 @@ class TestTypecheckGate:
         program = parse_program(GATED_PROGRAM)
         seen_ill_typed = []
 
-        def gullible_oracle(candidate):
+        def gullible_oracle(candidate, source):
             try:
                 check_program(candidate)
             except Exception:
@@ -94,6 +96,7 @@ class TestTypecheckGate:
             return True
 
         result = reduce_program(program, gullible_oracle)
+        assert result.reproduced
         check_program(result.program)  # must not raise
         assert not seen_ill_typed  # the predicate never saw an ill-typed candidate
 
@@ -101,7 +104,7 @@ class TestTypecheckGate:
         program = parse_program(GATED_PROGRAM)
         calls = []
 
-        def exploding_oracle(candidate):
+        def exploding_oracle(candidate, source):
             if calls:
                 raise RuntimeError("oracle infrastructure failure")
             calls.append(True)
@@ -114,7 +117,7 @@ class TestTypecheckGate:
 
     def test_unreproduced_finding_returns_original(self):
         program = parse_program(GATED_PROGRAM)
-        result = reduce_program(program, lambda candidate: False)
+        result = reduce_program(program, lambda candidate, source: False)
         assert not result.reproduced
         assert result.program is program
 
@@ -180,6 +183,112 @@ class TestLocalization:
         localized, pair = localize_finding(finding, program, "tofino", ENABLED)
         assert localized == "backend"
         assert pair is None
+
+
+# ----------------------------------------------------------------------
+# Oracle fidelity: every predicate asks the unit's own oracle
+# ----------------------------------------------------------------------
+
+#: ``tests/core/test_validation.py``'s Predication program: with
+#: ``midend_emit_missing_parens`` the Predication pass emits a program that
+#: no longer reparses.
+PREDICATION_PROGRAM = """
+header Hdr_t { bit<8> a; bit<8> b; }
+struct Headers { Hdr_t h; Hdr_t eth; }
+control ingress(inout Headers hdr) {
+    action cond_set() {
+        if (hdr.h.a == 8w1) {
+            hdr.h.b = 8w2;
+        }
+    }
+    table t {
+        key = { hdr.h.a : exact; }
+        actions = { cond_set(); NoAction(); }
+        default_action = NoAction();
+    }
+    apply {
+        t.apply();
+    }
+}
+"""
+
+
+def parsed(source):
+    program = parse_program(source)
+    return program, emit_program(program)
+
+
+class TestOracleFidelity:
+    def test_predicate_compiles_with_the_findings_platform_defects(self):
+        # A bmv2 unit compiles with bmv2's defect set, which leaves the
+        # mid-end defect out: it reports this program clean, so the
+        # predicate of a bmv2 invalid-transformation finding must reject it.
+        program, source = parsed(PREDICATION_PROGRAM)
+        enabled = ("midend_emit_missing_parens",)
+        bugs = platform_bugs(enabled, "bmv2")
+        assert platform_verdict(program, source, "bmv2", bugs) == ("clean", None)
+        finding = FindingRecord(
+            kind="invalid_transformation",
+            platform="bmv2",
+            pass_name="Predication",
+            description="",
+        )
+        assert not build_predicate(finding, "bmv2", enabled)(program, source)
+        # The same finding on p4c does reproduce.
+        finding.platform = "p4c"
+        assert build_predicate(finding, "p4c", enabled)(program, source)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count translation validations and test-generation requests."""
+
+        counted = {"validate": 0, "sequences": 0}
+        validate = TranslationValidator.validate_compilation
+        sequences = oracles.cached_sequences
+
+        def counting_validate(self, result):
+            counted["validate"] += 1
+            return validate(self, result)
+
+        def counting_sequences(*args, **kwargs):
+            counted["sequences"] += 1
+            return sequences(*args, **kwargs)
+
+        monkeypatch.setattr(
+            TranslationValidator, "validate_compilation", counting_validate
+        )
+        monkeypatch.setattr(oracles, "cached_sequences", counting_sequences)
+        return counted
+
+    def test_crash_predicates_only_compile(self, calls):
+        program, source = parsed(CRASHING_PROGRAM)
+        enabled = ("strength_reduction_negative_slice", "bmv2_table_key_order_crash")
+        for platform in ("p4c", "bmv2"):
+            finding = FindingRecord(
+                kind="crash",
+                platform=platform,
+                pass_name="StrengthReduction",
+                description="",
+                signature="negative-slice-index",
+            )
+            build_predicate(finding, platform, enabled)(program, source)
+        assert calls == {"validate": 0, "sequences": 0}
+
+    def test_packet_predicates_never_validate(self, calls):
+        program, source = parsed(GATED_PROGRAM)
+        finding = FindingRecord(
+            kind="semantic", platform="tofino", pass_name="backend", description=""
+        )
+        build_predicate(finding, "tofino", ENABLED)(program, source)
+        assert calls == {"validate": 0, "sequences": 1}
+
+    def test_p4c_divergence_predicates_never_generate_tests(self, calls):
+        program, source = parsed(GATED_PROGRAM)
+        finding = FindingRecord(
+            kind="semantic", platform="p4c", pass_name="ConstantFolding", description=""
+        )
+        build_predicate(finding, "p4c", ENABLED)(program, source)
+        assert calls == {"validate": 1, "sequences": 0}
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +407,8 @@ class TestReferenceCampaign:
             still_fails = build_predicate(
                 finding, report.platform, ENABLED, max_tests=4
             )
-            assert still_fails(parse_program(report.reduced_source)), (
+            reduced = parse_program(report.reduced_source)
+            assert still_fails(reduced, emit_program(reduced)), (
                 f"{report.identifier}: reduced source no longer trips its oracle"
             )
 

@@ -124,6 +124,19 @@ def test_snake_case_names_and_calls_are_checked():
     ]
 
 
+def test_a_symbol_only_tests_define_is_stale(tmp_path):
+    for directory, text in (
+        ("src", "def live_helper():\n    pass\n"),
+        ("tests", "def test_helper_gone():\n    retired_helper()\n"),
+    ):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "module.py").write_text(text)
+    text = "`live_helper()` stays; `retired_helper()` went.\n"
+    assert symbols(text, check_docs.code_words(str(tmp_path))) == [
+        (1, "stale symbol: `retired_helper()`")
+    ]
+
+
 def test_the_repository_package_readmes_name_live_symbols():
     words = check_docs.code_words()
     for path in check_docs.markdown_files(ROOT):

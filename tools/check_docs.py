@@ -73,7 +73,9 @@ _MAP_WORD = re.compile(r"[\w.]+")
 #: Spans that look like symbols but are Python literals.
 _LITERALS = {"None", "True", "False"}
 #: Directories whose ``.py`` files define the symbols READMEs may name.
-CODE_DIRS = ("src", "tests", "benchmarks", "perfbench", "examples", "tools")
+#: Tests are left out: a name only a test still mentions (a probe of a
+#: deleted symbol, say) is not part of the code a README describes.
+CODE_DIRS = ("src", "benchmarks", "perfbench", "examples", "tools")
 
 #: Roots a bare module path may be relative to (checked in order).
 _PATH_ROOTS = ("", "src", os.path.join("src", "repro"))
