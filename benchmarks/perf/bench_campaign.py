@@ -316,6 +316,7 @@ def _cache_report(counters: dict) -> dict:
 
     pairs = {
         "lexer": ("lexer_hits", "lexer_misses"),
+        "statements": ("statements_hits", "statements_misses"),
         "reparse": ("reparse_hits", "reparse_misses"),
         "typecheck": ("typecheck_hits", "typecheck_misses"),
         "interp": ("interp_hits", "interp_misses"),
@@ -385,6 +386,7 @@ def run_hotpath(programs: int) -> dict:
         and snapshot_emits <= HOTPATH_MAX_SNAPSHOT_EMITS
         and typecheck_runs <= HOTPATH_MAX_TYPECHECKS
         and caches["lexer"]["hits"] > 0
+        and caches["statements"]["hits"] > 0
         and caches["reparse"]["hits"] > 0
         and caches["interp"]["hits"] > 0
         and caches["bitblast"]["hits"] > 0

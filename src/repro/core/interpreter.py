@@ -124,22 +124,23 @@ class _Environment:
 
 
 def _merge(cond: Term, then_env: _Environment, else_env: _Environment) -> _Environment:
-    """Merge two branch environments under a condition."""
+    """Merge two branch environments under a condition.
 
-    merged = _Environment()
-    keys = set(then_env.values) | set(else_env.values)
-    for key in keys:
-        then_term = then_env.values.get(key)
-        else_term = else_env.values.get(key)
-        if then_term is None:
-            merged.values[key] = else_term
-        elif else_term is None:
-            merged.values[key] = then_term
-        elif then_term == else_term:
-            merged.values[key] = then_term
-        else:
-            merged.values[key] = smt.Ite(cond, then_term, else_term)
-        merged.widths[key] = then_env.widths.get(key, else_env.widths.get(key))
+    Starts from a copy of the else-environment, so only the then-
+    environment's entries are visited; a path both hold with one term (the
+    common case: a branch writes few paths) is recognised by identity,
+    since terms are interned.
+    """
+
+    merged = else_env.copy()
+    values = merged.values
+    for key, then_term in then_env.values.items():
+        else_term = values.get(key)
+        if else_term is not then_term:
+            if else_term is not None and then_term != else_term:
+                then_term = smt.Ite(cond, then_term, else_term)
+            values[key] = then_term
+    merged.widths.update(then_env.widths)
     return merged
 
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import smt
 from repro.core.interpreter import BlockSemantics, InterpreterError, SymbolicInterpreter, TableInfo
-from repro.metrics import MISSING, LruCache
+from repro.metrics import COUNTERS, MISSING, LruCache, declare
 from repro.p4 import ast
 from repro.smt.solver import CheckResult, Model, Solver
 from repro.targets.state import (
@@ -361,6 +361,10 @@ class SymbolicTestGenerator:
 #: ``None`` records an oracle failure so it is not retried per platform.
 _SEQGEN_CACHE = LruCache("testgen", 256)
 
+#: Every ``None`` :func:`cached_sequences` returns: a back-end unit that
+#: replays no packet test because test generation abstained.
+declare("testgen_abstentions")
+
 
 def cached_sequences(
     program: ast.Program, source: str, max_tests: int, sequence_length: int = 1
@@ -371,7 +375,8 @@ def cached_sequences(
     there is nothing a later packet could observe, so the extra packets
     would only multiply solver and replay cost.  Returns ``None`` when the
     symbolic oracle cannot handle the program (an oracle limitation, never
-    a finding -- paper §5.2).
+    a finding -- paper §5.2), and counts each such answer, cached or not,
+    as ``testgen_abstentions``.
     """
 
     length = max(1, sequence_length)
@@ -387,6 +392,8 @@ def cached_sequences(
         except InterpreterError:
             sequences = None
         _SEQGEN_CACHE.put(key, sequences)
+    if sequences is None:
+        COUNTERS["testgen_abstentions"] += 1
     return sequences
 
 

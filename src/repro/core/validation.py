@@ -34,7 +34,7 @@ from repro.core.interpreter import BlockSemantics, InterpreterError, SymbolicInt
 from repro.metrics import MISSING, LruCache
 from repro.p4 import parse_program
 from repro.p4.lexer import LexerError, clear_lexer_cache
-from repro.p4.parser import ParserError
+from repro.p4.parser import ParserError, clear_parser_cache
 from repro.p4.typecheck import TypeCheckError, checked_types, clear_typecheck_cache
 
 #: source -> reparse verdict: ``None`` when the snapshot reparses and
@@ -53,10 +53,12 @@ OutputPair = Tuple[str, str, "smt.Term", "smt.Term"]
 
 
 def clear_validation_caches() -> None:
-    """Drop every snapshot cache: the lexer's line memo, reparse, typecheck,
-    interpretation and shape (memory bound for services)."""
+    """Drop every snapshot cache: the lexer's line memo, the parser's
+    statement memo, reparse, typecheck, interpretation and shape (memory
+    bound for services)."""
 
     clear_lexer_cache()
+    clear_parser_cache()
     clear_typecheck_cache()
     _REPARSE_CACHE.clear()
     _INTERP_CACHE.clear()

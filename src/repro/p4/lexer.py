@@ -10,8 +10,11 @@ counts of skipped whitespace and comments.
 :meth:`Lexer.tokenize` memoises that scan per source line.  No token spans
 a line break, so a line's tokens -- kind, text, value, width and column --
 are a function of the line's text; the lexer looks each line up in one
-bounded process-wide memo (counted as ``lexer_hits`` / ``lexer_misses``)
-and stamps the tokens with their line number.  The snapshots of one
+bounded process-wide memo (:func:`line_tokens`, counted as ``lexer_hits`` /
+``lexer_misses``) and stamps copies of the tokens with their line number.
+The memo holds each line's tokens once, as shared :class:`Token` tuples
+stamped line 0, so :func:`repro.p4.parser.parse_program` can assemble a
+token list from them without copying a token.  The snapshots of one
 compilation share most of their lines, so a reparse lexes only the lines
 a pass rewrote.  It falls back to the full scan in two cases, so tokens
 and every error message stay byte-identical to it:
@@ -117,8 +120,7 @@ _KEYWORD = TokenKind.KEYWORD
 _SYMBOL = TokenKind.SYMBOL
 
 
-#: line text -> ``kind, text, value, width, column`` of each token on it,
-#: flattened into one tuple (see :func:`_line_tokens`).
+#: line text -> the tokens on it, stamped line 0 (see :func:`line_tokens`).
 _LINE_TOKENS = LruCache("lexer", 4096)
 
 #: Builds a token without the named tuple's argument handling, which would
@@ -146,20 +148,13 @@ class Lexer:
             return self.scan()
         tokens: List[Token] = []
         append = tokens.append
-        lookup = _LINE_TOKENS.get
         lines = source.split("\n")
         for line, text in enumerate(lines, 1):
-            entry = lookup(text)
-            if entry is MISSING:
-                try:
-                    entry = _line_tokens(text)
-                except LexerError:
-                    return self.scan()
-                _LINE_TOKENS.put(text, entry)
-            fields = iter(entry)
-            for kind, token_text, value, width, column in zip(
-                fields, fields, fields, fields, fields
-            ):
+            try:
+                entry = line_tokens(text)
+            except LexerError:
+                return self.scan()
+            for kind, token_text, value, width, _, column in entry:
                 append(_new_tuple(Token, (kind, token_text, value, width, line, column)))
         append(Token(TokenKind.END, "", None, None, len(lines), len(lines[-1]) + 1))
         return tokens
@@ -237,18 +232,23 @@ class Lexer:
         return Token(_NUMBER, text, int(text), None, line, column)
 
 
-def _line_tokens(text: str) -> Tuple[object, ...]:
-    """The memo entry of one line (no line break, no ``/*``): its tokens
-    from the full scan, without the END token and the line number.
+def line_tokens(text: str) -> Tuple[Token, ...]:
+    """The tokens of one line (no line break, no ``/*``) from the line memo.
 
-    One flat tuple with interned texts, not a tuple per token: it holds a
-    line in less than half the memory and is as fast to unpack.
+    The full scan's tokens without the END token, each stamped line 0 and
+    with its text interned.  The tuple and its tokens are shared by every
+    caller: never modify them.  Raises the full scan's :class:`LexerError`
+    (at line 1) when the line fails to lex, and caches nothing then.
     """
 
-    entry: List[object] = []
-    for kind, token_text, value, width, _, column in Lexer(text).scan()[:-1]:
-        entry += (kind, sys.intern(token_text), value, width, column)
-    return tuple(entry)
+    entry = _LINE_TOKENS.get(text)
+    if entry is MISSING:
+        entry = tuple(
+            _new_tuple(Token, (kind, sys.intern(token_text), value, width, 0, column))
+            for kind, token_text, value, width, _, column in Lexer(text).scan()[:-1]
+        )
+        _LINE_TOKENS.put(text, entry)
+    return entry  # type: ignore[return-value]
 
 
 def tokenize(source: str) -> List[Token]:

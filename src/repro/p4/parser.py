@@ -9,14 +9,20 @@ Declarations and statements are parsed by recursive descent.  Binary
 expressions are parsed by precedence climbing over one operator → level
 table (:data:`BINARY_PRECEDENCE`): an operand costs one call whatever its
 depth in the eleven precedence levels, instead of one call per level.
+
+:func:`parse_program` reparses the snapshots of one compilation, which
+share most of their lines, so it reuses what earlier parses built: the
+lexer's shared per-line tokens and, by line text, every statement that
+spans exactly one line (:data:`_LINE_STATEMENTS`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.metrics import MISSING, LruCache
 from repro.p4 import ast
-from repro.p4.lexer import Lexer, Token, TokenKind
+from repro.p4.lexer import Lexer, LexerError, Token, TokenKind, line_tokens
 from repro.p4.types import BitType, BoolType, HeaderStackType, P4Type, TypeName, VoidType
 
 
@@ -60,6 +66,25 @@ _NUMBER = TokenKind.NUMBER
 _KEYWORD = TokenKind.KEYWORD
 _END = TokenKind.END
 
+#: line text -> the statement the line parses to, for each line that holds
+#: exactly one statement other than ``if`` and blocks.  Those statements end
+#: in a ``;`` after which the parser reads no token, so their parse is a
+#: function of their line alone; ``if`` reads past its line for an
+#: ``else``, and blocks are left out with it.  The statement nodes are
+#: shared by every program they are part of.
+_LINE_STATEMENTS = LruCache("statements", 2048)
+
+_LINE_SPANNING = (ast.IfStatement, ast.BlockStatement)
+
+#: The END token of a token list assembled from the line memo.
+_MEMO_END = Token(TokenKind.END, "")
+
+
+def clear_parser_cache() -> None:
+    """Drop the statement memo (the counters keep growing)."""
+
+    _LINE_STATEMENTS.clear()
+
 
 class Parser:
     """Parse a token stream into a :class:`repro.p4.ast.Program`.
@@ -74,6 +99,35 @@ class Parser:
         tokens.append(tokens[-1])
         self.tokens = tokens
         self.position = 0
+        #: First token index of a line -> (line text, index past the line's
+        #: last token): where the statement memo may answer.  Empty unless
+        #: the parser was built by :meth:`from_line_memo`.
+        self.lines: Dict[int, Tuple[str, int]] = {}
+
+    @classmethod
+    def from_line_memo(cls, source: str) -> "Parser":
+        """A parser over the lexer memo's shared tokens that answers one-line
+        statements from the statement memo.
+
+        Its tokens carry line 0 and its END token no position, so an error
+        it raises has the wrong position: :func:`parse_program` reparses
+        with the exact parser then.  ``source`` must not contain ``/*``.
+        """
+
+        parser = cls.__new__(cls)
+        tokens: List[Token] = []
+        lines: Dict[int, Tuple[str, int]] = {}
+        for text in source.split("\n"):
+            entry = line_tokens(text)
+            if entry:
+                start = len(tokens)
+                tokens += entry
+                lines[start] = (text, len(tokens))
+        tokens += (_MEMO_END, _MEMO_END)
+        parser.tokens = tokens
+        parser.position = 0
+        parser.lines = lines
+        return parser
 
     # -- token plumbing -------------------------------------------------------
     #
@@ -404,6 +458,20 @@ class Parser:
         return ast.BlockStatement(statements)
 
     def _parse_statement(self) -> ast.Statement:
+        line = self.lines.get(self.position)
+        if line is None:
+            return self._parse_one_statement()
+        text, end = line
+        statement = _LINE_STATEMENTS.get(text)
+        if statement is not MISSING:
+            self.position = end
+            return statement  # type: ignore[return-value]
+        statement = self._parse_one_statement()
+        if self.position == end and not isinstance(statement, _LINE_SPANNING):
+            _LINE_STATEMENTS.put(text, statement)
+        return statement
+
+    def _parse_one_statement(self) -> ast.Statement:
         token = self._peek()
         text = token.text
         if text == "{":
@@ -563,6 +631,24 @@ class Parser:
 
 
 def parse_program(source: str) -> ast.Program:
-    """Parse P4 source text into an AST program."""
+    """Parse P4 source text into an AST program.
 
+    The program is built from the lexer's line memo and the statement memo
+    (:meth:`Parser.from_line_memo`).  Whenever that raises a
+    :class:`ParserError` or :class:`~repro.p4.lexer.LexerError`, or the
+    source contains ``/*``, the exact parser over :meth:`Lexer.tokenize`
+    runs instead, so the AST and every error message are those of the
+    exact parse.
+
+    The returned program shares its one-line statements with every other
+    program this function returned, so callers must not write to any of
+    its nodes: clone it first (:meth:`repro.p4.ast.Node.clone`), as
+    compiler passes and the reducer do.
+    """
+
+    if "/*" not in source:
+        try:
+            return Parser.from_line_memo(source).parse_program()
+        except (ParserError, LexerError):
+            pass  # its position is wrong: the exact parse raises the error again
     return Parser(source).parse_program()

@@ -30,7 +30,7 @@ in ``tests/smt/test_simplify_properties.py`` check exactly that.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.smt import terms as t
 from repro.smt.terms import Term
@@ -57,6 +57,12 @@ _CACHE: Dict[Term, Term] = {}
 #: fixpoint, which both bounds the cost of the re-rewrite after a branch
 #: changes and guarantees the ite rule terminates.
 _ASSUME_CACHE: Dict[tuple, Term] = {}
+
+#: (cond, polarity) -> the walk memo of :func:`_assume` under that guard:
+#: the facts the guard pins, plus each node's rewrite under them.  Shared by
+#: every branch propagated under the guard: the fields written under one
+#: guard share most of their subterms.
+_GUARD_WALKS: Dict[Tuple[Term, bool], Dict[Term, Term]] = {}
 
 
 def simplify(term: Term) -> Term:
@@ -89,6 +95,7 @@ def clear_simplify_cache() -> None:
 
     _CACHE.clear()
     _ASSUME_CACHE.clear()
+    _GUARD_WALKS.clear()
 
 
 def simplify_cache_size() -> int:
@@ -101,26 +108,23 @@ def _all_const(node: Term) -> bool:
     return all(child.is_const() for child in node.children)
 
 
-def _assume(branch: Term, facts: Dict[Term, Term]) -> Term:
+def _assume(branch: Term, memo: Dict[Term, Term]) -> Term:
     """Rewrite ``branch`` under known truth values for some Boolean terms.
 
-    ``facts`` maps hash-consed Boolean terms to ``t.TRUE``/``t.FALSE``.
-    Every occurrence is replaced and the surrounding structure re-rewritten
-    bottom-up, which collapses guard-redundant reads like an inner
-    ``ite(h.$valid, ...)`` sitting under an outer branch on ``h.$valid``.
+    ``memo`` starts as the facts: hash-consed Boolean terms mapped to
+    ``t.TRUE``/``t.FALSE``.  Every occurrence is replaced and the
+    surrounding structure re-rewritten bottom-up, which collapses
+    guard-redundant reads like an inner ``ite(h.$valid, ...)`` sitting
+    under an outer branch on ``h.$valid``.  The walk adds each node's
+    rewrite to ``memo``, so a later walk under the same facts reuses it.
     """
 
-    memo: Dict[Term, Term] = {}
-
     def walk(node: Term) -> Term:
-        hit = facts.get(node)
+        hit = memo.get(node)
         if hit is not None:
             return hit
         if not node.children:
             return node
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
         children = tuple(walk(child) for child in node.children)
         if children == node.children:
             result = node
@@ -139,21 +143,24 @@ def _propagate_guard(branch: Term, cond: Term, polarity: bool) -> Term:
     cached = _ASSUME_CACHE.get(key)
     if cached is not None:
         return cached
-    value = t.TRUE if polarity else t.FALSE
-    facts: Dict[Term, Term] = {cond: value}
-    # A conjunction that holds pins every conjunct; a disjunction that
-    # fails pins every disjunct.  Negated literals pin their operand to
-    # the opposite value.
-    subs = ()
-    if polarity and cond.op == "and":
-        subs = cond.children
-    elif not polarity and cond.op == "or":
-        subs = cond.children
-    for sub in subs:
-        facts[sub] = value
-        if sub.op == "not":
-            facts[sub.children[0]] = t.FALSE if polarity else t.TRUE
-    result = _assume(branch, facts)
+    guard = (cond, polarity)
+    memo = _GUARD_WALKS.get(guard)
+    if memo is None:
+        value = t.TRUE if polarity else t.FALSE
+        memo = _GUARD_WALKS[guard] = {cond: value}
+        # A conjunction that holds pins every conjunct; a disjunction that
+        # fails pins every disjunct.  Negated literals pin their operand to
+        # the opposite value.
+        subs = ()
+        if polarity and cond.op == "and":
+            subs = cond.children
+        elif not polarity and cond.op == "or":
+            subs = cond.children
+        for sub in subs:
+            memo[sub] = value
+            if sub.op == "not":
+                memo[sub.children[0]] = t.FALSE if polarity else t.TRUE
+    result = _assume(branch, memo)
     _ASSUME_CACHE[key] = result
     # Declare the result a fixpoint so the re-rewrite of the rebuilt ite
     # terminates immediately instead of re-walking the branch.

@@ -456,8 +456,10 @@ def _split_equivalent(left: Term, right: Term) -> bool:
             budget -= 1
             if budget < 0:
                 return False
-            facts = {atom: value}
-            if not prove(simplify(_assume(left, facts)), simplify(_assume(right, facts))):
+            if not prove(
+                simplify(_assume(left, {atom: value})),
+                simplify(_assume(right, {atom: value})),
+            ):
                 return False
         return True
 

@@ -26,9 +26,16 @@ from typing import Iterable, Optional, Tuple, Union
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sort:
-    """Base class for term sorts."""
+    """Base class for term sorts.
+
+    Sorts are interned (:func:`BoolSort`, :func:`BitVecSort`), so they
+    compare and hash by identity: every term construction hashes its sort,
+    and the object's own hash is a C-level call where a dataclass hash is a
+    Python one.  Pickling and copying go through the interning factories,
+    so an unpickled sort is the canonical one.
+    """
 
     def is_bool(self) -> bool:
         return isinstance(self, _BoolSort)
@@ -37,13 +44,16 @@ class Sort:
         return isinstance(self, _BitVecSort)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BoolSort(Sort):
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return "Bool"
 
+    def __reduce__(self):
+        return (BoolSort, ())
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class _BitVecSort(Sort):
     width: int
 
@@ -53,6 +63,9 @@ class _BitVecSort(Sort):
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"BitVec({self.width})"
+
+    def __reduce__(self):
+        return (BitVecSort, (self.width,))
 
 
 _BOOL_SORT = _BoolSort()
@@ -66,7 +79,7 @@ def BoolSort() -> _BoolSort:
 
 
 def BitVecSort(width: int) -> _BitVecSort:
-    """Return the bit-vector sort of ``width`` bits (cached)."""
+    """Return the bit-vector sort of ``width`` bits (interned)."""
 
     sort = _BV_SORT_CACHE.get(width)
     if sort is None:

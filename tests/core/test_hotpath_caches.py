@@ -86,6 +86,7 @@ class TestResetWorkerState:
         "prefix_misses",
         "testgen_misses",
         "lexer_misses",
+        "statements_misses",
         "reparse_misses",
         "typecheck_misses",
         "typecheck_runs",

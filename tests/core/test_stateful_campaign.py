@@ -243,7 +243,8 @@ class TestStatefulTriage:
             assert not at_one(reduced, emit_program(reduced))
 
     def test_shrink_registers_collapses_banks_smallest_first(self):
-        program = parse_program(STATEFUL_SOURCE)
+        # The transform edits in place; a parsed program is read-only.
+        program = parse_program(STATEFUL_SOURCE).clone()
         calls = []
 
         def accept(candidate):

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.compiler import CompilerOptions
+from repro.core.engine import stages
+from repro.core.engine.units import STATUS_CLEAN, WorkUnit
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
+from repro.core.interpreter import InterpreterError, SymbolicInterpreter
 from repro.core.testgen import SymbolicTestGenerator
-from repro.p4 import parse_program
+from repro.p4 import emit_program, parse_program
 from repro.targets import Bmv2Target, PacketTest, PtfRunner, StfRunner, TofinoTarget
 
 
@@ -184,3 +187,36 @@ control ingress(inout Headers hdr) {
         buggy = Bmv2Target(CompilerOptions(enabled_bugs={"bmv2_wide_field_truncation"}))
         results = run_tests_against(program, buggy, StfRunner)
         assert any(not result.passed for result in results)
+
+
+#: Each block interprets on its own, but the pipeline view raises: the
+#: parser writes through a parameter name the ingress control does not use.
+PIPELINE_RAISES = PRELUDE + """
+parser prs(inout Headers hs) {
+    state start {
+        hs.h.a = 8w1;
+        transition accept;
+    }
+}
+control ingress(inout Headers hdr) {
+    apply { hdr.h.b = hdr.h.a + 8w2; }
+}
+"""
+
+
+class TestAbstentionsAreCounted:
+    def test_each_backend_unit_counts_its_abstention(self, monkeypatch):
+        program = parse_program(PIPELINE_RAISES)
+        SymbolicInterpreter(program).interpret()
+        with pytest.raises(InterpreterError):
+            SymbolicInterpreter(program).interpret_pipeline()
+        generated = stages.GeneratedProgram(program, emit_program(program))
+        monkeypatch.setattr(stages, "stage_generate", lambda unit: generated)
+        stages.reset_worker_state()
+        abstentions = {}
+        for platform in ("p4c", "bmv2", "tofino"):
+            outcome = stages.run_unit(WorkUnit(0, platform, GeneratorConfig(seed=1)))
+            assert outcome.status == STATUS_CLEAN
+            abstentions[platform] = outcome.counters["testgen_abstentions"]
+        # tofino's unit reads bmv2's cached abstention, and counts it too.
+        assert abstentions == {"p4c": 0, "bmv2": 1, "tofino": 1}

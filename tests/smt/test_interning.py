@@ -11,6 +11,7 @@ These pin down the contracts the validation hot path relies on:
 """
 
 import copy
+import pickle
 
 from repro import smt
 from repro.metrics import COUNTERS
@@ -56,6 +57,16 @@ class TestInterning:
         assert copy.copy(term) is term
         assert copy.deepcopy(term) is term
 
+    def test_sorts_stay_canonical_through_pickles_and_copies(self):
+        # Sorts compare by identity, so every route to a sort must end at
+        # the interned one.
+        sort = t.BitVecSort(8)
+        for twin in (pickle.loads(pickle.dumps(sort)), copy.copy(sort), copy.deepcopy(sort)):
+            assert twin is sort
+        assert pickle.loads(pickle.dumps(t.BoolSort())) is t.BoolSort()
+        term = smt.Ite(smt.BoolSym("c"), X, Y)
+        assert pickle.loads(pickle.dumps(term)) is term
+
     def test_symbols_with_same_name_are_shared(self):
         assert smt.BitVecSym("hdr.h.a", 8) is smt.BitVecSym("hdr.h.a", 8)
         assert smt.BoolSym("p") is smt.BoolSym("p")
@@ -76,6 +87,15 @@ class TestInterning:
         solver.add(smt.Eq(X, smt.BitVecVal(9, 8)))
         assert solver.check() == CheckResult.SAT
         assert solver.model()["x"] == 9
+
+    def test_clear_term_caches_drops_the_guard_walk_memo(self):
+        from repro.smt.simplify import _GUARD_WALKS
+
+        guard = smt.BoolSym("guard")
+        assert simplify(smt.Ite(guard, smt.Ite(guard, X, Y), Y)) is smt.Ite(guard, X, Y)
+        assert (guard, True) in _GUARD_WALKS
+        smt.clear_term_caches()
+        assert not _GUARD_WALKS
 
 
 class TestSimplifyMemoisation:
