@@ -5,7 +5,10 @@
 #   make bench          run the perf harness; writes BENCH_campaign.json
 #   make bench-scaling  also record the worker-scaling curve (jobs = 1, 2, 4, 8;
 #                       serial at 1, a local worker fleet above)
-#   make bench-reduce   also record per-report reduction ratio + wall time
+#   make bench-reduce   also record per-report reduction ratio + wall time and
+#                       the triage stage's SAT invocations, conflicts and
+#                       batched checks; fails below the mean-reduction target,
+#                       above 104 SAT invocations or on any batched check
 #   make bench-hotpath  record the validation hot-path section (programs/sec,
 #                       SAT invocations and conflicts, case-split equivalences,
 #                       budget-exhausted queries, snapshot emits, type checks,

@@ -117,6 +117,15 @@ REDUCE_BUGS = (
 )
 #: Acceptance floor: mean statement-count reduction over filed reports.
 REDUCE_TARGET_RATIO = 0.5
+#: SAT invocations the triage stage of the reduce workload may make
+#: (``solver_sat_invocations`` summed from its triage units' counters,
+#: caches reset before the detection run that precedes it): its count once
+#: translation validation walked each snapshot pair with
+#: ``find_divergence`` alone.  It was 144, with 41 batched checks, while a
+#: batched ``all_equivalent`` probe ran first and mostly re-solved pairs
+#: the walk then solved again, so the stage must also send no batched
+#: check (``solver_batched_checks``).
+REDUCE_MAX_SAT_INVOCATIONS = 104
 
 #: The validation-hot-path workload (``--hotpath`` / ``make bench-hotpath``):
 #: the 200-program scaling campaign at ``jobs=1``, cold caches.  The gate is
@@ -435,6 +444,7 @@ def run_reduce(programs: int = PROGRAMS) -> dict:
     from repro.core.engine import ArtifactStore, triage_key
     from repro.core.generator import GeneratorConfig
 
+    reset_worker_state()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "artifacts.jsonl")
         base = dict(
@@ -487,6 +497,10 @@ def run_reduce(programs: int = PROGRAMS) -> dict:
         for report in stats.tracker.reports
         if report.kind.value == "crash"
     ]
+    # Every unit is reused from the store, so the counters are the triage
+    # units' own.
+    sat_invocations = stats.counters.get("solver_sat_invocations", 0)
+    batched_checks = stats.counters.get("solver_batched_checks", 0)
     return {
         "programs": programs,
         "seed": REDUCE_SEED,
@@ -497,7 +511,15 @@ def run_reduce(programs: int = PROGRAMS) -> dict:
         "mean_reduction_ratio": round(mean_ratio, 4),
         "crash_bugs_localized": all(localized) and bool(localized),
         "target_mean_reduction": REDUCE_TARGET_RATIO,
-        "meets_target": mean_ratio >= REDUCE_TARGET_RATIO,
+        "sat_invocations": sat_invocations,
+        "max_sat_invocations": REDUCE_MAX_SAT_INVOCATIONS,
+        "sat_conflicts": stats.counters.get("solver_sat_conflicts", 0),
+        "batched_checks": batched_checks,
+        "meets_target": (
+            mean_ratio >= REDUCE_TARGET_RATIO
+            and sat_invocations <= REDUCE_MAX_SAT_INVOCATIONS
+            and batched_checks == 0
+        ),
         "reduction_quality": quality,
     }
 
@@ -1118,7 +1140,7 @@ def main(argv=None) -> int:
         ]
         print(f"scaling (executor, jobs, s, x): {summary}")
         print(f"deterministic across jobs: {payload['scaling']['deterministic']}")
-    if "triage" in payload:
+    if args.reduce and "triage" in payload:
         triage = payload["triage"]
         for entry in triage["reports"]:
             print(
@@ -1129,7 +1151,11 @@ def main(argv=None) -> int:
         print(
             f"triage: mean reduction {triage['mean_reduction_ratio']:.0%} "
             f"(target >= {triage['target_mean_reduction']:.0%}), "
-            f"{triage['triage_elapsed_s']}s for {len(triage['reports'])} reports"
+            f"{triage['triage_elapsed_s']}s for {len(triage['reports'])} reports, "
+            f"{triage['sat_invocations']} SAT invocations "
+            f"(must stay at or below {triage['max_sat_invocations']}), "
+            f"{triage['sat_conflicts']} SAT conflicts, "
+            f"{triage['batched_checks']} batched checks (must be 0)"
         )
         for name, entry in triage["reduction_quality"]["per_transform_class"].items():
             print(

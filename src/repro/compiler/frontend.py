@@ -51,26 +51,29 @@ def collect_reads(node: ast.Node) -> Set[str]:
     the enclosing storage).
     """
 
-    reads: Set[str] = set()
+    collector = _ReadCollector()
+    collector.transform(node)
+    return collector.reads
 
-    def add_paths(expr: ast.Node) -> None:
+
+class _ReadCollector(Transformer):
+    def __init__(self) -> None:
+        self.reads: Set[str] = set()
+
+    def _add_paths(self, expr: ast.Node) -> None:
         for sub in ast.walk(expr):
             if isinstance(sub, ast.PathExpression):
-                reads.add(sub.name)
+                self.reads.add(sub.name)
 
-    class _Reads(Transformer):
-        def visit_AssignmentStatement(self, stmt: ast.AssignmentStatement):
-            add_paths(stmt.rhs)
-            if not isinstance(stmt.lhs, ast.PathExpression):
-                add_paths(stmt.lhs)
-            return stmt
+    def visit_AssignmentStatement(self, stmt: ast.AssignmentStatement):
+        self._add_paths(stmt.rhs)
+        if not isinstance(stmt.lhs, ast.PathExpression):
+            self._add_paths(stmt.lhs)
+        return stmt
 
-        def visit_PathExpression(self, expr: ast.PathExpression):
-            reads.add(expr.name)
-            return expr
-
-    _Reads().transform(node)
-    return reads
+    def visit_PathExpression(self, expr: ast.PathExpression):
+        self.reads.add(expr.name)
+        return expr
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,8 @@ class SimplifyDefUse(CompilerPass):
         for function in program.functions():
             has_inout = any(param.direction == "inout" for param in function.params)
             has_return = any(
-                isinstance(node, ast.ReturnStatement) for node in ast.walk(function.body)
+                isinstance(node, ast.ReturnStatement)
+                for node in ast.walk_statements(function.body)
             )
             if has_inout and has_return:
                 poisoned.add(function.name)
@@ -191,21 +195,10 @@ class SimplifyDefUse(CompilerPass):
         }
         local_names |= {
             stmt.name
-            for stmt in ast.walk(control.apply)
+            for stmt in ast.walk_statements(control.apply)
             if isinstance(stmt, ast.VariableDeclaration)
         }
-
-        class _DropDeadStores(Transformer):
-            def visit_AssignmentStatement(self, stmt: ast.AssignmentStatement):
-                if (
-                    isinstance(stmt.lhs, ast.PathExpression)
-                    and stmt.lhs.name in local_names
-                    and stmt.lhs.name not in reads
-                ):
-                    return None
-                return stmt
-
-        control = _DropDeadStores().transform(control)
+        control = _DeadStoreDropper(local_names - reads).transform(control)
 
         if poisoned_functions:
             control = self._buggy_clear_arguments(control, poisoned_functions)
@@ -229,15 +222,32 @@ class SimplifyDefUse(CompilerPass):
                             doomed.add(root)
         if not doomed:
             return control
-
-        class _DropDeclarations(Transformer):
-            def visit_VariableDeclaration(self, decl: ast.VariableDeclaration):
-                if decl.name in doomed:
-                    return None
-                return decl
-
         # Doomed control locals go too: they are statements in a list field.
-        return _DropDeclarations().transform(control)
+        return _DeclarationDropper(doomed).transform(control)
+
+
+class _DeadStoreDropper(Transformer):
+    """Drop assignments to the given local variables."""
+
+    def __init__(self, dead: Set[str]) -> None:
+        self.dead = dead
+
+    def visit_AssignmentStatement(self, stmt: ast.AssignmentStatement):
+        if isinstance(stmt.lhs, ast.PathExpression) and stmt.lhs.name in self.dead:
+            return None
+        return stmt
+
+
+class _DeclarationDropper(Transformer):
+    """Drop the declarations of the given variables."""
+
+    def __init__(self, doomed: Set[str]) -> None:
+        self.doomed = doomed
+
+    def visit_VariableDeclaration(self, decl: ast.VariableDeclaration):
+        if decl.name in self.doomed:
+            return None
+        return decl
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +372,7 @@ class _FunctionInliner(Transformer):
                     f"void function {expr.target.name!r} used in an expression"
                 )
             return result
-
-        class _Nested(Transformer):
-            def __init__(self, outer: "_FunctionInliner") -> None:
-                self.outer = outer
-
-            def visit_MethodCallExpression(self, call: ast.MethodCallExpression):
-                if (
-                    isinstance(call.target, ast.PathExpression)
-                    and call.target.name in self.outer.functions
-                ):
-                    return self.outer._expand_expression(call, prelude, top_level=False)
-                return self.generic_visit(call)
-
-        return _Nested(self).transform(expr)
+        return _NestedCallExpander(self, prelude).transform(expr)
 
     # -- the actual inlining --------------------------------------------------------
 
@@ -431,16 +428,37 @@ class _FunctionInliner(Transformer):
         return statements, result
 
 
+class _NestedCallExpander(Transformer):
+    """Inline the function calls nested inside one expression, appending
+    their statements to ``prelude``."""
+
+    def __init__(self, outer: _FunctionInliner, prelude: List[ast.Statement]) -> None:
+        self.outer = outer
+        self.prelude = prelude
+
+    def visit_MethodCallExpression(self, call: ast.MethodCallExpression):
+        if (
+            isinstance(call.target, ast.PathExpression)
+            and call.target.name in self.outer.functions
+        ):
+            return self.outer._expand_expression(call, self.prelude, top_level=False)
+        return self.generic_visit(call)
+
+
 def _rewrite_returns(block: ast.BlockStatement, return_temp: Optional[str]) -> ast.BlockStatement:
     """Turn ``return expr;`` into an assignment to the return temporary."""
 
-    class _Returns(Transformer):
-        def visit_ReturnStatement(self, stmt: ast.ReturnStatement):
-            if stmt.value is None or return_temp is None:
-                return ast.EmptyStatement()
-            return ast.AssignmentStatement(ast.PathExpression(return_temp), stmt.value)
+    return _ReturnRewriter(return_temp).transform(block)
 
-    return _Returns().transform(block)
+
+class _ReturnRewriter(Transformer):
+    def __init__(self, return_temp: Optional[str]) -> None:
+        self.return_temp = return_temp
+
+    def visit_ReturnStatement(self, stmt: ast.ReturnStatement):
+        if stmt.value is None or self.return_temp is None:
+            return ast.EmptyStatement()
+        return ast.AssignmentStatement(ast.PathExpression(self.return_temp), stmt.value)
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +591,18 @@ def _drop_assignments_to_roots(
 ) -> ast.BlockStatement:
     """Seeded defect helper: delete assignments whose l-value root is in ``roots``."""
 
-    class _Dropper(Transformer):
-        def visit_AssignmentStatement(self, stmt: ast.AssignmentStatement):
-            root = ast.lvalue_root(stmt.lhs)
-            if root in roots and isinstance(stmt.lhs, (ast.Slice, ast.Member)):
-                return None
-            return stmt
+    return _PartialAssignmentDropper(roots).transform(block)
 
-    return _Dropper().transform(block)
+
+class _PartialAssignmentDropper(Transformer):
+    def __init__(self, roots: Set[str]) -> None:
+        self.roots = roots
+
+    def visit_AssignmentStatement(self, stmt: ast.AssignmentStatement):
+        root = ast.lvalue_root(stmt.lhs)
+        if root in self.roots and isinstance(stmt.lhs, (ast.Slice, ast.Member)):
+            return None
+        return stmt
 
 
 def _insert_copy_out_before_exits(
@@ -592,13 +614,17 @@ def _insert_copy_out_before_exits(
     clarified in the specification after the bug in figure 5f was reported).
     """
 
-    class _Exits(Transformer):
-        def visit_ExitStatement(self, stmt: ast.ExitStatement):
-            if not copy_out:
-                return stmt
-            return [assignment.clone() for assignment in copy_out] + [stmt]
+    return _CopyOutBeforeExits(copy_out).transform(block)
 
-    return _Exits().transform(block)
+
+class _CopyOutBeforeExits(Transformer):
+    def __init__(self, copy_out: Sequence[ast.AssignmentStatement]) -> None:
+        self.copy_out = copy_out
+
+    def visit_ExitStatement(self, stmt: ast.ExitStatement):
+        if not self.copy_out:
+            return stmt
+        return [assignment.clone() for assignment in self.copy_out] + [stmt]
 
 
 # ---------------------------------------------------------------------------

@@ -770,7 +770,7 @@ def _collect_name_widths(program: ast.Program) -> Dict[str, Optional[int]]:
         for field_name, field_type in header.fields:
             if isinstance(field_type, BitType):
                 record(field_name, field_type.width)
-    for node in ast.walk(program):
+    for node in ast.walk_statements(program):
         if isinstance(node, ast.VariableDeclaration) and isinstance(
             node.var_type, BitType
         ):
@@ -961,7 +961,7 @@ class Predication(CompilerPass):
         return replace_items(block, "statements", statements)
 
     def _only_assignments(self, statement: ast.IfStatement) -> bool:
-        for node in ast.walk(statement):
+        for node in ast.walk_statements(statement):
             if isinstance(node, ast.Statement) and not isinstance(
                 node,
                 (
@@ -1045,7 +1045,7 @@ class Predication(CompilerPass):
 
 
 def _contains_if(node: ast.Node) -> bool:
-    return any(isinstance(sub, ast.IfStatement) for sub in ast.walk(node))
+    return any(isinstance(sub, ast.IfStatement) for sub in ast.walk_statements(node))
 
 
 def _bool_type():
@@ -1100,27 +1100,7 @@ def _propagate_block(
     #: validity consideration.
     known_valid: Set[str] = set()
 
-    def substitute_facts(expr: ast.Expression) -> ast.Expression:
-        class _Subst(Transformer):
-            def visit_PathExpression(self, node: ast.PathExpression):
-                fact = facts.get(node.name)
-                if fact is not None:
-                    record("substitute_local")
-                    return fact.clone()
-                return node
-
-            def visit_Member(self, node: ast.Member):
-                fact = facts.get(str(node))
-                if fact is not None:
-                    record("substitute_field")
-                    return fact.clone()
-                return self.generic_visit(node)
-
-            def visit_MethodCallExpression(self, node: ast.MethodCallExpression):
-                # Never rewrite the callee of isValid()/apply() etc.
-                return node
-
-        return _Subst().transform(expr)
+    substitute_facts = _FactSubstituter(facts, record).transform
 
     def kill_root(root: Optional[str]) -> None:
         if root is None:
@@ -1197,6 +1177,32 @@ def _propagate_block(
             facts.clear()
             known_valid.clear()
     return replace_items(block, "statements", statements)
+
+
+class _FactSubstituter(Transformer):
+    """Replace the locals and header fields ``facts`` knows by their constants."""
+
+    def __init__(self, facts: Dict[str, ast.Expression], record) -> None:
+        self.facts = facts
+        self.record = record
+
+    def visit_PathExpression(self, node: ast.PathExpression):
+        fact = self.facts.get(node.name)
+        if fact is not None:
+            self.record("substitute_local")
+            return fact.clone()
+        return node
+
+    def visit_Member(self, node: ast.Member):
+        fact = self.facts.get(str(node))
+        if fact is not None:
+            self.record("substitute_field")
+            return fact.clone()
+        return self.generic_visit(node)
+
+    def visit_MethodCallExpression(self, node: ast.MethodCallExpression):
+        # Never rewrite the callee of isValid()/apply() etc.
+        return node
 
 
 # ---------------------------------------------------------------------------

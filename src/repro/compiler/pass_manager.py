@@ -13,6 +13,13 @@ object as unchanged and reuses the previous source instead of emitting it
 again; any other result is emitted and compared as above.  A caller that
 already holds the input's emitted source passes it in, and the input is
 not emitted either.
+
+A pass that changed something still shares every declaration and
+statement it left alone with its input, and no pass writes to a node it
+returned, so one run renders each of those objects once: every emit of
+the run goes through one emit memo (:data:`repro.p4.emitter.EmitMemo`),
+and a later snapshot reuses the text of each object an earlier one
+rendered.  The memo dies with the run.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from repro.compiler.options import CompilerOptions
 from repro.compiler.passes import CompilerPass, PassContext
 from repro.metrics import COUNTERS, declare
 from repro.p4 import ast
-from repro.p4.emitter import emit_program
+from repro.p4.emitter import EmitMemo, emit_program
 
 declare("compiler_snapshot_emits")
 
@@ -108,8 +115,9 @@ class PassManager:
         result = CompilationResult(options=self.options)
         context = PassContext(options=self.options)
         result.coverage = context.coverage
+        memo: EmitMemo = {}
         if source is None:
-            source = emit_program(program)
+            source = emit_program(program, memo)
             COUNTERS["compiler_snapshot_emits"] += 1
         result.snapshots.append(
             PassSnapshot("input", "input", program, source, changed=True)
@@ -144,7 +152,7 @@ class PassManager:
             if transformed is current:
                 new_source = previous_source
             else:
-                new_source = emit_program(transformed)
+                new_source = emit_program(transformed, memo)
                 COUNTERS["compiler_snapshot_emits"] += 1
             changed = new_source != previous_source
             if changed:

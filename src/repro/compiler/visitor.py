@@ -5,6 +5,16 @@
 with transformed children, so passes only need code for the node types they
 care about.
 
+Dispatch is by the node's exact class, through a table each transformer
+class fills once per node class: the ``visit_`` method named after the
+class if it has one, else :meth:`Transformer.generic_visit`.  Nothing but
+expressions is reachable from an expression, so a transformer class with
+no ``visit_`` method for any expression class cannot change one; its table
+returns every expression untouched instead of walking it.  Such a class
+must not override :meth:`~Transformer.generic_visit` to act on
+expressions.  Transformer classes live at module level: the tables belong
+to the class, and a class created per call would rebuild them every time.
+
 Every pass is copy-on-write, and transformers are how most of them get
 there.  A pass never writes to a node it received.  It copies only the
 nodes it rewrites and their ancestors, and shares every other node with
@@ -20,7 +30,7 @@ rebuilds a container keeps the contract with :func:`replace_items`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, List
+from typing import Any, Callable, Dict, List
 
 from repro.p4 import ast
 
@@ -55,16 +65,53 @@ def map_controls(
     )
 
 
+#: Names of the expression node classes.
+_EXPRESSION_CLASSES = frozenset(
+    name
+    for name, value in vars(ast).items()
+    if isinstance(value, type) and issubclass(value, ast.Expression)
+)
+
+
+def _unchanged(transformer: "Transformer", node: ast.Node) -> ast.Node:
+    return node
+
+
 class Transformer:
     """Rebuild an AST, dispatching to ``visit_<ClassName>`` methods."""
+
+    #: Node class -> the function that transforms it, per transformer class.
+    _dispatch: Dict[type, Callable[["Transformer", ast.Node], Any]] = {}
+    #: True when no ``visit_`` method names an expression class.
+    _skips_expressions = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch = {}
+        cls._skips_expressions = not any(
+            name[len("visit_"):] in _EXPRESSION_CLASSES
+            for name in dir(cls)
+            if name.startswith("visit_")
+        )
+
+    @classmethod
+    def _visitor(cls, node_class: type) -> Callable[["Transformer", ast.Node], Any]:
+        method = getattr(cls, f"visit_{node_class.__name__}", None)
+        if method is not None:
+            return method
+        if cls._skips_expressions and issubclass(node_class, ast.Expression):
+            return _unchanged
+        return cls.generic_visit
 
     def transform(self, node: ast.Node) -> Any:
         """Transform a single node (dispatch on its dynamic type)."""
 
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            return method(node)
-        return self.generic_visit(node)
+        node_class = type(node)
+        try:
+            visit = self._dispatch[node_class]
+        except KeyError:
+            visit = self._dispatch[node_class] = self._visitor(node_class)
+        return visit(self, node)
 
     def transform_program(self, program: ast.Program) -> ast.Program:
         """Transform a whole program."""

@@ -227,8 +227,7 @@ class CampaignEngine:
     def _fold_service_counters(executor, statistics: CampaignStatistics) -> None:
         """Accumulate the distributed transport's QoS counters, if any."""
 
-        for key, value in getattr(executor, "service_counters", {}).items():
-            statistics.counters[key] = statistics.counters.get(key, 0) + value
+        statistics.add_counters(getattr(executor, "service_counters", {}))
 
     # ------------------------------------------------------------------
     # Triage stage: reduce + localize each deduplicated report
@@ -298,10 +297,12 @@ class CampaignEngine:
                     self.store.append_triage(key, outcome)
 
             journal = lambda event: self.store.append_lease_event(key, event)  # noqa: E731
+        # As with generation units, only fresh outcomes add their counters.
         for outcome in executor.run_units(
             pending, kind=KIND_TRIAGE, sink=sink, journal=journal
         ):
             results.append(outcome)
+            statistics.add_counters(outcome.counters)
         self._fold_service_counters(executor, statistics)
         apply_triage(statistics, results)
 

@@ -24,8 +24,8 @@ stream in; ``merge()`` keeps the one-shot convenience API on top of the
 same two steps, so ``jobs=1`` and a worker fleet produce byte-identical
 reports.
 
-Each unit's counter differences (:mod:`repro.metrics`: solver checks,
-cache hits and misses, replays) are summed into
+Each unit's and triage unit's counter differences (:mod:`repro.metrics`:
+solver checks, cache hits and misses, replays) are summed into
 :attr:`CampaignStatistics.counters` so campaign benchmarks stay truthful
 when the work is sharded across processes.
 """
@@ -91,9 +91,10 @@ class CampaignStatistics:
     crash_findings: int = 0
     semantic_findings: int = 0
     tracker: BugTracker = field(default_factory=BugTracker)
-    #: Summed per-unit counter differences (``solver_*`` checks, cache
-    #: hits/misses, replays, collections) plus the fleet's ``dist_*``
-    #: service counters.  Totals reflect the work actually performed, so
+    #: Summed per-unit and per-triage-unit counter differences
+    #: (``solver_*`` checks, cache hits/misses, replays, collections) plus
+    #: the fleet's ``dist_*`` service counters.  Totals reflect the work
+    #: actually performed by this run (never a store-resumed outcome's), so
     #: they vary with executor/cache locality — unlike the tracker, which
     #: is executor-invariant.
     counters: Dict[str, int] = field(default_factory=dict)
@@ -105,6 +106,12 @@ class CampaignStatistics:
     #: per deduplicated report, and how many came out of the store.
     triage_total: int = 0
     triage_reused: int = 0
+
+    def add_counters(self, counters: Dict[str, int]) -> None:
+        """Sum ``counters`` into :attr:`counters`."""
+
+        for key, value in counters.items():
+            self.counters[key] = self.counters.get(key, 0) + value
 
     def coverage(self) -> Dict[str, int]:
         """Merged pipeline-coverage cells, without the ``cov_`` prefix.
@@ -199,11 +206,10 @@ class OutcomeMerger:
                         finding=finding,
                     ),
                 )
-        for key, value in outcome.counters.items():
-            statistics.counters[key] = statistics.counters.get(key, 0) + value
-        for cell, value in outcome.coverage.items():
-            key = COVERAGE_COUNTER_PREFIX + cell
-            statistics.counters[key] = statistics.counters.get(key, 0) + value
+        statistics.add_counters(outcome.counters)
+        statistics.add_counters(
+            {COVERAGE_COUNTER_PREFIX + cell: value for cell, value in outcome.coverage.items()}
+        )
 
     def finalize(self, statistics: CampaignStatistics) -> CampaignStatistics:
         """File the per-identifier winners in canonical origin order."""

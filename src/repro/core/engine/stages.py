@@ -237,18 +237,23 @@ def run_unit(unit: WorkUnit) -> UnitOutcome:
         finding.attributed_bugs = _bisect_backend_defects(unit, program, source, bugs)
     coverage = _unit_coverage(generated, bugs)
     elapsed = time.perf_counter() - start
-    after = metrics.snapshot()
-    deltas = {key: after[key] - before.get(key, 0) for key in after}
     return UnitOutcome(
         program_index=unit.program_index,
         platform=unit.platform,
         status=status,
         findings=findings,
         source=source if findings else "",
-        counters=deltas,
+        counters=_counters_since(before),
         coverage=coverage,
         elapsed_s=elapsed,
     )
+
+
+def _counters_since(before: Dict[str, int]) -> Dict[str, int]:
+    """Every counter's growth since the reading ``before``."""
+
+    after = metrics.snapshot()
+    return {key: after[key] - before.get(key, 0) for key in after}
 
 
 def runner_for(kind: str) -> Callable:
@@ -284,9 +289,17 @@ def run_triage_unit(unit: TriageUnit) -> TriageOutcome:
     deterministic function of the unit — the trigger source is parsed back
     to an AST, the oracle predicate is rebuilt from the original finding,
     and the reducer enumerates edits in program order — so ``jobs=1`` and
-    ``jobs=8`` triage byte-identically.
+    ``jobs=8`` triage byte-identically.  The outcome carries the counter
+    growth of the whole unit.
     """
 
+    before = metrics.snapshot()
+    outcome = _reduce_and_localize(unit)
+    outcome.counters = _counters_since(before)
+    return outcome
+
+
+def _reduce_and_localize(unit: TriageUnit) -> TriageOutcome:
     start = time.perf_counter()
     try:
         program = parse_program(unit.source)

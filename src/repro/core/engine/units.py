@@ -206,6 +206,10 @@ class TriageOutcome(Record):
     #: store round-trip so a resumed campaign reports the same minimal
     #: replay vector the original triage computed.
     min_sequence_length: int = 0
+    #: The difference of two :func:`repro.metrics.snapshot` readings around
+    #: the triage unit, as :attr:`UnitOutcome.counters` is around a unit:
+    #: the reducer's oracle calls do most of a seeded campaign's solving.
+    counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def key(self) -> str:

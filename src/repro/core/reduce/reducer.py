@@ -16,7 +16,9 @@ every candidate; the oracle
    would refuse, and
 2. runs the caller's ``still_fails(candidate, source)`` predicate on the
    same source, treating any exception it raises as "the bug is gone" (a
-   reduction step must never abort triage).
+   reduction step must never abort triage) and counting it as
+   ``reduce_predicate_errors``, so a predicate that always raises shows
+   in the campaign counters instead of passing for an unreproduced bug.
 
 Everything here is deterministic and reads nothing but its arguments:
 transformations enumerate edits in program order and the predicate is a
@@ -31,8 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
+from repro.metrics import COUNTERS, declare
 from repro.p4 import ast, emit_program
 from repro.p4.typecheck import checked_types
+
+declare("reduce_predicate_errors")
 
 #: ``still_fails(candidate, source)``, where ``source`` is the candidate's
 #: emitted source.
@@ -70,6 +75,7 @@ class ReductionOracle:
         try:
             verdict = bool(self.still_fails(candidate, source))
         except Exception:  # noqa: BLE001 - predicate errors mean "bug gone"
+            COUNTERS["reduce_predicate_errors"] += 1
             return False
         if verdict:
             self.accepted += 1
@@ -116,7 +122,7 @@ def program_size(program: ast.Program) -> int:
 
     return sum(
         1
-        for node in ast.walk(program)
+        for node in ast.walk_statements(program)
         if isinstance(node, ast.Statement)
         and not isinstance(node, (ast.BlockStatement, ast.EmptyStatement))
     )
@@ -140,6 +146,7 @@ def reduce_program(
     try:
         reproduced = bool(still_fails(program, source))
     except Exception:  # noqa: BLE001 - an erroring oracle cannot anchor a reduction
+        COUNTERS["reduce_predicate_errors"] += 1
         reproduced = False
     if not reproduced:
         return ReductionResult(

@@ -7,6 +7,15 @@ A satisfiable inequality query yields both the defective pass and a witness
 assignment (input packet + table configuration) that triggers the
 miscompilation -- exactly the workflow of figure 2.
 
+Each pair of consecutive changed snapshots is walked output by output, in
+block and path order, with :func:`repro.smt.find_divergence`; the first
+output that differs names the pass and carries the witness, which a fresh
+solver derives from that output pair alone.  No batched probe runs in
+front of the walk: the syntactic fast paths, the equivalence memo and the
+case split settle almost every output of a clean pair before SAT, and a
+pair that reaches SAT nearly always diverges, so a batch would mostly pay
+for a query the walk then repeats.
+
 The validator also re-parses and type checks every emitted snapshot, which
 catches the "invalid transformation" bugs of §7.2 where a pass emits broken
 P4: the first snapshot in pass order that does not reparse or does not
@@ -188,33 +197,15 @@ class TranslationValidator:
                 )
 
         divergences: List[PassDivergence] = []
-        # One incremental solver for the whole chain: consecutive pairs
-        # share most of their term DAG, so each batch reuses the previous
-        # pairs' Tseitin encoding and learned clauses.  The solver dies
-        # with the chain — scoping it wider (per campaign) makes every
-        # query pay for every other program's variable space.
-        chain_solver = smt.Solver()
         try:
             previous = snapshots[0]
             previous_semantics = self._interpret(previous)
             for snapshot in snapshots[1:]:
                 current_semantics = self._interpret(snapshot)
-                # Gang every output-field check of this pair into one
-                # incremental UNSAT probe (with the per-pair syntactic
-                # fast paths and the campaign-lifetime equivalence memo
-                # in front).  Only a pair that fails the batch is
-                # re-walked field by field on fresh solvers, so the
-                # reported first divergence and its witness stay
-                # byte-identical to the pre-batching validator — witness
-                # models are solver-history-dependent, verdicts are not.
                 pairs = self._output_pairs(previous_semantics, current_semantics)
-                if not smt.all_equivalent(
-                    [(before, after) for _, _, before, after in pairs],
-                    solver=chain_solver,
-                ):
-                    divergences = self._compare(previous, snapshot, pairs)
-                    if divergences:
-                        break
+                divergences = self._compare(previous, snapshot, pairs)
+                if divergences:
+                    break
                 previous = snapshot
                 previous_semantics = current_semantics
         except InterpreterError as exc:
@@ -284,7 +275,13 @@ class TranslationValidator:
     def _compare(
         before: PassSnapshot, after: PassSnapshot, pairs: List[OutputPair]
     ) -> List[PassDivergence]:
-        """The pair's first diverging output (a one-element list), or ``[]``."""
+        """The pair's first diverging output (a one-element list), or ``[]``.
+
+        Each output goes to :func:`repro.smt.find_divergence`, whose
+        syntactic fast paths, equivalence memo and case split settle almost
+        every output of a clean pair without SAT; what is left is solved on
+        a fresh solver, so the witness depends on the output pair alone.
+        """
 
         for block_name, path, before_term, after_term in pairs:
             witness = smt.find_divergence(before_term, after_term)

@@ -5,11 +5,20 @@ can be emitted as a syntactically valid P4 program (paper §7.2, *invalid
 transformations*).  Gauntlet checks this invariant by reparsing every emitted
 program; the emitter therefore produces fully parenthesised expressions so
 that the parse/emit round trip is structure preserving.
+
+A caller that emits several programs sharing subtrees -- the snapshots of
+one compilation -- passes one :data:`EmitMemo` to every
+:func:`emit_program` call, and each declaration and statement object is
+rendered once: its text is a function of the node and its indentation
+depth, so the memo keys it by ``(id(node), depth)`` and holds the node in
+the entry, which keeps the id from being reused.  That is only sound while
+nothing writes to a node the memo holds, which the compiler's
+copy-on-write passes guarantee within one compilation.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 from repro.p4 import ast
 from repro.p4.types import HeaderStackType, P4Type
@@ -17,12 +26,28 @@ from repro.p4.types import HeaderStackType, P4Type
 
 INDENT = "    "
 
+#: ``(id(node), depth) -> (node, text)`` of declarations and statements
+#: already rendered (see the module docstring).
+EmitMemo = Dict[Tuple[int, int], Tuple[ast.Node, str]]
 
-def emit_program(program: ast.Program) -> str:
-    """Render a program as P4 source text."""
 
-    parts = [_emit_declaration(decl) for decl in program.declarations]
+def emit_program(program: ast.Program, memo: Optional[EmitMemo] = None) -> str:
+    """Render a program as P4 source text, reusing the texts in ``memo``."""
+
+    parts = [_emit_declaration(decl, memo) for decl in program.declarations]
     return "\n".join(parts) + "\n"
+
+
+def _memoised(render, node: ast.Node, depth: int, memo: Optional[EmitMemo]) -> str:
+    if memo is None:
+        return render(node, depth, memo)
+    key = (id(node), depth)
+    entry = memo.get(key)
+    if entry is None:
+        text = render(node, depth, memo)
+        memo[key] = (node, text)
+        return text
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +55,11 @@ def emit_program(program: ast.Program) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _emit_declaration(decl: ast.Declaration) -> str:
+def _emit_declaration(decl: ast.Declaration, memo: Optional[EmitMemo]) -> str:
+    return _memoised(_render_declaration, decl, 0, memo)
+
+
+def _render_declaration(decl: ast.Declaration, _depth: int, memo: Optional[EmitMemo]) -> str:
     if isinstance(decl, ast.HeaderDeclaration):
         fields = "".join(
             f"{INDENT}{field_type} {name};\n" for name, field_type in decl.fields
@@ -43,12 +72,12 @@ def _emit_declaration(decl: ast.Declaration) -> str:
         return f"struct {decl.name} {{\n{fields}}}\n"
     if isinstance(decl, ast.FunctionDeclaration):
         params = _emit_params(decl.params)
-        body = _emit_block(decl.body, 0)
+        body = _emit_block(decl.body, 0, memo)
         return f"{decl.return_type} {decl.name}({params}) {body}\n"
     if isinstance(decl, ast.ControlDeclaration):
-        return _emit_control(decl)
+        return _emit_control(decl, memo)
     if isinstance(decl, ast.ParserDeclaration):
-        return _emit_parser(decl)
+        return _emit_parser(decl, memo)
     raise TypeError(f"cannot emit declaration of type {type(decl).__name__}")
 
 
@@ -67,13 +96,13 @@ def _emit_params(params: List[ast.Parameter]) -> str:
     return ", ".join(rendered)
 
 
-def _emit_control(decl: ast.ControlDeclaration) -> str:
+def _emit_control(decl: ast.ControlDeclaration, memo: Optional[EmitMemo]) -> str:
     lines = [f"control {decl.name}({_emit_params(decl.params)}) {{"]
     for local in decl.locals:
         if isinstance(local, ast.VariableDeclaration):
             lines.append(INDENT + _emit_variable_declaration(local))
         elif isinstance(local, ast.ActionDeclaration):
-            body = _emit_block(local.body, 1)
+            body = _emit_block(local.body, 1, memo)
             lines.append(f"{INDENT}action {local.name}({_emit_params(local.params)}) {body}")
         elif isinstance(local, ast.TableDeclaration):
             lines.append(_emit_table(local, 1))
@@ -83,7 +112,7 @@ def _emit_control(decl: ast.ControlDeclaration) -> str:
             lines.append(f"{INDENT}counter({local.size}) {local.name};")
         else:  # pragma: no cover - defensive
             raise TypeError(f"cannot emit control local {type(local).__name__}")
-    lines.append(f"{INDENT}apply {_emit_block(decl.apply, 1)}")
+    lines.append(f"{INDENT}apply {_emit_block(decl.apply, 1, memo)}")
     lines.append("}\n")
     return "\n".join(lines)
 
@@ -113,12 +142,12 @@ def _emit_action_ref(ref: ast.ActionRef) -> str:
     return f"{ref.name}({args})"
 
 
-def _emit_parser(decl: ast.ParserDeclaration) -> str:
+def _emit_parser(decl: ast.ParserDeclaration, memo: Optional[EmitMemo]) -> str:
     lines = [f"parser {decl.name}({_emit_params(decl.params)}) {{"]
     for state in decl.states:
         lines.append(f"{INDENT}state {state.name} {{")
         for statement in state.statements:
-            lines.append(_emit_statement(statement, 2))
+            lines.append(_emit_statement(statement, 2, memo))
         if state.select_expr is not None:
             lines.append(f"{INDENT * 2}transition select ({emit_expression(state.select_expr)}) {{")
             for case in state.cases:
@@ -137,12 +166,12 @@ def _emit_parser(decl: ast.ParserDeclaration) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _emit_block(block: ast.BlockStatement, depth: int) -> str:
+def _emit_block(block: ast.BlockStatement, depth: int, memo: Optional[EmitMemo]) -> str:
     if not block.statements:
         return "{\n" + INDENT * depth + "}"
     lines = ["{"]
     for statement in block.statements:
-        lines.append(_emit_statement(statement, depth + 1))
+        lines.append(_emit_statement(statement, depth + 1, memo))
     lines.append(INDENT * depth + "}")
     return "\n".join(lines)
 
@@ -153,10 +182,14 @@ def _emit_variable_declaration(decl: ast.VariableDeclaration) -> str:
     return f"{decl.var_type} {decl.name};"
 
 
-def _emit_statement(statement: ast.Statement, depth: int) -> str:
+def _emit_statement(statement: ast.Statement, depth: int, memo: Optional[EmitMemo]) -> str:
+    return _memoised(_render_statement, statement, depth, memo)
+
+
+def _render_statement(statement: ast.Statement, depth: int, memo: Optional[EmitMemo]) -> str:
     pad = INDENT * depth
     if isinstance(statement, ast.BlockStatement):
-        return pad + _emit_block(statement, depth)
+        return pad + _emit_block(statement, depth, memo)
     if isinstance(statement, ast.AssignmentStatement):
         return f"{pad}{emit_expression(statement.lhs)} = {emit_expression(statement.rhs)};"
     if isinstance(statement, ast.MethodCallStatement):
@@ -165,9 +198,9 @@ def _emit_statement(statement: ast.Statement, depth: int) -> str:
         return pad + _emit_variable_declaration(statement)
     if isinstance(statement, ast.IfStatement):
         text = f"{pad}if ({emit_expression(statement.cond)}) "
-        text += _emit_block(statement.then_branch, depth)
+        text += _emit_block(statement.then_branch, depth, memo)
         if statement.else_branch is not None:
-            text += " else " + _emit_block(statement.else_branch, depth)
+            text += " else " + _emit_block(statement.else_branch, depth, memo)
         return text
     if isinstance(statement, ast.ReturnStatement):
         if statement.value is None:

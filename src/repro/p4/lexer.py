@@ -14,7 +14,9 @@ bounded process-wide memo (:func:`line_tokens`, counted as ``lexer_hits`` /
 ``lexer_misses``) and stamps copies of the tokens with their line number.
 The memo holds each line's tokens once, as shared :class:`Token` tuples
 stamped line 0, so :func:`repro.p4.parser.parse_program` can assemble a
-token list from them without copying a token.  The snapshots of one
+token list from them without copying a token; equal tokens of different
+lines are one tuple (lines repeat a few names and symbols at the same
+columns, so most tokens are).  The snapshots of one
 compilation share most of their lines, so a reparse lexes only the lines
 a pass rewrote.  It falls back to the full scan in two cases, so tokens
 and every error message stay byte-identical to it:
@@ -28,7 +30,7 @@ from __future__ import annotations
 import re
 import sys
 from enum import Enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.metrics import MISSING, LruCache
 
@@ -123,15 +125,21 @@ _SYMBOL = TokenKind.SYMBOL
 #: line text -> the tokens on it, stamped line 0 (see :func:`line_tokens`).
 _LINE_TOKENS = LruCache("lexer", 4096)
 
+#: Every distinct token of the memoised lines -> its one shared tuple.
+_TOKENS: Dict["Token", "Token"] = {}
+#: Distinct tokens kept before :data:`_TOKENS` starts over.
+_TOKENS_LIMIT = 1 << 16
+
 #: Builds a token without the named tuple's argument handling, which would
 #: cost the memoised path a third of its time.
 _new_tuple = tuple.__new__
 
 
 def clear_lexer_cache() -> None:
-    """Drop the line memo (the counters keep growing)."""
+    """Drop the line memo and its shared tokens (the counters keep growing)."""
 
     _LINE_TOKENS.clear()
+    _TOKENS.clear()
 
 
 class Lexer:
@@ -236,17 +244,23 @@ def line_tokens(text: str) -> Tuple[Token, ...]:
     """The tokens of one line (no line break, no ``/*``) from the line memo.
 
     The full scan's tokens without the END token, each stamped line 0 and
-    with its text interned.  The tuple and its tokens are shared by every
+    with its text interned; a token equal to one of an earlier line is
+    that line's tuple.  The tuple and its tokens are shared by every
     caller: never modify them.  Raises the full scan's :class:`LexerError`
     (at line 1) when the line fails to lex, and caches nothing then.
     """
 
     entry = _LINE_TOKENS.get(text)
     if entry is MISSING:
-        entry = tuple(
-            _new_tuple(Token, (kind, sys.intern(token_text), value, width, 0, column))
-            for kind, token_text, value, width, _, column in Lexer(text).scan()[:-1]
-        )
+        scanned = Lexer(text).scan()[:-1]
+        if len(_TOKENS) >= _TOKENS_LIMIT:
+            _TOKENS.clear()
+        shared = _TOKENS.setdefault
+        tokens = []
+        for kind, token_text, value, width, _, column in scanned:
+            token = _new_tuple(Token, (kind, sys.intern(token_text), value, width, 0, column))
+            tokens.append(shared(token, token))
+        entry = tuple(tokens)
         _LINE_TOKENS.put(text, entry)
     return entry  # type: ignore[return-value]
 

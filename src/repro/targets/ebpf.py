@@ -179,7 +179,7 @@ class EbpfTarget:
                     continue
                 if any(
                     isinstance(node, ast.ExitStatement)
-                    for node in ast.walk(local.body)
+                    for node in ast.walk_statements(local.body)
                 ):
                     raise CompilerError(
                         f"action {local.name!r}: exit is not supported inside "

@@ -91,7 +91,7 @@ class TofinoTarget:
                             continue
                         if any(
                             isinstance(node, ast.ExitStatement)
-                            for node in ast.walk(action.body)
+                            for node in ast.walk_statements(action.body)
                         ):
                             raise CompilerCrash(
                                 f"action {action.name!r}: exit statements are "

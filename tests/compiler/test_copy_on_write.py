@@ -177,9 +177,9 @@ def test_emitter_runs_once_per_distinct_snapshot(monkeypatch, source_given):
 
     calls = []
 
-    def counting_emit(program):
+    def counting_emit(program, memo=None):
         calls.append(program)
-        return emit_program(program)
+        return emit_program(program, memo)
 
     monkeypatch.setattr(pass_manager, "emit_program", counting_emit)
     for program in corpus():

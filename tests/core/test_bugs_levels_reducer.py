@@ -6,6 +6,7 @@ from repro.compiler import CompilerOptions, compile_front_midend
 from repro.core.bugs import BugKind, BugLocation, BugReport, BugStatus, BugTracker
 from repro.core.levels import ConformanceLevel, classify_input_level
 from repro.core.reduce import reduce_program
+from repro.metrics import COUNTERS
 from repro.p4 import ast, parse_program
 
 
@@ -102,6 +103,19 @@ class TestConformanceLevels:
         assert ConformanceLevel.SEQUENCE_OF_CHARACTERS < ConformanceLevel.MODEL_CONFORMING
 
 
+#: Removing the declaration of ``x`` leaves a use the type check rejects.
+DECLARED_LOCAL_PROGRAM = """
+header Hdr_t { bit<8> a; bit<8> b; }
+struct Headers { Hdr_t h; }
+control ingress(inout Headers hdr) {
+    apply {
+        bit<8> x = hdr.h.b;
+        hdr.h.a = x + 8w1;
+    }
+}
+"""
+
+
 class TestReducer:
     def test_reduces_irrelevant_statements(self):
         source = """
@@ -140,6 +154,45 @@ control ingress(inout Headers hdr) {
         assert result.program is program
         assert not result.reproduced
         assert result.reduction_ratio == 0.0
+
+    def test_a_predicate_that_raises_on_the_original_is_counted(self):
+        program = parse_program(VALID_PROGRAM)
+        before = COUNTERS["reduce_predicate_errors"]
+        # A one-argument predicate raises TypeError on every call.
+        result = reduce_program(program, lambda candidate: True)
+        assert not result.reproduced
+        assert COUNTERS["reduce_predicate_errors"] - before == 1
+
+    def test_every_candidate_error_is_counted_and_no_gate_rejection(self):
+        program = parse_program(DECLARED_LOCAL_PROGRAM)
+        calls = []
+
+        def raises_after_the_original(candidate, source):
+            calls.append(source)
+            if len(calls) > 1:
+                raise RuntimeError("predicate bug")
+            return True
+
+        before = COUNTERS["reduce_predicate_errors"]
+        result = reduce_program(program, raises_after_the_original)
+        assert result.reproduced
+        assert COUNTERS["reduce_predicate_errors"] - before == len(calls) - 1 > 0
+        # Candidates the type check rejected never reached the predicate.
+        assert result.attempts > len(calls)
+
+    def test_gate_rejections_are_not_predicate_errors(self):
+        program = parse_program(DECLARED_LOCAL_PROGRAM)
+        calls = []
+
+        def always_fails(candidate, source):
+            calls.append(source)
+            return True
+
+        before = COUNTERS["reduce_predicate_errors"]
+        result = reduce_program(program, always_fails)
+        assert result.reproduced
+        assert result.attempts > len(calls)
+        assert COUNTERS["reduce_predicate_errors"] == before
 
     def test_reduction_with_compiler_predicate(self):
         source = """

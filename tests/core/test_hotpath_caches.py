@@ -1,18 +1,21 @@
 """Regression tests for the PR 7 validation hot path.
 
-Three properties the campaign engine must keep:
+Four properties the campaign engine must keep:
 
 * the shared front/mid-end prefix is compiled once per program and reused
   by every backend unit (prefix memo),
 * the reparse/interp snapshot caches actually *hit* on a multi-platform
   campaign (they were structurally unable to before backend units re-walked
   the shared prefix), and
-* batched equivalence checking is a pure accelerator — forcing the
-  sequential fallback yields an identical validation report, and
+* the first divergence validation reports (pass, pair, output and
+  witness) is pinned over a seeded corpus, and validation runs no batched
+  equivalence probe, and
 * per-program work runs once per program, not once per packet or per
   platform unit (the packet layout's typecheck, the feature scan), and
   each distinct source is typechecked once outside the compiler.
 """
+
+import hashlib
 
 from repro import smt
 from repro.compiler import (
@@ -129,53 +132,84 @@ class TestCampaignCachesHit:
         assert stats.counters.get("solver_split_equivalences", 0) > 0
 
 
-class TestSequentialFallbackIsPureSlowdown:
-    def _reports(self, source, bugs, monkeypatch):
-        def run(batched):
+#: Generator configuration overrides of the first-divergence corpus.
+DIVERGENCE_CONFIGS = {
+    "default": {},
+    "stack": {"p_header_stack": 0.9},
+    "register": {"p_register": 0.9},
+}
+
+#: ``(defect, config, program index)``: one program that every front/mid-end
+#: semantic defect miscompiles, plus five more.
+SEEDED_DIVERGENCES = (
+    ("action_param_slice_drop", "default", 1),
+    ("constant_folding_no_mask", "default", 0),
+    ("copy_prop_across_invalid", "default", 2),
+    ("dead_code_removes_validity_call", "stack", 0),
+    ("exit_ignores_copy_out", "default", 7),
+    ("inline_alias_copy_out", "default", 4),
+    ("predication_nested_else_lost", "default", 9),
+    ("side_effect_argument_order", "default", 4),
+    ("simplify_control_flow_empty_if", "default", 0),
+    ("stack_flatten_next_index_off_by_one", "stack", 13),
+    ("stack_flatten_pop_validity_drop", "stack", 13),
+    ("stateful_read_write_reorder", "register", 3),
+    ("stateful_rmw_lost_update", "register", 0),
+    ("stateful_spill_width_narrow", "register", 0),
+    ("strength_reduction_shift_semantics", "default", 7),
+    ("constant_folding_no_mask", "register", 0),
+    ("copy_prop_across_invalid", "stack", 5),
+    ("dead_code_removes_validity_call", "register", 11),
+    ("simplify_control_flow_empty_if", "stack", 0),
+    ("strength_reduction_shift_semantics", "stack", 7),
+)
+
+#: sha256 over each program's first divergence: pass, ``before_pass``,
+#: block, output path and witness.  Recorded while validation still sent
+#: every snapshot pair to a batched SAT probe before walking it.
+FIRST_DIVERGENCES_DIGEST = "a9de440c59e108d13241a1059fa924182b3afcf619918b6a981b3b8468298d65"
+
+
+class TestFirstDivergenceIsPinned:
+    def test_seeded_programs_diverge_where_and_how_they_did(self):
+        digest = hashlib.sha256()
+        for bug, config, index in SEEDED_DIVERGENCES:
+            generator = RandomProgramGenerator(
+                GeneratorConfig(seed=7, **DIVERGENCE_CONFIGS[config])
+            )
+            program = generator.generate_indexed(index)
             clear_validation_caches()
             smt.clear_equivalence_cache()
             result = compile_front_midend(
-                source, CompilerOptions(enabled_bugs=set(bugs))
+                emit_program(program), CompilerOptions(enabled_bugs={bug})
             )
-            with monkeypatch.context() as patch:
-                if not batched:
-                    patch.setattr(
-                        smt, "all_equivalent", lambda pairs, **kwargs: False
+            report = TranslationValidator().validate_compilation(result)
+            assert report.outcome == ValidationOutcome.SEMANTIC_BUG, (bug, config, index)
+            (divergence,) = report.divergences
+            digest.update(
+                repr(
+                    (
+                        divergence.pass_name,
+                        divergence.before_pass,
+                        divergence.block,
+                        divergence.output_path,
+                        sorted(divergence.witness.items()),
                     )
-                return TranslationValidator().validate_compilation(result)
+                ).encode()
+            )
+        assert digest.hexdigest() == FIRST_DIVERGENCES_DIGEST
 
-        return run(batched=True), run(batched=False)
-
-    def test_clean_program_reports_match(self, monkeypatch):
-        source = (
-            "header Hdr_t { bit<8> a; bit<8> b; }\n"
-            "struct Headers { Hdr_t h; }\n"
-            "control ingress(inout Headers hdr) {\n"
-            "    apply { hdr.h.a = hdr.h.b * 8w4; hdr.h.b = 8w1 - 8w2; }\n}\n"
+    def test_validation_sends_no_batch(self):
+        program = RandomProgramGenerator(GeneratorConfig(seed=7)).generate_indexed(0)
+        clear_validation_caches()
+        smt.clear_equivalence_cache()
+        result = compile_front_midend(
+            emit_program(program), CompilerOptions(enabled_bugs={"constant_folding_no_mask"})
         )
-        batched, sequential = self._reports(source, (), monkeypatch)
-        assert batched.outcome == ValidationOutcome.EQUIVALENT
-        assert sequential.outcome == ValidationOutcome.EQUIVALENT
-
-    def test_buggy_program_divergences_match(self, monkeypatch):
-        source = (
-            "header Hdr_t { bit<8> a; bit<8> b; }\n"
-            "struct Headers { Hdr_t h; }\n"
-            "control ingress(inout Headers hdr) {\n"
-            "    apply { hdr.h.a = hdr.h.b * 8w4; }\n}\n"
-        )
-        batched, sequential = self._reports(
-            source, ("strength_reduction_shift_semantics",), monkeypatch
-        )
-        assert batched.outcome == ValidationOutcome.SEMANTIC_BUG
-        assert sequential.outcome == ValidationOutcome.SEMANTIC_BUG
-        assert len(batched.divergences) == len(sequential.divergences)
-        for left, right in zip(batched.divergences, sequential.divergences):
-            assert left.pass_name == right.pass_name
-            assert left.before_pass == right.before_pass
-            assert left.block == right.block
-            assert left.output_path == right.output_path
-            assert left.witness == right.witness
+        before = COUNTERS["solver_batched_checks"]
+        report = TranslationValidator().validate_compilation(result)
+        assert report.outcome == ValidationOutcome.SEMANTIC_BUG
+        assert COUNTERS["solver_batched_checks"] == before
 
 
 #: Stateful, so every test is a three-packet sequence.

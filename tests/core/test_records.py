@@ -8,6 +8,7 @@ every record holds a value other than its default, so a field the codec
 dropped, renamed, reordered or re-encoded changes a digest.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -84,6 +85,7 @@ RECORDS = [
         elapsed_s=0.5,
         transform_stats={"statements": {"oracle_calls": 9, "kept_edits": 4}},
         min_sequence_length=2,
+        counters={"solver_checks": 12, "reduce_predicate_errors": 1},
     ),
     MatrixUnit(
         bug_id="tofino_slice_assignment_drop",
@@ -129,7 +131,7 @@ DIGESTS = {
     "FindingRecord": "3be11db4dc0d434b052e16f2af996a3aafa4a749d470a9c3b9184eb6d32f5eda",
     "UnitOutcome": "d5daf5767a10991779daa34c1ba8eff169bc03d5a0d9b5f4a592d5ebab8d83fa",
     "TriageUnit": "6c79b6a93881bafb841a350aaf959d53c5e708ab610180960debb96a992bdb12",
-    "TriageOutcome": "976f35a92234f129bf80e76810805192bb270cb3f3757e89b9ca41044208e86b",
+    "TriageOutcome": "ff403c08e5ce2497ea72de967a60bf0dfa3706dea0945c31982db4b0afc76b99",
     "MatrixUnit": "87e0da127cf0a2ea9d841b039b7d6003405390f5dfd0c4f5a899af721fdf0afa",
     "MatrixOutcome": "3d0b4cba76c47969bfa991011ffa0a198fd90fe7f711d0c7a269979774aa1479",
     "BugReport": "1cef5bc20f6d17d8da5fdb7509562b4b0013b87c4ac7f6f94360fa1d37d9df61",
@@ -149,6 +151,17 @@ def test_json_form_is_pinned(record):
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 def test_json_form_round_trips(record):
     assert type(record).from_dict(json.loads(_line(record))) == record
+
+
+def test_a_triage_line_written_before_counters_decodes():
+    """Stores written before triage outcomes carried counters resume: the
+    missing field takes its default."""
+
+    (triage,) = [record for record in RECORDS if isinstance(record, TriageOutcome)]
+    older = {key: value for key, value in triage.to_dict().items() if key != "counters"}
+    decoded = TriageOutcome.from_dict(json.loads(json.dumps(older)))
+    assert decoded.counters == {}
+    assert decoded == dataclasses.replace(triage, counters={})
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro import metrics
 from repro.compiler import CompilerOptions, P4Compiler
 from repro.core.bugs import BUG_REPORT_SCHEMA, BugKind, BugLocation, BugReport
 from repro.core.campaign import Campaign, CampaignConfig
@@ -540,6 +541,44 @@ class TestTriageResume:
         assert units and triaged
         assert store.load_triage(work_key) == {}
         assert store.load(reduce_key) == {}
+
+    def test_triage_counters_reach_the_campaign_counters(self, tmp_path, monkeypatch):
+        """Fresh triage units add their counter growth to the campaign's
+        counters; resumed ones add nothing, as resumed generation units."""
+
+        from repro.core.engine import stages as stages_module
+
+        metrics.declare("test_triage_units")
+        real = stages_module._reduce_and_localize
+
+        def counted(unit):
+            metrics.COUNTERS["test_triage_units"] += 1
+            return real(unit)
+
+        monkeypatch.setattr(stages_module, "_reduce_and_localize", counted)
+        first = Campaign(self._config(tmp_path)).run()
+        assert first.triage_total >= 2
+        assert first.counters["test_triage_units"] == first.triage_total
+        resumed = Campaign(self._config(tmp_path)).run()
+        assert resumed.triage_reused == resumed.triage_total
+        assert resumed.counters.get("test_triage_units", 0) == 0
+
+    def test_a_store_written_before_triage_counters_resumes(self, tmp_path):
+        config = self._config(tmp_path)
+        first = Campaign(config).run()
+        lines = []
+        for line in open(config.artifact_path):
+            entry = json.loads(line)
+            if "triage" in entry:
+                assert "counters" in entry["triage"]
+                del entry["triage"]["counters"]
+            lines.append(json.dumps(entry) + "\n")
+        with open(config.artifact_path, "w") as handle:
+            handle.writelines(lines)
+
+        resumed = Campaign(self._config(tmp_path)).run()
+        assert resumed.triage_reused == resumed.triage_total == first.triage_total
+        assert reports(resumed) == reports(first)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,15 @@ import pytest
 from repro.compiler import compile_front_midend
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
 from repro.metrics import COUNTERS
-from repro.p4.lexer import Lexer, LexerError, Token, TokenKind, clear_lexer_cache, tokenize
+from repro.p4.lexer import (
+    Lexer,
+    LexerError,
+    Token,
+    TokenKind,
+    clear_lexer_cache,
+    line_tokens,
+    tokenize,
+)
 
 
 class TestBasicTokens:
@@ -160,3 +168,21 @@ class TestLineMemo:
         # Snapshots of one program share most lines: most lookups hit.
         lines = sum(source.count("\n") + 1 for source in sources)
         assert COUNTERS["lexer_hits"] - before > lines // 2
+
+    def test_equal_tokens_of_different_lines_are_one_tuple(self):
+        clear_lexer_cache()
+        first = line_tokens("    hdr.h.a = 8w1;")
+        second = line_tokens("    hdr.h.a = 8w2;")
+        # Same kind, text, value, width and column: one shared tuple.
+        assert all(left is right for left, right in zip(first[:-2], second[:-2]))
+        assert first[-2] != second[-2] and first[-1] is second[-1]
+        # A token at another column is another tuple.
+        shifted = line_tokens("hdr.h.a = 8w1;")
+        assert shifted[0] == first[0]._replace(column=1)
+
+    def test_clearing_the_memo_drops_the_shared_tokens(self):
+        clear_lexer_cache()
+        first = line_tokens("x = y;")
+        clear_lexer_cache()
+        again = line_tokens("x  =  y;")
+        assert again[0] == first[0] and again[0] is not first[0]
