@@ -121,10 +121,9 @@ REDUCE_TARGET_RATIO = 0.5
 #: (``solver_sat_invocations`` summed from its triage units' counters,
 #: caches reset before the detection run that precedes it): its count once
 #: translation validation walked each snapshot pair with
-#: ``find_divergence`` alone.  It was 144, with 41 batched checks, while a
-#: batched ``all_equivalent`` probe ran first and mostly re-solved pairs
-#: the walk then solved again, so the stage must also send no batched
-#: check (``solver_batched_checks``).
+#: ``find_divergence`` alone.  It was 144 while a batched equivalence probe
+#: ran first and mostly re-solved pairs the walk then solved again; that
+#: probe is gone, so nothing can send a batched check any more.
 REDUCE_MAX_SAT_INVOCATIONS = 104
 
 #: The validation-hot-path workload (``--hotpath`` / ``make bench-hotpath``):
@@ -354,7 +353,7 @@ def run_hotpath(programs: int) -> dict:
     snapshot emits, type checks, per-cache hit rates, full garbage
     collections); a smaller seeded campaign then runs at ``jobs=1`` and
     ``jobs=4`` and the two report lists must serialize byte-identically —
-    shared-prefix validation and batched solving must never leak
+    shared-prefix validation and the process-wide memos must never leak
     scheduling into the findings.
     """
 
@@ -414,7 +413,6 @@ def run_hotpath(programs: int) -> dict:
         "sat_invocations": sat_invocations,
         "sat_conflicts": sat_conflicts,
         "max_sat_conflicts": HOTPATH_MAX_SAT_CONFLICTS,
-        "batched_checks": counters.get("solver_batched_checks", 0),
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
         "split_equivalences": counters.get("solver_split_equivalences", 0),
         "budget_exhausted": budget_exhausted,
@@ -500,7 +498,6 @@ def run_reduce(programs: int = PROGRAMS) -> dict:
     # Every unit is reused from the store, so the counters are the triage
     # units' own.
     sat_invocations = stats.counters.get("solver_sat_invocations", 0)
-    batched_checks = stats.counters.get("solver_batched_checks", 0)
     return {
         "programs": programs,
         "seed": REDUCE_SEED,
@@ -514,11 +511,9 @@ def run_reduce(programs: int = PROGRAMS) -> dict:
         "sat_invocations": sat_invocations,
         "max_sat_invocations": REDUCE_MAX_SAT_INVOCATIONS,
         "sat_conflicts": stats.counters.get("solver_sat_conflicts", 0),
-        "batched_checks": batched_checks,
         "meets_target": (
             mean_ratio >= REDUCE_TARGET_RATIO
             and sat_invocations <= REDUCE_MAX_SAT_INVOCATIONS
-            and batched_checks == 0
         ),
         "reduction_quality": quality,
     }
@@ -1154,8 +1149,7 @@ def main(argv=None) -> int:
             f"{triage['triage_elapsed_s']}s for {len(triage['reports'])} reports, "
             f"{triage['sat_invocations']} SAT invocations "
             f"(must stay at or below {triage['max_sat_invocations']}), "
-            f"{triage['sat_conflicts']} SAT conflicts, "
-            f"{triage['batched_checks']} batched checks (must be 0)"
+            f"{triage['sat_conflicts']} SAT conflicts"
         )
         for name, entry in triage["reduction_quality"]["per_transform_class"].items():
             print(

@@ -281,6 +281,13 @@ def run_matrix_unit(unit: MatrixUnit) -> MatrixOutcome:
 # The triage stage (reduce + localize), one unit per deduplicated report
 # ----------------------------------------------------------------------
 
+#: Exceptions the triage stage turned into an outcome: the trigger's
+#: parse, the predicate build or the reducer raised (the unit comes back
+#: unreproduced), or localization raised (the reduction keeps the filed
+#: pass).
+metrics.declare("triage_errors")
+
+
 def run_triage_unit(unit: TriageUnit) -> TriageOutcome:
     """Reduce one filed report's trigger program and localize its defect.
 
@@ -321,6 +328,7 @@ def _reduce_and_localize(unit: TriageUnit) -> TriageOutcome:
                 elapsed_s=time.perf_counter() - start,
             )
     except Exception:  # noqa: BLE001 - triage failure is an outcome
+        metrics.COUNTERS["triage_errors"] += 1
         return TriageOutcome(
             identifier=unit.identifier,
             status=TRIAGE_UNREPRODUCED,
@@ -332,6 +340,7 @@ def _reduce_and_localize(unit: TriageUnit) -> TriageOutcome:
             unit.finding, result.program, unit.platform, unit.enabled_bugs
         )
     except Exception:  # noqa: BLE001 - a failed bisect must not drop the reduction
+        metrics.COUNTERS["triage_errors"] += 1
         localized, pair = unit.finding.pass_name, None
     return TriageOutcome(
         identifier=unit.identifier,

@@ -10,11 +10,10 @@ miscompilation -- exactly the workflow of figure 2.
 Each pair of consecutive changed snapshots is walked output by output, in
 block and path order, with :func:`repro.smt.find_divergence`; the first
 output that differs names the pass and carries the witness, which a fresh
-solver derives from that output pair alone.  No batched probe runs in
-front of the walk: the syntactic fast paths, the equivalence memo and the
-case split settle almost every output of a clean pair before SAT, and a
-pair that reaches SAT nearly always diverges, so a batch would mostly pay
-for a query the walk then repeats.
+solver derives from that output pair alone.  An output the pass dropped
+(a block or output path the earlier snapshot had and the pass's snapshot
+lacks) differs too, with an empty witness: every observable output must
+survive every pass.
 
 The validator also re-parses and type checks every emitted snapshot, which
 catches the "invalid transformation" bugs of §7.2 where a pass emits broken
@@ -57,8 +56,9 @@ _INTERP_CACHE = LruCache("interp", 1024)
 #: source -> term-shape histogram of the program's symbolic semantics.
 _SHAPE_CACHE = LruCache("shape", 1024)
 
-#: ``(block, output path, before term, after term)`` of one snapshot pair.
-OutputPair = Tuple[str, str, "smt.Term", "smt.Term"]
+#: ``(block, output path, before term, after term)`` of one snapshot pair;
+#: the after term is ``None`` when the pass dropped the output.
+OutputPair = Tuple[str, str, "smt.Term", Optional["smt.Term"]]
 
 
 def clear_validation_caches() -> None:
@@ -241,26 +241,26 @@ class TranslationValidator:
         """The ``(block, path, before, after)`` output terms one snapshot
         pair must preserve: per block, the packet outputs, then the state
         outputs (whose ``$state.*`` paths no packet output shares).  An
-        output only one side has is skipped."""
+        output the earlier snapshot lacks is new and not compared; one the
+        later snapshot lacks pairs with ``None``."""
 
         pairs: List[OutputPair] = []
         for block_name, before_block in before_semantics.items():
             after_block = after_semantics.get(block_name)
-            if after_block is None:
-                continue
             # State-aware equivalence: the final register/counter state is
             # as observable as the packet outputs (it feeds the next packet).
             # Cell paths survive lowering (counters keep their bank name),
             # and both snapshots share the initial-state input symbols, so
             # this quantifies over every reachable and unreachable state.
             for before_outputs, after_outputs in (
-                (before_block.outputs, after_block.outputs),
-                (before_block.state_outputs, after_block.state_outputs),
+                (before_block.outputs, after_block.outputs if after_block else {}),
+                (
+                    before_block.state_outputs,
+                    after_block.state_outputs if after_block else {},
+                ),
             ):
                 for path, before_term in before_outputs.items():
-                    after_term = after_outputs.get(path)
-                    if after_term is not None:
-                        pairs.append((block_name, path, before_term, after_term))
+                    pairs.append((block_name, path, before_term, after_outputs.get(path)))
         return pairs
 
     @staticmethod
@@ -280,13 +280,18 @@ class TranslationValidator:
         Each output goes to :func:`repro.smt.find_divergence`, whose
         syntactic fast paths, equivalence memo and case split settle almost
         every output of a clean pair without SAT; what is left is solved on
-        a fresh solver, so the witness depends on the output pair alone.
+        a fresh solver, so the witness depends on the output pair alone.  A
+        dropped output needs no particular input to show, so its witness is
+        empty.
         """
 
         for block_name, path, before_term, after_term in pairs:
-            witness = smt.find_divergence(before_term, after_term)
-            if witness is None:
-                continue
+            if after_term is None:
+                witness = smt.Model()
+            else:
+                witness = smt.find_divergence(before_term, after_term)
+                if witness is None:
+                    continue
             return [
                 PassDivergence(
                     pass_name=after.pass_name,

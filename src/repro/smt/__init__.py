@@ -10,7 +10,8 @@ This package stands in for Z3 in the Gauntlet reproduction.  It provides:
 * :mod:`repro.smt.sat` -- a CDCL SAT solver with two-watched-literal
   propagation, first-UIP clause learning, VSIDS branching and restarts.
 * :mod:`repro.smt.solver` -- the user-facing :class:`Solver` with
-  ``add``/``check``/``model`` plus helpers for equivalence checking.
+  ``add``/``check``/``model``, and :func:`find_divergence`, the
+  equivalence check translation validation asks.
 
 The public API deliberately mirrors the small subset of z3py that Gauntlet
 uses, so the core Gauntlet modules read very much like the original tool.
@@ -57,10 +58,7 @@ from repro.smt.solver import (
     CheckResult,
     Model,
     Solver,
-    all_equivalent,
     clear_equivalence_cache,
-    enumerate_models,
-    equivalent,
     find_divergence,
 )
 
@@ -102,10 +100,7 @@ __all__ = [
     "Solver",
     "CheckResult",
     "Model",
-    "equivalent",
     "find_divergence",
-    "all_equivalent",
-    "enumerate_models",
     "clear_equivalence_cache",
     "clear_term_caches",
     "intern_table_size",

@@ -14,10 +14,10 @@ from repro.smt.cnf import CnfBuilder
 from repro.smt.terms import Term
 
 # Encoding-memo counters, summed over every blaster in the process.  A hit
-# means a term's CNF encoding was reused instead of re-blasted; on a
-# long-lived solver (see :func:`repro.smt.solver.all_equivalent`) hits
-# accumulate across queries because hash-consing makes identical subterms
-# the same key.
+# means a term's CNF encoding was reused instead of re-blasted: a subterm
+# shared within one query, or across the checks of one long-lived solver
+# (test generation's), because hash-consing makes identical subterms the
+# same key.
 declare("solver_bitblast_hits", "solver_bitblast_misses")
 
 
@@ -279,25 +279,19 @@ class BitBlaster:
         wide_product = self._encode_mul(wide_divisor, wide_quotient)
         wide_remainder = remainder + [builder.const(False)] * width
         wide_sum = self._encode_add(wide_product, wide_remainder)
-        # Relation clauses apply only when the divisor is non-zero.  They
-        # are anchored on the quotient/remainder variables: unlike gate
-        # definitions they genuinely constrain those bits, so a cone that
-        # reaches a div/rem result must carry the relation along.
-        anchors = quotient + remainder
+        # Relation clauses apply only when the divisor is non-zero.
         for index in range(width):
             iff = builder.encode_iff(wide_sum[index], dividend[index])
-            builder.add_anchored_clause(anchors, [divisor_zero, iff])
+            builder.add_clause([divisor_zero, iff])
         for index in range(width, 2 * width):
-            builder.add_anchored_clause(anchors, [divisor_zero, -wide_sum[index]])
+            builder.add_clause([divisor_zero, -wide_sum[index]])
         remainder_lt = self._encode_less_than(remainder, divisor)
-        builder.add_anchored_clause(anchors, [divisor_zero, remainder_lt])
+        builder.add_clause([divisor_zero, remainder_lt])
 
         # Division by zero: quotient = all ones, remainder = dividend.
         for bit in quotient:
-            builder.add_anchored_clause(anchors, [-divisor_zero, bit])
+            builder.add_clause([-divisor_zero, bit])
         for rem_bit, div_bit in zip(remainder, dividend):
-            builder.add_anchored_clause(
-                anchors, [-divisor_zero, builder.encode_iff(rem_bit, div_bit)]
-            )
+            builder.add_clause([-divisor_zero, builder.encode_iff(rem_bit, div_bit)])
 
         return quotient if term.op == "bvudiv" else remainder

@@ -14,8 +14,9 @@ instance stays usable -- callers can grow the variable space
 (:meth:`SatSolver.ensure_num_vars`), add clauses
 (:meth:`SatSolver.add_clauses`) and solve again, and the learned-clause
 database, watch lists, variable activities and saved phases all carry over.
-This is what makes blocking-clause model enumeration and repeated
-equivalence queries cheap (see :mod:`repro.smt.solver`).
+Test generation relies on it: one solver holds a program's environment
+constraints, and each path constraint is an assumption of its own check
+(see :mod:`repro.smt.solver`).
 
 The search order is part of the contract: test-generation models and the
 recorded campaign verdicts depend on which conflict is found first, so a

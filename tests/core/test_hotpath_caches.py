@@ -199,18 +199,6 @@ class TestFirstDivergenceIsPinned:
             )
         assert digest.hexdigest() == FIRST_DIVERGENCES_DIGEST
 
-    def test_validation_sends_no_batch(self):
-        program = RandomProgramGenerator(GeneratorConfig(seed=7)).generate_indexed(0)
-        clear_validation_caches()
-        smt.clear_equivalence_cache()
-        result = compile_front_midend(
-            emit_program(program), CompilerOptions(enabled_bugs={"constant_folding_no_mask"})
-        )
-        before = COUNTERS["solver_batched_checks"]
-        report = TranslationValidator().validate_compilation(result)
-        assert report.outcome == ValidationOutcome.SEMANTIC_BUG
-        assert COUNTERS["solver_batched_checks"] == before
-
 
 #: Stateful, so every test is a three-packet sequence.
 STATEFUL_SOURCE = """

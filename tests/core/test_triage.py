@@ -24,11 +24,13 @@ from repro.core.bugs import BUG_REPORT_SCHEMA, BugKind, BugLocation, BugReport
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine import (
     TRIAGE_REDUCED,
+    TRIAGE_UNREPRODUCED,
     ArtifactStore,
     TriageOutcome,
     TriageUnit,
     run_triage_unit,
 )
+from repro.core.engine import stages
 from repro.core.engine.units import FindingRecord
 from repro.core.reduce import build_predicate, oracles, program_size, reduce_program
 from repro.core.reduce.localize import crash_pass_pair, localize_finding
@@ -585,26 +587,50 @@ class TestTriageResume:
 # Triage units run standalone (the examples/reduce_bug.py path)
 # ----------------------------------------------------------------------
 
+def crash_unit():
+    finding = FindingRecord(
+        kind="crash",
+        platform="p4c",
+        pass_name="StrengthReduction",
+        description="negative slice",
+        signature="negative-slice-index",
+    )
+    return TriageUnit(
+        identifier="p4c:strength_reduction_negative_slice",
+        platform="p4c",
+        source=CRASHING_PROGRAM,
+        finding=finding,
+        enabled_bugs=("strength_reduction_negative_slice",),
+    )
+
+
+def raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("injected")
+
+
 class TestStandaloneTriageUnit:
     def test_unit_from_crash_source(self):
-        finding = FindingRecord(
-            kind="crash",
-            platform="p4c",
-            pass_name="StrengthReduction",
-            description="negative slice",
-            signature="negative-slice-index",
-        )
-        unit = TriageUnit(
-            identifier="p4c:strength_reduction_negative_slice",
-            platform="p4c",
-            source=CRASHING_PROGRAM,
-            finding=finding,
-            enabled_bugs=("strength_reduction_negative_slice",),
-        )
-        outcome = run_triage_unit(unit)
+        outcome = run_triage_unit(crash_unit())
         assert outcome.status == TRIAGE_REDUCED
         assert outcome.reduced_size <= outcome.original_size
         assert outcome.localized_pass == "StrengthReduction"
+        assert outcome.counters["triage_errors"] == 0
+
+    def test_a_reducer_that_raises_counts_a_triage_error(self, monkeypatch):
+        monkeypatch.setattr(stages, "reduce_program", raise_runtime_error)
+        outcome = run_triage_unit(crash_unit())
+        assert outcome.status == TRIAGE_UNREPRODUCED
+        assert outcome.localized_pass == "StrengthReduction"
+        assert outcome.counters["triage_errors"] == 1
+
+    def test_a_localization_that_raises_keeps_the_reduction(self, monkeypatch):
+        monkeypatch.setattr(stages, "localize_finding", raise_runtime_error)
+        outcome = run_triage_unit(crash_unit())
+        assert outcome.status == TRIAGE_REDUCED
+        assert outcome.reduced_size <= outcome.original_size
+        assert outcome.localized_pass == "StrengthReduction"
+        assert outcome.pass_pair is None
+        assert outcome.counters["triage_errors"] == 1
 
     def test_unreproducible_unit_reports_unreproduced(self):
         finding = FindingRecord(
@@ -624,3 +650,23 @@ class TestStandaloneTriageUnit:
         outcome = run_triage_unit(unit)
         assert outcome.status == "unreproduced"
         assert outcome.reduced_source == ""
+        assert outcome.counters["triage_errors"] == 0
+
+    def test_a_trigger_that_does_not_parse_counts_a_triage_error(self):
+        finding = FindingRecord(
+            kind="crash",
+            platform="p4c",
+            pass_name="StrengthReduction",
+            description="",
+            signature="negative-slice-index",
+        )
+        unit = TriageUnit(
+            identifier="p4c:unparsable",
+            platform="p4c",
+            source="control ingress(",
+            finding=finding,
+        )
+        outcome = run_triage_unit(unit)
+        assert outcome.status == TRIAGE_UNREPRODUCED
+        assert outcome.localized_pass == "StrengthReduction"
+        assert outcome.counters["triage_errors"] == 1

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import smt
 from repro.compiler import CompilerOptions, compile_front_midend
 from repro.compiler.pass_manager import PassManager
 from repro.compiler.passes import CompilerPass
+from repro.core.interpreter import BlockSemantics
 from repro.core.validation import TranslationValidator, ValidationOutcome
 from repro.p4 import parse_program
 
@@ -286,3 +288,68 @@ class TestIllTypedSnapshots:
         )
         assert report.outcome == ValidationOutcome.INVALID_TRANSFORMATION
         assert report.invalid_pass == "First"
+
+
+X = smt.BitVecSym("x", 8)
+Y = smt.BitVecSym("y", 8)
+
+
+def block(name, outputs, state_outputs=None):
+    return BlockSemantics(name, outputs, {}, [], [], state_outputs=state_outputs or {})
+
+
+class TestDroppedOutputs:
+    """An output the earlier snapshot had and the pass's snapshot lacks is
+    that pass's divergence, with an empty witness, at its place in block
+    and path order."""
+
+    def validate(self, monkeypatch, before, after):
+        semantics = {"Dropper": after}
+        monkeypatch.setattr(
+            TranslationValidator,
+            "_interpret",
+            staticmethod(lambda snapshot: semantics.get(snapshot.pass_name, before)),
+        )
+        result = PassManager(
+            [EmitSource("Dropper", control_program("hdr.h.a = 8w2;"))], CompilerOptions()
+        ).run(parse_program(control_program("hdr.h.a = 8w1;")))
+        return TranslationValidator().validate_compilation(result)
+
+    @pytest.mark.parametrize(
+        "after, block_name, path",
+        [
+            ({"ingress": block("ingress", {"h.a": X})}, "ingress", "h.b"),
+            ({"ingress": block("ingress", {"h.a": X, "h.b": Y})}, "egress", "$state.r[0]"),
+            ({}, "ingress", "h.a"),
+        ],
+    )
+    def test_a_dropped_output_is_the_passs_divergence(
+        self, monkeypatch, after, block_name, path
+    ):
+        before = {
+            "ingress": block("ingress", {"h.a": X, "h.b": Y}),
+            "egress": block("egress", {}, {"$state.r[0]": X}),
+        }
+        report = self.validate(monkeypatch, before, after)
+        assert report.outcome == ValidationOutcome.SEMANTIC_BUG
+        (divergence,) = report.divergences
+        assert (divergence.pass_name, divergence.block, divergence.output_path) == (
+            "Dropper",
+            block_name,
+            path,
+        )
+        assert divergence.witness == {}
+
+    def test_an_earlier_difference_comes_first(self, monkeypatch):
+        before = {"ingress": block("ingress", {"h.a": X, "h.b": Y})}
+        after = {"ingress": block("ingress", {"h.a": smt.Add(X, smt.BitVecVal(1, 8))})}
+        report = self.validate(monkeypatch, before, after)
+        (divergence,) = report.divergences
+        assert divergence.output_path == "h.a"
+        assert divergence.witness != {}
+
+    def test_a_new_output_is_not_compared(self, monkeypatch):
+        before = {"ingress": block("ingress", {"h.a": X})}
+        after = {"ingress": block("ingress", {"h.a": X, "h.b": Y}), "egress": block("egress", {})}
+        report = self.validate(monkeypatch, before, after)
+        assert report.outcome == ValidationOutcome.EQUIVALENT

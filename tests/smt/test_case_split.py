@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import smt
 from repro.metrics import COUNTERS
-from repro.smt import all_equivalent, clear_equivalence_cache, find_divergence
+from repro.smt import clear_equivalence_cache, find_divergence
 from repro.smt.evaluate import evaluate
 from repro.smt import solver
 from repro.smt.solver import _split_equivalent
@@ -100,16 +100,7 @@ def grew(before, name):
 
 
 class TestRecordedPair:
-    """The pair ran out of the conflict budget through both entry points."""
-
-    def test_all_equivalent_settles_it_without_sat(self):
-        clear_equivalence_cache()
-        before = dict(COUNTERS)
-        assert all_equivalent([recorded_predication_pair()]) is True
-        assert grew(before, "sat_invocations") == 0
-        assert grew(before, "budget_exhausted") == 0
-        assert grew(before, "batched_checks") == 0
-        assert grew(before, "split_equivalences") == 1
+    """The pair ran out of the conflict budget before the case split."""
 
     def test_find_divergence_settles_it_without_sat(self):
         clear_equivalence_cache()
@@ -124,19 +115,9 @@ class TestRecordedPair:
         pair = recorded_predication_pair()
         assert find_divergence(*pair) is None
         before = dict(COUNTERS)
-        assert all_equivalent([pair]) is True
+        assert find_divergence(*pair) is None
         assert grew(before, "equivalence_cache_hits") == 1
         assert grew(before, "split_equivalences") == 0
-
-    def test_constraints_bypass_the_split(self):
-        # The split proves unconditional equivalence only; a query narrowed
-        # by extra constraints goes to the solver as before.
-        clear_equivalence_cache()
-        left, right = recorded_predication_pair()
-        before = dict(COUNTERS)
-        assert find_divergence(left, right, [smt.BoolSym("h.$valid")]) is None
-        assert grew(before, "split_equivalences") == 0
-        assert grew(before, "sat_invocations") == 1
 
 
 class TestWhatTheSplitCannotProve:
@@ -153,9 +134,9 @@ class TestWhatTheSplitCannotProve:
         assert witness is not None and witness["p"] is True
 
     def test_a_failed_split_is_not_retried(self, monkeypatch):
-        # The batch fails to split the pair and SAT finds the divergence;
-        # the walk that follows asks SAT for the witness without splitting
-        # the pair again.
+        # The first walk fails to split the pair and SAT finds the
+        # divergence; the second asks SAT for the witness again without
+        # splitting the pair again.
         clear_equivalence_cache()
         calls = []
 
@@ -167,22 +148,10 @@ class TestWhatTheSplitCannotProve:
         x, p = bv8("x"), smt.BoolSym("p")
         left = smt.Ite(p, smt.Add(x, c8(1)), x)
         right = smt.Ite(p, smt.Add(x, c8(2)), x)
-        assert all_equivalent([(left, right)]) is False
-        witness = find_divergence(left, right)
-        assert witness is not None and witness["p"] is True
+        for _ in range(2):
+            witness = find_divergence(left, right)
+            assert witness is not None and witness["p"] is True
         assert len(calls) == 1
-
-    def test_a_sat_verdict_replaces_the_failed_split(self):
-        clear_equivalence_cache()
-        x = bv8("x")
-        pair = (smt.Add(x, x), smt.Mul(x, c8(2)))
-        before = dict(COUNTERS)
-        assert all_equivalent([pair]) is True
-        assert grew(before, "sat_invocations") == 1
-        before = dict(COUNTERS)
-        assert find_divergence(*pair) is None
-        assert grew(before, "equivalence_cache_hits") == 1
-        assert grew(before, "sat_invocations") == 0
 
 
 BINARY = [smt.Add, smt.Sub, smt.Mul, smt.BvAnd, smt.BvOr, smt.BvXor, smt.Shl, smt.LShr]

@@ -6,8 +6,8 @@ These pin down the contracts the validation hot path relies on:
 * ``simplify`` is idempotent and cache-consistent across calls,
 * ``find_divergence`` answers syntactic equivalences with *zero* SAT
   solver invocations, and
-* ``enumerate_models`` keeps producing distinct models while reusing one
-  incremental SAT solver (learned clauses and watch lists carry over).
+* one incremental solver keeps answering checks as constraints and
+  assumptions come and go.
 """
 
 import copy
@@ -18,7 +18,7 @@ from repro.metrics import COUNTERS
 from repro.smt import terms as t
 from repro.smt.sat import SatSolver
 from repro.smt.simplify import simplify
-from repro.smt.solver import CheckResult, Solver, enumerate_models, find_divergence
+from repro.smt.solver import CheckResult, Solver, find_divergence
 
 
 X = smt.BitVecSym("x", 8)
@@ -152,18 +152,25 @@ class TestSyntacticFastPath:
         assert since(before, "sat_invocations") >= 1
 
 
-class TestIncrementalSolver:
-    def test_enumerate_models_distinct_after_clause_reuse(self):
-        constraint = smt.Ult(X, smt.BitVecVal(6, 8))
-        models = enumerate_models(constraint, [X], limit=10)
-        values = sorted(model["x"] for model in models)
-        assert values == [0, 1, 2, 3, 4, 5]
+def blocked_models(bound):
+    """Every ``x < bound`` through one solver, each model blocked in turn."""
 
-    def test_enumerate_models_uses_one_sat_solver(self):
+    solver = Solver()
+    solver.add(smt.Ult(X, smt.BitVecVal(bound, 8)))
+    values = []
+    while solver.check() == CheckResult.SAT:
+        values.append(solver.model()["x"])
+        solver.add(smt.Ne(X, smt.BitVecVal(values[-1], 8)))
+    return values
+
+
+class TestIncrementalSolver:
+    def test_blocked_models_stay_distinct_after_clause_reuse(self):
+        assert sorted(blocked_models(6)) == [0, 1, 2, 3, 4, 5]
+
+    def test_blocked_models_use_one_sat_solver(self):
         before = dict(COUNTERS)
-        constraint = smt.Ult(X, smt.BitVecVal(4, 8))
-        models = enumerate_models(constraint, [X], limit=10)
-        assert len(models) == 4
+        assert len(blocked_models(4)) == 4
         # 4 SAT answers + 1 final UNSAT, all on the same incremental solver.
         assert since(before, "sat_invocations") == 5
 
