@@ -128,11 +128,12 @@ REDUCE_MAX_SAT_INVOCATIONS = 104
 
 #: The validation-hot-path workload (``--hotpath`` / ``make bench-hotpath``):
 #: the 200-program scaling campaign at ``jobs=1``, cold caches.  The gate is
-#: deterministic: SAT invocations must stay below the ``before`` count, the
-#: same workload on the staged engine at commit ``b225044`` (recorded as a
-#: constant because that code path no longer exists).  Throughput is
-#: recorded with the runner's ``cpu_count`` but not gated: seconds compare
-#: only on one runner, parent against change (``perfbench/compare.py``).
+#: deterministic.  ``before`` records the same workload's SAT invocations on
+#: the staged engine at commit ``b225044`` (a constant, because that code
+#: path no longer exists); the gate is ``HOTPATH_MAX_SAT_INVOCATIONS``.
+#: Throughput is recorded with the runner's ``cpu_count`` but not gated:
+#: seconds compare only on one runner, parent against change
+#: (``perfbench/compare.py``).
 HOTPATH_BASELINE = {
     "sat_invocations": 1259,
     "source": (
@@ -141,6 +142,12 @@ HOTPATH_BASELINE = {
         "reparse/interp cache hits"
     ),
 }
+#: SAT invocations the hot-path campaign may make (``solver_sat_invocations``):
+#: its count at commit ``a7bb152``, where it was gated only below ``before``
+#: (1259).  A count above it means a query that the equivalence memo,
+#: hash-consing or the case split settled reaches SAT again, or test
+#: generation asks the solver more often.
+HOTPATH_MAX_SAT_INVOCATIONS = 897
 #: CDCL conflicts the hot-path campaign may hit (``solver_sat_conflicts``):
 #: its total once the equivalence layer settled queries by a case split
 #: before SAT.  It was 5276 before, nearly all of it validation queries
@@ -388,7 +395,7 @@ def run_hotpath(programs: int) -> dict:
     byte_identical = seeded_reports(jobs=1) == seeded_reports(jobs=4)
 
     meets_target = (
-        sat_invocations < HOTPATH_BASELINE["sat_invocations"]
+        sat_invocations <= HOTPATH_MAX_SAT_INVOCATIONS
         and sat_conflicts <= HOTPATH_MAX_SAT_CONFLICTS
         and budget_exhausted == 0
         and snapshot_emits <= HOTPATH_MAX_SNAPSHOT_EMITS
@@ -411,6 +418,7 @@ def run_hotpath(programs: int) -> dict:
         "elapsed_s": round(elapsed, 3),
         "programs_per_sec": round(programs_per_sec, 2),
         "sat_invocations": sat_invocations,
+        "max_sat_invocations": HOTPATH_MAX_SAT_INVOCATIONS,
         "sat_conflicts": sat_conflicts,
         "max_sat_conflicts": HOTPATH_MAX_SAT_CONFLICTS,
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
@@ -1100,7 +1108,7 @@ def main(argv=None) -> int:
             f"hotpath: {hotpath['programs_per_sec']} programs/s on "
             f"{hotpath['cpu_count']} CPU(s), "
             f"{hotpath['sat_invocations']} SAT invocations "
-            f"(must stay below {hotpath['before']['sat_invocations']}), "
+            f"(must stay at or below {hotpath['max_sat_invocations']}), "
             f"{hotpath['sat_conflicts']} SAT conflicts "
             f"(must stay at or below {hotpath['max_sat_conflicts']}), "
             f"{hotpath['split_equivalences']} split equivalences, "

@@ -7,12 +7,19 @@ care about.
 
 Dispatch is by the node's exact class, through a table each transformer
 class fills once per node class: the ``visit_`` method named after the
-class if it has one, else :meth:`Transformer.generic_visit`.  Nothing but
-expressions is reachable from an expression, so a transformer class with
-no ``visit_`` method for any expression class cannot change one; its table
-returns every expression untouched instead of walking it.  Such a class
-must not override :meth:`~Transformer.generic_visit` to act on
-expressions.  Transformer classes live at module level: the tables belong
+class if it has one, else :meth:`Transformer.generic_visit`, unless the
+transformer cannot change the node.  That is one rule: a transformer class
+returns a node untouched, without walking it, when no node class reachable
+from the node's class has a ``visit_`` method on the transformer class.
+A class reaches itself and, through the annotated fields of the
+:mod:`repro.p4.ast` dataclasses, every node class a field can hold (every
+subclass of a field's annotated node class), transitively; the sets are
+computed once, at import.  So a statement transformer never enters an
+expression, a table, an action reference, a key or a parameter, and one
+with ``visit_PathExpression`` still reaches the paths in a table key.
+A transformer class must therefore not override
+:meth:`~Transformer.generic_visit` to act on nodes it has no ``visit_``
+method for.  Transformer classes live at module level: the tables belong
 to the class, and a class created per call would rebuild them every time.
 
 Every pass is copy-on-write, and transformers are how most of them get
@@ -30,7 +37,8 @@ rebuilds a container keeps the contract with :func:`replace_items`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List
+import typing
+from typing import Any, Callable, Dict, FrozenSet, List
 
 from repro.p4 import ast
 
@@ -65,12 +73,43 @@ def map_controls(
     )
 
 
-#: Names of the expression node classes.
-_EXPRESSION_CLASSES = frozenset(
-    name
-    for name, value in vars(ast).items()
-    if isinstance(value, type) and issubclass(value, ast.Expression)
-)
+def _reachable_names() -> Dict[type, FrozenSet[str]]:
+    """Each AST dataclass -> the names of the node classes reachable from it."""
+
+    classes = [
+        value
+        for value in vars(ast).values()
+        if isinstance(value, type)
+        and issubclass(value, ast.Node)
+        and dataclasses.is_dataclass(value)
+    ]
+
+    def held(hint: Any) -> List[type]:
+        if isinstance(hint, type):
+            if issubclass(hint, ast.Node):
+                return [cls for cls in classes if issubclass(cls, hint)]
+            return []
+        return [cls for arg in typing.get_args(hint) for cls in held(arg)]
+
+    children = {
+        cls: {child for hint in typing.get_type_hints(cls).values() for child in held(hint)}
+        for cls in classes
+    }
+    reachable = {}
+    for cls in classes:
+        seen = {cls}
+        stack = [cls]
+        while stack:
+            for child in children[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        reachable[cls] = frozenset(node_class.__name__ for node_class in seen)
+    return reachable
+
+
+#: Node class -> names of the node classes reachable from it, itself included.
+_REACHABLE = _reachable_names()
 
 
 def _unchanged(transformer: "Transformer", node: ast.Node) -> ast.Node:
@@ -82,16 +121,14 @@ class Transformer:
 
     #: Node class -> the function that transforms it, per transformer class.
     _dispatch: Dict[type, Callable[["Transformer", ast.Node], Any]] = {}
-    #: True when no ``visit_`` method names an expression class.
-    _skips_expressions = True
+    #: Names of the node classes this transformer class has ``visit_`` methods for.
+    _visited: FrozenSet[str] = frozenset()
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._dispatch = {}
-        cls._skips_expressions = not any(
-            name[len("visit_"):] in _EXPRESSION_CLASSES
-            for name in dir(cls)
-            if name.startswith("visit_")
+        cls._visited = frozenset(
+            name[len("visit_"):] for name in dir(cls) if name.startswith("visit_")
         )
 
     @classmethod
@@ -99,7 +136,8 @@ class Transformer:
         method = getattr(cls, f"visit_{node_class.__name__}", None)
         if method is not None:
             return method
-        if cls._skips_expressions and issubclass(node_class, ast.Expression):
+        reachable = _REACHABLE.get(node_class)
+        if reachable is not None and reachable.isdisjoint(cls._visited):
             return _unchanged
         return cls.generic_visit
 

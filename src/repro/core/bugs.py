@@ -127,11 +127,6 @@ class BugTracker:
         if report is not None and report.status == BugStatus.FILED:
             report.status = BugStatus.CONFIRMED
 
-    def fix(self, identifier: str) -> None:
-        report = self._reports.get(identifier)
-        if report is not None:
-            report.status = BugStatus.FIXED
-
     # -- queries -------------------------------------------------------------------
 
     def get(self, identifier: str) -> Optional[BugReport]:
@@ -144,14 +139,8 @@ class BugTracker:
     def __len__(self) -> int:
         return len(self._reports)
 
-    def by_kind(self, kind: BugKind) -> List[BugReport]:
-        return [report for report in self.reports if report.kind == kind]
-
     def by_platform(self, platform: str) -> List[BugReport]:
         return [report for report in self.reports if report.platform == platform]
-
-    def by_location(self, location: BugLocation) -> List[BugReport]:
-        return [report for report in self.reports if report.location == location]
 
     # -- tables ----------------------------------------------------------------------
 

@@ -112,9 +112,6 @@ class Token(NamedTuple):
     def is_symbol(self, text: str) -> bool:
         return self.kind is TokenKind.SYMBOL and self.text == text
 
-    def is_keyword(self, text: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == text
-
 
 _IDENTIFIER = TokenKind.IDENTIFIER
 _NUMBER = TokenKind.NUMBER

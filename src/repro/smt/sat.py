@@ -113,16 +113,26 @@ class SatSolver:
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.empty_clause = False
-        #: VSIDS order: a lazy max-heap of ``(-activity, var)`` entries.
-        #: Every unassigned variable has an entry at least as high as its
-        #: activity, so the first fresh entry popped for an unassigned
-        #: variable is the highest-activity one (lowest index on ties).
-        #: Entries go stale when activities are rescaled or variables get
-        #: assigned; :meth:`_decide` discards/refreshes them on pop, and a
-        #: backtrack to level 0 rebuilds the heap without them.
-        self._order: List[Tuple[float, int]] = [
-            (0.0, var) for var in range(1, num_vars + 1)
-        ]
+        #: VSIDS order, split by activity.  Nearly every variable is never
+        #: bumped and keeps activity 0.0; those are decided by index, the
+        #: rest through a lazy max-heap of ``(-activity, var)`` entries.
+        #: Invariants between decisions:
+        #:
+        #: * ``_bumped`` lists exactly the variables of positive activity;
+        #: * every unassigned variable of positive activity has an entry in
+        #:   ``_order`` at least as high as its activity;
+        #: * every unassigned variable of activity 0.0 has an index of at
+        #:   least ``_cursor``.
+        #:
+        #: So the decision (highest activity, lowest index on ties) is the
+        #: first fresh heap entry for an unassigned variable, or, with the
+        #: heap empty, the first unassigned variable from the cursor on.  A
+        #: rescale that underflows an activity to 0.0 drops the variable
+        #: from ``_bumped`` and lowers the cursor to it if it is unassigned;
+        #: one on the trail reaches the cursor when a backtrack unassigns it.
+        self._order: List[Tuple[float, int]] = []
+        self._bumped: List[int] = []
+        self._cursor = 1
         self.add_clauses(clauses)
 
     # -- incremental interface ---------------------------------------------
@@ -142,11 +152,9 @@ class SatSolver:
         self.reason.extend(repeat(None, extra))
         self.activity.extend(repeat(0.0, extra))
         self._seen.extend(repeat(False, extra))
-        added = range(old + 1, num_vars + 1)
-        self.phase.extend([_default_phase(var) for var in added])
-        # A new entry ranks below every queued one (activity 0, higher
-        # index), so appending keeps the heap ordered.
-        self._order.extend(zip(repeat(0.0), added))
+        self.phase.extend([_default_phase(var) for var in range(old + 1, num_vars + 1)])
+        # The new variables have activity 0.0 and indices above the old
+        # ``num_vars``, and the cursor never passes ``num_vars + 1``.
         self.num_vars = num_vars
 
     def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
@@ -230,7 +238,14 @@ class SatSolver:
     # -- propagation -----------------------------------------------------------
 
     def _propagate(self) -> Optional[Clause]:
-        """Unit-propagate the trail; return a conflicting clause or ``None``."""
+        """Unit-propagate the trail; return a conflicting clause or ``None``.
+
+        Slot 1 of a visited clause gets the falsified watch; a clause with
+        a true slot 0 stays, one with a spare slot (the first literal from
+        slot 2 on that is not false) moves its watch there, and any other
+        is unit or conflicting.  Binary clauses have no spare slot and
+        ternary ones one candidate, so only longer clauses scan.
+        """
 
         trail = self.trail
         watches = self.watches
@@ -239,7 +254,8 @@ class SatSolver:
         reason = self.reason
         decision_level = len(self.trail_lim)
         head = self.propagate_head
-        while head < len(trail):
+        size = len(trail)
+        while head < size:
             literal = trail[head]
             head += 1
             watch_list = watches[literal]
@@ -260,29 +276,39 @@ class SatSolver:
                 if first_value is True:
                     index += 1
                     continue
-                # Look for a new literal to watch.
-                for other_index in range(2, len(clause)):
-                    candidate = clause[other_index]
-                    if values[candidate] is not False:
-                        clause[1] = candidate
-                        clause[other_index] = false_literal
-                        end -= 1
-                        watch_list[index] = watch_list[end]
-                        watch_list.pop()
-                        watches[-candidate].append(clause)
-                        break
+                length = len(clause)
+                if length == 2:
+                    spare = 0
+                elif length == 3:
+                    spare = 2 if values[clause[2]] is not False else 0
                 else:
-                    # Clause is unit or conflicting.
-                    if first_value is False:
-                        self.propagate_head = head
-                        return clause
-                    values[first] = True
-                    values[-first] = False
-                    var = first if first > 0 else -first
-                    level[var] = decision_level
-                    reason[var] = clause
-                    trail.append(first)
-                    index += 1
+                    for spare in range(2, length):
+                        if values[clause[spare]] is not False:
+                            break
+                    else:
+                        spare = 0
+                if spare:
+                    # Watch the spare literal instead.
+                    candidate = clause[spare]
+                    clause[1] = candidate
+                    clause[spare] = false_literal
+                    end -= 1
+                    watch_list[index] = watch_list[end]
+                    watch_list.pop()
+                    watches[-candidate].append(clause)
+                    continue
+                # Clause is unit or conflicting.
+                if first_value is False:
+                    self.propagate_head = head
+                    return clause
+                values[first] = True
+                values[-first] = False
+                var = first if first > 0 else -first
+                level[var] = decision_level
+                reason[var] = clause
+                trail.append(first)
+                size += 1
+                index += 1
         self.propagate_head = head
         return None
 
@@ -295,6 +321,7 @@ class SatSolver:
         level = self.level
         reason = self.reason
         activity = self.activity
+        bumped = self._bumped
         trail = self.trail
         seen = self._seen
         decision_level = len(self.trail_lim)
@@ -315,12 +342,13 @@ class SatSolver:
                 if not seen[var] and level[var] > 0:
                     seen[var] = True
                     # Bump: every variable of a conflict or reason clause is
-                    # assigned, so it re-enters the order when unassigned.
+                    # assigned, so it re-enters the order when unassigned
+                    # (on the heap, once its first bump made it positive).
+                    if not activity[var]:
+                        bumped.append(var)
                     activity[var] += self.var_inc
                     if activity[var] > 1e100:
-                        for index in range(1, self.num_vars + 1):
-                            activity[index] *= 1e-100
-                        self.var_inc *= 1e-100
+                        self._rescale()
                     if level[var] >= decision_level:
                         counter += 1
                     else:
@@ -355,8 +383,36 @@ class SatSolver:
         learned[1], learned[max_index] = learned[max_index], learned[1]
         return learned, backjump
 
+    def _rescale(self) -> None:
+        """Scale every activity and ``var_inc`` by 1e-100.
+
+        Only bumped variables have a non-zero activity.  One whose activity
+        underflows to 0.0 is decided by index again: it leaves ``_bumped``,
+        and the cursor drops to it if it is unassigned.
+        """
+
+        activity = self.activity
+        values = self.values
+        bumped = self._bumped
+        kept = []
+        for var in bumped:
+            scaled = activity[var] * 1e-100
+            activity[var] = scaled
+            if scaled:
+                kept.append(var)
+            elif values[var] is None and var < self._cursor:
+                self._cursor = var
+        bumped[:] = kept  # in place: ``_analyze`` holds the list
+        self.var_inc *= 1e-100
+
     def _backtrack(self, target_level: int) -> None:
-        """Unassign every level above ``target_level``, saving phases."""
+        """Unassign every level above ``target_level``, saving phases.
+
+        An unassigned variable of positive activity goes back on the heap,
+        one of activity 0.0 lowers the cursor to it.  Back at level 0 the
+        heap is rebuilt from the bumped variables, dropping every stale
+        entry.
+        """
 
         trail_lim = self.trail_lim
         if len(trail_lim) > target_level:
@@ -367,27 +423,27 @@ class SatSolver:
             del trail_lim[target_level:]
             values = self.values
             phase = self.phase
+            activity = self.activity
+            order = self._order
+            cursor = self._cursor
             for literal in unassigned:
                 values[literal] = None
                 values[-literal] = None
                 if literal > 0:
-                    phase[literal] = True
+                    var = literal
+                    phase[var] = True
                 else:
-                    phase[-literal] = False
-            activity = self.activity
-            order = self._order
-            if target_level:
-                for literal in unassigned:
-                    var = abs(literal)
-                    heappush(order, (-activity[var], var))
-            else:
-                # Back at level 0: one entry per unassigned variable, which
-                # drops every stale one.  In place: ``solve`` holds the list.
-                order[:] = [
-                    (-activity[var], var)
-                    for var in range(1, self.num_vars + 1)
-                    if values[var] is None
-                ]
+                    var = -literal
+                    phase[var] = False
+                if activity[var]:
+                    if target_level:
+                        heappush(order, (-activity[var], var))
+                elif var < cursor:
+                    cursor = var
+            self._cursor = cursor
+            if not target_level:
+                # In place: ``solve`` holds the list.
+                order[:] = [(-activity[var], var) for var in self._bumped if values[var] is None]
                 heapify(order)
         self.propagate_head = min(self.propagate_head, len(self.trail))
 
@@ -454,6 +510,7 @@ class SatSolver:
         activity = self.activity
         phase = self.phase
         order = self._order
+        num_vars = self.num_vars
         propagate = self._propagate
         while True:
             conflict = propagate()
@@ -507,23 +564,30 @@ class SatSolver:
                     return SatResult(False, {}, conflicts=conflicts)
                 var = literal if literal > 0 else -literal
             else:
-                # Branch on the unassigned variable of highest activity.
+                # Branch on the unassigned variable of highest activity: a
+                # bumped one from the heap, else the lowest-index one.
                 while order:
                     negated, var = heappop(order)
                     if values[var] is not None:
                         continue  # stale: assigned since queued
-                    if -negated != activity[var]:
-                        # Stale priority (activity rescaled): refresh.
-                        heappush(order, (-activity[var], var))
+                    current = activity[var]
+                    if -negated != current:
+                        # Stale priority (activity rescaled): refresh,
+                        # unless it underflowed to 0.0 (the cursor's).
+                        if current:
+                            heappush(order, (-current, var))
                         continue
                     break
                 else:
-                    model = {
-                        var: value
-                        for var, value in enumerate(values[1 : self.num_vars + 1], 1)
-                        if value is not None
-                    }
-                    return SatResult(True, model, conflicts=conflicts)
+                    var = self._cursor
+                    while var <= num_vars and values[var] is not None:
+                        var += 1
+                    if var > num_vars:
+                        # Every variable is assigned.
+                        self._cursor = var
+                        model = dict(enumerate(values[1 : num_vars + 1], 1))
+                        return SatResult(True, model, conflicts=conflicts)
+                    self._cursor = var + 1
                 literal = var if phase[var] else -var
             trail_lim.append(len(trail))
             values[literal] = True

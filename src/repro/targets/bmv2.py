@@ -60,11 +60,6 @@ class Bmv2Target:
         )
         return Executable(lowered, semantics, result.final_source)
 
-    def compile_with_snapshots(self, program) -> CompilationResult:
-        """Expose the per-pass snapshots (BMv2 is an open back end)."""
-
-        return P4Compiler(self.options).compile(program)
-
     # -- lowering -----------------------------------------------------------------
 
     def _lower(self, program: ast.Program) -> None:

@@ -9,7 +9,9 @@ before the transformers skipped expressions, the statement scans stopped
 entering them and the pass manager reused statement texts across
 snapshots, so none of those may move a byte.
 
-The transformer tests pin the dispatch contract those skips rest on.
+The transformer tests pin the dispatch contract those skips rest on: a
+transformer returns a node untouched when no node class reachable from it
+has a ``visit_`` method on the transformer.
 """
 
 import hashlib
@@ -99,12 +101,40 @@ class _PathRenamer(Transformer):
         return ast.PathExpression(node.name.upper())
 
 
+TABLE_SOURCE = """
+header Hdr_t { bit<8> a; bit<8> b; }
+struct Headers { Hdr_t h; }
+control ingress(inout Headers hdr) {
+    action set(bit<8> v) {
+        hdr.h.b = v;
+    }
+    table t {
+        key = {
+            hdr.h.a : exact;
+        }
+        actions = {
+            set();
+            NoAction();
+        }
+        default_action = set(8w7);
+    }
+    apply {
+        t.apply();
+        if (hdr.h.a == 8w3) { exit; }
+    }
+}
+"""
+
+
 class TestDispatch:
     def test_a_statement_transformer_never_enters_an_expression(self):
         program = parse_program(SOURCE)
         _ExitDropper.visited.clear()
         out = _ExitDropper().transform_program(program)
-        assert _ExitDropper._skips_expressions
+        assert not any(issubclass(cls, ast.Expression) for cls in _ExitDropper.visited)
+        # Handed an expression, it returns it without walking it.
+        rhs = program.controls()[0].apply.statements[0].rhs
+        assert _ExitDropper().transform(rhs) is rhs
         assert not any(issubclass(cls, ast.Expression) for cls in _ExitDropper.visited)
         before = program.controls()[0].apply.statements
         after = out.controls()[0].apply.statements
@@ -116,10 +146,38 @@ class TestDispatch:
 
     def test_an_expression_transformer_reaches_nested_expressions(self):
         program = parse_program(SOURCE)
-        assert not _PathRenamer._skips_expressions
+        rhs = program.controls()[0].apply.statements[0].rhs
+        renamed = _PathRenamer().transform(rhs)
+        assert renamed is not rhs
+        assert {node.name for node in ast.walk(renamed) if isinstance(node, ast.PathExpression)} == {
+            "HDR"
+        }
         out = _PathRenamer().transform_program(program)
         names = {node.name for node in ast.walk(out) if isinstance(node, ast.PathExpression)}
         assert names == {"HDR"}
+
+    def test_a_statement_transformer_never_enters_a_table_action_ref_key_or_parameter(self):
+        program = parse_program(TABLE_SOURCE)
+        _ExitDropper.visited.clear()
+        out = _ExitDropper().transform_program(program)
+        skipped = (ast.TableDeclaration, ast.ActionRef, ast.KeyElement, ast.Parameter)
+        assert not any(issubclass(cls, skipped) for cls in _ExitDropper.visited)
+        # It still reaches the exit inside the apply block, and shares the table.
+        control, new_control = program.controls()[0], out.controls()[0]
+        assert new_control is not control
+        assert new_control.apply.statements[1].then_branch.statements == []
+        assert new_control.locals[1] is control.locals[1]
+
+    def test_a_path_transformer_rewrites_a_path_inside_a_table_key(self):
+        program = parse_program(TABLE_SOURCE)
+        out = _PathRenamer().transform_program(program)
+        table = out.controls()[0].locals[1]
+        assert isinstance(table, ast.TableDeclaration)
+        key_paths = {
+            node.name for node in ast.walk(table.keys[0]) if isinstance(node, ast.PathExpression)
+        }
+        assert key_paths == {"HDR"}
+        assert program.controls()[0].locals[1].keys[0].expr.expr.expr.name == "hdr"
 
     def test_each_class_fills_its_own_table(self):
         program = parse_program(SOURCE)

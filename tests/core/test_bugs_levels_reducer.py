@@ -33,18 +33,14 @@ class TestBugTracker:
         tracker.file(make_report("a"))
         tracker.confirm("a")
         assert tracker.reports[0].status == BugStatus.CONFIRMED
-        tracker.fix("a")
-        assert tracker.reports[0].status == BugStatus.FIXED
 
-    def test_queries_by_kind_platform_location(self):
+    def test_query_by_platform(self):
         tracker = BugTracker()
         tracker.file(make_report("a", kind=BugKind.CRASH, platform="p4c"))
         tracker.file(
             make_report("b", kind=BugKind.SEMANTIC, platform="tofino", location=BugLocation.BACK_END)
         )
-        assert len(tracker.by_kind(BugKind.CRASH)) == 1
         assert len(tracker.by_platform("tofino")) == 1
-        assert len(tracker.by_location(BugLocation.BACK_END)) == 1
 
     def test_summary_table_shape(self):
         tracker = BugTracker()

@@ -102,7 +102,7 @@ class TestRealisticSnippet:
 
     def test_token_helpers(self):
         token = tokenize("apply")[0]
-        assert token.is_keyword("apply")
+        assert token.kind is TokenKind.KEYWORD
         assert not token.is_symbol("apply")
 
 

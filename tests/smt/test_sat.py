@@ -212,3 +212,69 @@ class TestSearchPinned:
                 ).encode()
             )
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestActivityRescale:
+    """Pins the activity-rescale paths ``TestSearchPinned`` never reaches.
+
+    Its hard instance leaves ``var_inc`` near 1e82, so no rescale runs.
+    Here ``var_inc`` is preset just below the 1e100 rescale threshold
+    before every solve, so each solve with two or more conflicts rescales
+    mid-search, and variables bumped early and left alone through four
+    rescales underflow to activity 0.0.  The digest was recorded on the
+    kernel before its rewrite for speed.
+    """
+
+    DIGEST = "5a0f4ad1a2b49f44b305aebd93e5e688e41a51ecda5887645f4906644aa12d4a"
+    PRESET = 9.9e99
+
+    def test_rescaling_workload_matches_the_recorded_digest(self):
+        results = []
+        rescales = underflows = 0
+        rng = random.Random(7)
+        for _ in range(4):
+            solver = SatSolver(80, _random_3sat(rng, 80, 280, noisy=True))
+            bumped = set()
+            for step in range(12):
+                num_vars = 80 + step
+                solver.add_clauses(_random_3sat(rng, num_vars, 4, noisy=True))
+                assumptions = [
+                    var if rng.random() < 0.5 else -var
+                    for var in rng.sample(range(1, num_vars + 1), 6)
+                ]
+                solver.var_inc = self.PRESET
+                results.append(solver.solve(assumptions))
+                # ``var_inc`` only grows between rescales.
+                rescales += solver.var_inc < self.PRESET
+                underflows += sum(1 for var in bumped if solver.activity[var] == 0.0)
+                bumped |= {
+                    var for var in range(1, solver.num_vars + 1) if solver.activity[var]
+                }
+        assert rescales == 43
+        assert underflows > 0
+        digest = hashlib.sha256()
+        for r in results:
+            digest.update(
+                repr(
+                    (r.satisfiable, r.complete, sorted(r.assignment.items()), r.conflicts)
+                ).encode()
+            )
+        assert digest.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("assumptions", [[-3], [2, -3]], ids=["unassigned", "on-trail"])
+    def test_underflowed_variable_is_decided_at_its_index(self, assumptions):
+        solver = SatSolver(6, [[1, 2], [1, -2], [3, 4], [3, -4]])
+        # A conflict under -1 bumps variables 1 and 2; the learned unit fixes 1.
+        assert not solver.solve([-1]).satisfiable
+        assert solver.activity[2] > 0.0 and solver.values[2] is None
+        # The next conflict rescales every activity, and variable 2's
+        # underflows to 0.0, whether it is unassigned or on the trail then.
+        solver.activity[2] = 5e-324
+        solver.var_inc = 2e100
+        assert not solver.solve(assumptions).satisfiable
+        assert solver.activity[2] == 0.0
+        # After the level-0 backtrack, the bumped variable 4 goes first and
+        # variable 2 is decided among the activity-0 ones, in index order.
+        result = solver.solve()
+        assert result.assignment == {1: True, 2: True, 3: True, 4: True, 5: True, 6: False}
+        assert [solver.trail[index] for index in solver.trail_lim] == [4, 2, 5, -6]

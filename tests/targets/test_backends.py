@@ -45,11 +45,6 @@ class TestBmv2Target:
         output = executable.process(packet)
         assert output.read("h.a") == 5
 
-    def test_snapshots_available_for_open_backend(self):
-        program = make_program("hdr.h.a = 8w1;")
-        result = Bmv2Target().compile_with_snapshots(program)
-        assert len(result.snapshots) > 3
-
     def test_type_error_raises_compiler_error(self):
         program = make_program("hdr.h.a = 16w1;")
         with pytest.raises(CompilerError):
@@ -105,10 +100,6 @@ class TestTofinoTarget:
         executable = TofinoTarget().compile(program)
         packet = make_packet(program, {"h.a": 4})
         assert executable.process(packet).read("h.a") == 5
-
-    def test_backend_is_black_box(self):
-        target = TofinoTarget()
-        assert not hasattr(target, "compile_with_snapshots")
 
     def test_table_limit_crash_bug(self):
         locals_parts = []

@@ -106,9 +106,6 @@ class TestEbpfTarget:
             EbpfTarget().link(result)
         assert COUNTERS["typecheck_runs"] - before <= 1
 
-    def test_backend_is_black_box(self):
-        assert not hasattr(EbpfTarget(), "compile_with_snapshots")
-
 
 class TestVerifierLimits:
     """Over-budget programs are graceful rejections, never findings."""
